@@ -20,6 +20,15 @@ fi
 echo "== cargo test -q"
 cargo test -q
 
+# The sandbox gates, run explicitly because `cargo test` at the root
+# builds only the facade's tests: the minilang suite (parser nesting
+# limit, lowering, the interpreter's fuel/string/call-depth budgets on a
+# 2 MiB thread) and the detector suite (static rules, sandbox labels,
+# stop counters, cached ≡ reference evaluation). The root
+# `sandbox_golden` test pins their combined output byte for byte.
+echo "== cargo test -q -p minilang -p detector"
+cargo test -q -p minilang -p detector
+
 # The fault-tolerance gate, run explicitly so a filtered or skipped
 # harness can never silently drop it: the resilient collector must
 # survive every fault rate (including total blackout) without panicking.

@@ -1,13 +1,15 @@
-//! Source-text memoisation for the parse + sandbox pipeline.
+//! Source-text memoisation for the parse + lower + sandbox pipeline.
 //!
 //! Campaign re-releases duplicate code by design: at the default corpus
 //! scale the world's ~20k package releases carry only ~12k distinct
 //! source texts, and every dataset archive's code string also appears
 //! verbatim among the world sources. A dynamic verdict depends only on
 //! the source text — the interpreter is deterministic and takes no
-//! per-package input — so memoising `(parse, sandbox)` by source
+//! per-package input — so memoising `(parse, lower, sandbox)` by source
 //! collapses ~29k interpreter runs across the detection experiment into
-//! ~12k.
+//! ~12k. Each distinct source is lowered once ([`minilang::lower`]); the
+//! sandbox and the module-only rules both read that one program, and
+//! neither it nor the AST outlives the miss.
 //!
 //! Static *verdicts* are deliberately not cached here: the typosquat
 //! rule reads the package *name*, so the decision stays per-package.
@@ -18,15 +20,14 @@
 
 use crate::dynamic::{BehaviorLabel, DynamicDetector, DynamicVerdict};
 use crate::rules::{self, RuleId};
-use minilang::Module;
+use minilang::lower::Program;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One memoised parse + sandbox run.
 #[derive(Debug, Clone)]
 pub struct SandboxRun {
-    /// The parsed module; `None` when the source does not parse.
-    pub module: Option<Arc<Module>>,
+    /// Whether the source parsed.
+    pub parsed: bool,
     /// The sandbox verdict, with [`DynamicDetector::analyze_source`]
     /// semantics: unparseable code yields a clean verdict with no APIs.
     pub verdict: DynamicVerdict,
@@ -73,16 +74,15 @@ impl SandboxCache {
             obs::counter_add("detector.sandbox_runs", 1);
             let run = match minilang::parse(source) {
                 Ok(module) => {
-                    let verdict = self.detector.analyze(&module);
-                    let module_hits = rules::module_rule_hits(&module);
+                    let program = Program::lower(&module);
                     SandboxRun {
-                        module: Some(Arc::new(module)),
-                        verdict,
-                        module_hits,
+                        parsed: true,
+                        verdict: self.detector.analyze_program(&program),
+                        module_hits: rules::module_rule_hits(&program),
                     }
                 }
                 Err(_) => SandboxRun {
-                    module: None,
+                    parsed: false,
                     verdict: DynamicVerdict {
                         labels: vec![BehaviorLabel::Clean],
                         apis: Vec::new(),
@@ -128,18 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_source_has_no_module() {
+    fn unparseable_source_is_clean_and_unscored() {
         let mut cache = SandboxCache::default();
         let run = cache.run(":::");
-        assert!(run.module.is_none());
+        assert!(!run.parsed);
         assert!(!run.verdict.malicious());
-    }
-
-    #[test]
-    fn parsed_module_is_shared() {
-        let mut cache = SandboxCache::default();
-        let first = cache.run("a = 1\n").module.clone().expect("parses");
-        let second = cache.run("a = 1\n").module.clone().expect("parses");
-        assert!(Arc::ptr_eq(&first, &second));
+        assert!(run.module_hits.is_empty());
     }
 }

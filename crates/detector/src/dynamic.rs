@@ -2,7 +2,8 @@
 //! effect-tracing interpreter and match behaviour signatures on the
 //! trace — flows, not syntax.
 
-use minilang::interp::{run, InterpConfig, Trace};
+use minilang::interp::{execute, InterpConfig, Outcome, Trace};
+use minilang::lower::Program;
 use minilang::Module;
 use std::fmt;
 
@@ -87,7 +88,23 @@ impl DynamicDetector {
 
     /// Runs a module in the sandbox and labels the trace.
     pub fn analyze(&self, module: &Module) -> DynamicVerdict {
-        let trace = run(module, &self.config);
+        self.analyze_program(&Program::lower(module))
+    }
+
+    /// Runs an already lowered module in the sandbox and labels the
+    /// trace. A run a budget stopped bumps
+    /// `detector.sandbox_stops{reason=fuel|memory|depth}`.
+    pub fn analyze_program(&self, program: &Program) -> DynamicVerdict {
+        let trace = execute(program, &self.config);
+        let stop = match trace.outcome {
+            Outcome::FuelExhausted => Some("detector.sandbox_stops{reason=fuel}"),
+            Outcome::MemoryExhausted => Some("detector.sandbox_stops{reason=memory}"),
+            Outcome::DepthExceeded => Some("detector.sandbox_stops{reason=depth}"),
+            Outcome::Completed | Outcome::Error => None,
+        };
+        if let Some(counter) = stop {
+            obs::counter_add(counter, 1);
+        }
         let labels = label_trace(&trace);
         DynamicVerdict {
             labels,
@@ -117,9 +134,11 @@ impl Default for DynamicDetector {
 /// Matches behaviour signatures against an effect trace.
 pub fn label_trace(trace: &Trace) -> Vec<BehaviorLabel> {
     let mut labels = Vec::new();
-    // One pass over the trace collects every signature flag at once;
-    // a per-flag `touched()` scan would walk the effect list eleven
-    // times for each sandboxed package.
+    // One pass over the trace collects every API signature flag at once,
+    // reading each distinct API once: a fuel-capped beacon loop records
+    // the same few thousand times.
+    let effects = &trace.effects;
+    let mut seen = vec![false; effects.api_count()];
     let mut sends = false;
     let mut fetches = false;
     let mut sensitive_read = false;
@@ -129,9 +148,11 @@ pub fn label_trace(trace: &Trace) -> Vec<BehaviorLabel> {
     let mut clip_read = false;
     let mut clip_write = false;
     let mut evals = false;
-    let mut miner_hint = false;
-    for e in &trace.effects {
-        let api: &str = &e.api;
+    for e in effects.iter() {
+        if std::mem::replace(&mut seen[e.api_id().index()], true) {
+            continue;
+        }
+        let api = e.api();
         sends |= api.starts_with("requests.post");
         fetches |= api.starts_with("requests.get");
         sensitive_read |= api.starts_with("os.environ")
@@ -144,13 +165,18 @@ pub fn label_trace(trace: &Trace) -> Vec<BehaviorLabel> {
         clip_read |= api.starts_with("clipboard.paste");
         clip_write |= api.starts_with("clipboard.copy");
         evals |= api.starts_with("eval");
-        miner_hint |= e.args.iter().any(|a| a.contains("stratum://"));
     }
+    // Only a fetch-and-spawn trace needs the argument previews.
+    let miner_hint = || {
+        effects
+            .iter()
+            .any(|e| e.arg_previews().iter().any(|a| a.contains("stratum://")))
+    };
 
     if sensitive_read && sends {
         labels.push(BehaviorLabel::Exfiltration);
     }
-    if fetches && spawns && miner_hint {
+    if fetches && spawns && miner_hint() {
         labels.push(BehaviorLabel::CryptoMiner);
     } else if fetches && spawns {
         labels.push(BehaviorLabel::DownloadExecute);
@@ -250,6 +276,34 @@ mod tests {
         assert!(verdict.malicious());
         assert!(verdict.apis.iter().any(|a| a == "requests.post"));
         assert!(verdict.apis.iter().any(|a| a == "os.environ"));
+    }
+
+    #[test]
+    fn budget_stops_are_counted_by_reason() {
+        obs::reset();
+        obs::enable();
+        let detector = DynamicDetector::new(400);
+        for src in [
+            "while True:\n    pass\n",
+            "s = 'ab'\nwhile True:\n    s = s + s\n",
+            "def f():\n    f()\n\nf()\n",
+        ] {
+            assert!(!detector.analyze_source(src).malicious(), "{src:?}");
+        }
+        let snap = obs::snapshot();
+        obs::disable();
+        let count = |reason: &str| {
+            let name = format!("detector.sandbox_stops{{reason={reason}}}");
+            snap.counters
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| *v)
+        };
+        // Other tests in this crate may run fuel-capped loops meanwhile;
+        // none hits the other two budgets.
+        assert!(count("fuel") >= 1);
+        assert_eq!(count("memory"), 1);
+        assert_eq!(count("depth"), 1);
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl fmt::Display for DetectionReport {
             self.dynamic_scores.f1()
         )?;
         let mut behaviors: Vec<_> = self.static_recall_by_behavior.iter().collect();
-        behaviors.sort_by_key(|(b, _)| format!("{b}"));
+        behaviors.sort_by_key(|(b, _)| b.label());
         for (behavior, (hit, total)) in behaviors {
             let (lhit, ltotal) = self
                 .dynamic_label_accuracy
@@ -176,8 +176,9 @@ pub fn evaluate_world(world: &World) -> DetectionReport {
     }
 }
 
-/// [`evaluate_world`] through a [`SandboxCache`]: parses, sandboxes and
-/// gathers module-only rule hits for each *distinct* source text once.
+/// [`evaluate_world`] through a [`SandboxCache`]: parses, lowers,
+/// sandboxes and gathers module-only rule hits for each *distinct* source
+/// text once.
 /// Per package, only the name-dependent typosquat rule and the threshold
 /// decision re-run ([`rules::matched_rules`] guarantees the name rule
 /// sorts last, so the recomposed rule list is identical to a fresh
@@ -199,7 +200,7 @@ pub fn evaluate_world_cached(world: &World, cache: &mut SandboxCache) -> Detecti
 
     for pkg in &world.packages {
         let run = cache.run(&pkg.source_text);
-        if run.module.is_none() {
+        if !run.parsed {
             skipped += 1;
             continue;
         }

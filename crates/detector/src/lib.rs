@@ -5,7 +5,7 @@
 //! malicious packages use old and known attack behaviors" (§I, §IV-C).
 //! This crate makes that claim testable inside the reproduction:
 //!
-//! * [`rules`] — static AST/metadata rules in the GuardDog style
+//! * [`rules`] — static code/metadata rules in the GuardDog style
 //!   (suspicious import combinations, install-time hooks, `eval` of
 //!   remote content, credential paths, typosquatting…);
 //! * [`static_detector`] — a weighted-rule scanner over package code;
@@ -15,8 +15,8 @@
 //! * [`eval`] — precision/recall against the simulator's ground truth,
 //!   per behaviour family — the quantified version of the paper's
 //!   insight;
-//! * [`cache`] — parse + sandbox memoisation by source text, so the
-//!   evaluation harness analyses each distinct program once however
+//! * [`cache`] — parse + lower + sandbox memoisation by source text, so
+//!   the evaluation harness analyses each distinct program once however
 //!   many releases carry it.
 //!
 //! # Examples

@@ -1,8 +1,9 @@
-//! Static detection rules over PyLite ASTs and package metadata.
+//! Static detection rules over lowered PyLite modules and package
+//! metadata.
 
-use minilang::ast::{Expr, Module, Stmt};
+use minilang::lower::Program;
+use minilang::Module;
 use oss_types::PackageName;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A static rule identifier.
@@ -99,7 +100,7 @@ impl fmt::Display for RuleId {
 /// Evaluates every rule against a module (and optionally the package
 /// name, for the typosquat rule). Returns the matched rules.
 pub fn matched_rules(module: &Module, package_name: Option<&PackageName>) -> Vec<RuleId> {
-    let mut hits = module_rule_hits(module);
+    let mut hits = module_rule_hits(&Program::lower(module));
     if let Some(name) = package_name {
         if name_is_squat(name) {
             hits.push(RuleId::TyposquatName);
@@ -111,17 +112,20 @@ pub fn matched_rules(module: &Module, package_name: Option<&PackageName>) -> Vec
 /// The module-dependent rules alone — everything except
 /// [`RuleId::TyposquatName`], which is the only rule that reads the
 /// package name and is always appended last. Cacheable per source text:
-/// `matched_rules(m, Some(n))` ≡ `module_rule_hits(m)` plus the name
-/// rule.
-pub fn module_rule_hits(module: &Module) -> Vec<RuleId> {
-    let facts = Facts::gather(module);
+/// `matched_rules(m, Some(n))` ≡ `module_rule_hits(&Program::lower(m))`
+/// plus the name rule. Reads the facts the lowering gathered.
+pub fn module_rule_hits(program: &Program) -> Vec<RuleId> {
+    let facts = program.facts();
+    let imports = |name: &str| facts.imports.iter().any(|m| &**m == name);
     let mut hits = Vec::new();
-    if facts.imports.iter().any(|m| m == "requests" || m == "socket") {
+    if imports("requests") || imports("socket") {
         hits.push(RuleId::NetworkImport);
     }
-    if facts.api_touches.iter().any(|a| {
-        a == "os.environ" || a == "os.getenv" || a.starts_with("os.environ")
-    }) {
+    if facts
+        .paths
+        .iter()
+        .any(|a| &**a == "os.getenv" || a.starts_with("os.environ"))
+    {
         hits.push(RuleId::EnvRead);
     }
     if facts.strings.iter().any(|s| {
@@ -136,10 +140,10 @@ pub fn module_rule_hits(module: &Module) -> Vec<RuleId> {
     if facts.calls_eval {
         hits.push(RuleId::EvalUsage);
     }
-    if facts.imports.iter().any(|m| m == "subprocess") {
+    if imports("subprocess") {
         hits.push(RuleId::SubprocessUsage);
     }
-    if facts.imports.iter().any(|m| m == "clipboard") {
+    if imports("clipboard") {
         hits.push(RuleId::ClipboardAccess);
     }
     if facts
@@ -149,7 +153,7 @@ pub fn module_rule_hits(module: &Module) -> Vec<RuleId> {
     {
         hits.push(RuleId::CredentialPaths);
     }
-    if facts.imports.iter().any(|m| m == "base64") {
+    if imports("base64") {
         hits.push(RuleId::Base64Decode);
     }
     if facts.unbounded_loop {
@@ -180,146 +184,6 @@ pub fn name_is_squat(name: &PackageName) -> bool {
         })
         .iter()
         .any(|target| name.is_typosquat_of(target))
-}
-
-/// Syntactic facts extracted in one AST walk.
-#[derive(Debug, Default)]
-struct Facts {
-    imports: HashSet<String>,
-    api_touches: HashSet<String>,
-    strings: Vec<String>,
-    silent_hook: bool,
-    calls_eval: bool,
-    unbounded_loop: bool,
-}
-
-impl Facts {
-    fn gather(module: &Module) -> Facts {
-        let mut facts = Facts::default();
-        for stmt in &module.body {
-            // Top-level try { call() } except { pass } — the hook shape.
-            if let Stmt::Try { body, handler } = stmt {
-                let calls = body
-                    .iter()
-                    .any(|s| matches!(s, Stmt::Expr(Expr::Call { .. })));
-                let silent = handler.iter().all(|s| matches!(s, Stmt::Pass));
-                if calls && silent {
-                    facts.silent_hook = true;
-                }
-            }
-            facts.walk_stmt(stmt);
-        }
-        facts
-    }
-
-    fn walk_stmt(&mut self, stmt: &Stmt) {
-        match stmt {
-            Stmt::Import { module, .. } => {
-                self.imports
-                    .insert(module.split('.').next().unwrap_or(module).to_owned());
-            }
-            Stmt::FromImport { module, .. } => {
-                self.imports
-                    .insert(module.split('.').next().unwrap_or(module).to_owned());
-            }
-            Stmt::Assign { target, value } => {
-                self.walk_expr(target);
-                self.walk_expr(value);
-            }
-            Stmt::Expr(e) | Stmt::Raise(e) => self.walk_expr(e),
-            Stmt::Return(Some(e)) => self.walk_expr(e),
-            Stmt::Return(None) | Stmt::Pass => {}
-            Stmt::FunctionDef { body, .. } => {
-                for s in body {
-                    self.walk_stmt(s);
-                }
-            }
-            Stmt::If { cond, body, orelse } => {
-                self.walk_expr(cond);
-                for s in body.iter().chain(orelse) {
-                    self.walk_stmt(s);
-                }
-            }
-            Stmt::For { iter, body, .. } => {
-                self.walk_expr(iter);
-                for s in body {
-                    self.walk_stmt(s);
-                }
-            }
-            Stmt::While { cond, body } => {
-                if matches!(cond, Expr::Bool(true)) {
-                    self.unbounded_loop = true;
-                }
-                self.walk_expr(cond);
-                for s in body {
-                    self.walk_stmt(s);
-                }
-            }
-            Stmt::Try { body, handler } => {
-                for s in body.iter().chain(handler) {
-                    self.walk_stmt(s);
-                }
-            }
-        }
-    }
-
-    fn walk_expr(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Str(s) => self.strings.push(s.clone()),
-            Expr::Call { callee, args } => {
-                if let Expr::Name(n) = callee.as_ref() {
-                    if n == "eval" || n == "exec" {
-                        self.calls_eval = true;
-                    }
-                }
-                if let Some(path) = dotted_path(callee) {
-                    self.api_touches.insert(path);
-                }
-                self.walk_expr(callee);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            Expr::Attribute { value, .. } => {
-                if let Some(path) = dotted_path(expr) {
-                    self.api_touches.insert(path);
-                }
-                self.walk_expr(value);
-            }
-            Expr::Index { value, index } => {
-                self.walk_expr(value);
-                self.walk_expr(index);
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            Expr::Unary { operand, .. } => self.walk_expr(operand),
-            Expr::List(items) => {
-                for i in items {
-                    self.walk_expr(i);
-                }
-            }
-            Expr::Dict(pairs) => {
-                for (k, v) in pairs {
-                    self.walk_expr(k);
-                    self.walk_expr(v);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn dotted_path(expr: &Expr) -> Option<String> {
-    match expr {
-        Expr::Name(n) => Some(n.clone()),
-        Expr::Attribute { value, attr } => {
-            let base = dotted_path(value)?;
-            Some(format!("{base}.{attr}"))
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]

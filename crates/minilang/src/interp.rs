@@ -4,26 +4,54 @@
 //! in the style of OSSF package-analysis run `pip install` hooks and
 //! record syscalls). This module is that substrate for the reproduction:
 //! it executes a module with every external API mocked and records each
-//! API touch as an [`Effect`]. The dynamic detector builds on the trace;
+//! API touch as an effect. The dynamic detector builds on the trace;
 //! nothing ever leaves the process.
 //!
-//! Execution is bounded by *fuel*: a `while True:` beacon loop simply
-//! exhausts its budget and the trace ends with
-//! [`Outcome::FuelExhausted`] — still carrying every effect observed.
+//! The interpreter executes the lowered [`Program`] (see [`crate::lower`]),
+//! not the AST: names are slots, API paths are interned ids, literals are
+//! prebuilt, and an effect is an API id plus its argument values in a
+//! flat buffer. Previews are rendered only when a caller reads them.
+//!
+//! Three budgets bound a run, because the code it exists to run is
+//! hostile. None can be caught by `try`/`except`, and each ends the run
+//! with its own [`Outcome`] while keeping every effect recorded so far:
+//!
+//! * *fuel* caps the steps (statements and expression nodes): a
+//!   `while True:` beacon loop ends in [`Outcome::FuelExhausted`];
+//! * [`MAX_STRING_BYTES`] caps the string bytes one run may create
+//!   (`s = s + s` doubles in a few dozen steps):
+//!   [`Outcome::MemoryExhausted`];
+//! * [`MAX_CALL_DEPTH`] caps nested calls, so unbounded recursion ends in
+//!   [`Outcome::DepthExceeded`] instead of overflowing the native stack.
 
-use crate::ast::{BinOp, Expr, Module, Stmt, UnaryOp};
+use crate::ast::{BinOp, Module, UnaryOp};
+use crate::lower::{LExpr, LStmt, NameTable, Program, Span, Target, BUILTIN, CALL, GETITEM};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
-/// A recorded external-API interaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Effect {
-    /// Dotted API path, e.g. `requests.post` or `os.getenv`. Shared
-    /// (`Rc`) because hot loops record the same path thousands of times.
-    pub api: Rc<str>,
-    /// Rendered argument previews (strings truncated).
-    pub args: Vec<String>,
+/// String bytes one run may create by concatenation, iteration and
+/// indexing. A loop doubling a two-byte string reaches it in 23
+/// iterations.
+pub const MAX_STRING_BYTES: usize = 16 << 20;
+
+/// Call nesting one run may reach, counted in evaluator frames: each
+/// active call charges one plus the nesting height of the callee's body
+/// (a one-line recursive function charges 4, so about 60 calls fit).
+/// The charge bounds native stack use however a program splits its depth
+/// between recursion and nesting, and fits a 2 MiB thread even in a
+/// debug build.
+pub const MAX_CALL_DEPTH: u32 = 256;
+
+/// An interned API path or name, valid in the [`Trace`] that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ApiId(pub(crate) u32);
+
+impl ApiId {
+    /// Position in the trace's name table ([`Effects::api_count`]).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// How a run ended.
@@ -33,6 +61,10 @@ pub enum Outcome {
     Completed,
     /// The fuel budget ran out (long/infinite loop).
     FuelExhausted,
+    /// The run tried to create more than [`MAX_STRING_BYTES`] of strings.
+    MemoryExhausted,
+    /// Calls nested deeper than [`MAX_CALL_DEPTH`].
+    DepthExceeded,
     /// An uncaught runtime error terminated the run.
     Error,
 }
@@ -41,10 +73,10 @@ pub enum Outcome {
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// External-API interactions in order.
-    pub effects: Vec<Effect>,
+    pub effects: Effects,
     /// How the run ended.
     pub outcome: Outcome,
-    /// Statements executed.
+    /// Statements and expression nodes executed.
     pub steps: u64,
     /// The uncaught error when `outcome` is [`Outcome::Error`].
     pub error: Option<RuntimeError>,
@@ -53,18 +85,115 @@ pub struct Trace {
 impl Trace {
     /// Whether any recorded API starts with `prefix` (e.g. `"requests."`).
     pub fn touched(&self, prefix: &str) -> bool {
-        self.effects.iter().any(|e| e.api.starts_with(prefix))
+        self.effects.iter().any(|e| e.api().starts_with(prefix))
     }
 
     /// All APIs touched, deduplicated, in first-touch order.
     pub fn apis(&self) -> Vec<&str> {
-        let mut seen: Vec<&str> = Vec::new();
-        for e in &self.effects {
-            if !seen.contains(&&*e.api) {
-                seen.push(&e.api);
+        let mut seen = vec![false; self.effects.api_count()];
+        let mut apis = Vec::new();
+        for e in self.effects.iter() {
+            if !std::mem::replace(&mut seen[e.api_id().index()], true) {
+                apis.push(e.api());
             }
         }
-        seen
+        apis
+    }
+}
+
+/// The recorded effects of one run: an API id and an argument range per
+/// effect, over one flat argument buffer.
+#[derive(Debug, Clone)]
+pub struct Effects {
+    names: Names,
+    /// API and end of its arguments in `args`, per effect.
+    records: Vec<(ApiId, usize)>,
+    args: Vec<Value>,
+}
+
+impl Effects {
+    /// Number of effects.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the run touched no external API.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The effects in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = EffectRef<'_>> + '_ {
+        let mut start = 0;
+        self.records.iter().map(move |&(api, end)| {
+            let args = &self.args[start..end];
+            start = end;
+            EffectRef {
+                effects: self,
+                api,
+                args,
+            }
+        })
+    }
+
+    /// Size of the name table [`ApiId`]s index, for per-API tables.
+    pub fn api_count(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// One recorded external-API interaction.
+#[derive(Debug, Clone, Copy)]
+pub struct EffectRef<'t> {
+    effects: &'t Effects,
+    api: ApiId,
+    args: &'t [Value],
+}
+
+impl<'t> EffectRef<'t> {
+    /// Dotted API path, e.g. `requests.post` or `os.getenv`.
+    pub fn api(&self) -> &'t str {
+        self.effects.names.get(self.api)
+    }
+
+    /// The interned id of [`EffectRef::api`].
+    pub fn api_id(&self) -> ApiId {
+        self.api
+    }
+
+    /// Rendered argument previews: strings quoted and cut at 32
+    /// characters, containers shown by length.
+    pub fn arg_previews(&self) -> Vec<String> {
+        self.args
+            .iter()
+            .map(|a| {
+                let mut out = String::new();
+                a.write_preview(&self.effects.names, &mut out);
+                out
+            })
+            .collect()
+    }
+}
+
+/// The name table of a run: the program's names, then those the run
+/// interned.
+#[derive(Debug, Clone)]
+struct Names {
+    program: Rc<NameTable>,
+    extra: Vec<Rc<str>>,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.program.strs.len() + self.extra.len()
+    }
+
+    fn get(&self, id: ApiId) -> &str {
+        let i = id.index();
+        match self.program.strs.get(i) {
+            Some(s) => s,
+            None => &self.extra[i - self.program.strs.len()],
+        }
     }
 }
 
@@ -85,14 +214,14 @@ pub enum Value {
     List(Rc<Vec<Value>>),
     /// Dict (association list; tiny programs, tiny dicts).
     Dict(Rc<Vec<(Value, Value)>>),
-    /// A user-defined function (index into the function table).
-    Func(usize),
+    /// A user-defined function (index of its `def` in the program).
+    Func(u32),
     /// An imported module handle (`os`, `requests`, …).
-    Module(Rc<str>),
+    Module(ApiId),
     /// A bound external API (`os.getenv`); calling it records an effect.
-    ExternalFn(Rc<str>),
+    ExternalFn(ApiId),
     /// An opaque value returned by an external API (`requests.get(...)`).
-    Opaque(Rc<str>),
+    Opaque(ApiId),
 }
 
 impl Value {
@@ -111,26 +240,26 @@ impl Value {
         }
     }
 
-    fn preview(&self) -> String {
-        match self {
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => format!("{v:.2}"),
+    fn write_preview(&self, names: &Names, out: &mut String) {
+        let _ = match self {
+            Value::Int(v) => write!(out, "{v}"),
+            Value::Float(v) => write!(out, "{v:.2}"),
             Value::Str(s) => {
                 let mut t: String = s.chars().take(32).collect();
                 if s.len() > 32 {
                     t.push('…');
                 }
-                format!("{t:?}")
+                write!(out, "{t:?}")
             }
-            Value::Bool(b) => b.to_string(),
-            Value::NoneV => "None".into(),
-            Value::List(items) => format!("[…;{}]", items.len()),
-            Value::Dict(pairs) => format!("{{…;{}}}", pairs.len()),
-            Value::Func(_) => "<function>".into(),
-            Value::Module(m) => format!("<module {m}>"),
-            Value::ExternalFn(f) => format!("<api {f}>"),
-            Value::Opaque(src) => format!("<result of {src}>"),
-        }
+            Value::Bool(b) => write!(out, "{b}"),
+            Value::NoneV => write!(out, "None"),
+            Value::List(items) => write!(out, "[…;{}]", items.len()),
+            Value::Dict(pairs) => write!(out, "{{…;{}}}", pairs.len()),
+            Value::Func(_) => write!(out, "<function>"),
+            Value::Module(m) => write!(out, "<module {}>", names.get(*m)),
+            Value::ExternalFn(f) => write!(out, "<api {}>", names.get(*f)),
+            Value::Opaque(src) => write!(out, "<result of {}>", names.get(*src)),
+        };
     }
 }
 
@@ -152,7 +281,7 @@ impl std::error::Error for RuntimeError {}
 /// Interpreter configuration.
 #[derive(Debug, Clone)]
 pub struct InterpConfig {
-    /// Maximum statements to execute before aborting.
+    /// Maximum steps to execute before aborting.
     pub fuel: u64,
 }
 
@@ -162,28 +291,60 @@ impl Default for InterpConfig {
     }
 }
 
-/// Executes `module` in the sandbox and returns its effect trace.
+/// Lowers `module` and executes it in the sandbox; see [`execute`].
+pub fn run(module: &Module, config: &InterpConfig) -> Trace {
+    execute(&Program::lower(module), config)
+}
+
+/// Executes `program` in the sandbox and returns its effect trace.
 ///
 /// Never panics on language-level misuse: type errors become
 /// [`Outcome::Error`] (or are caught by `try`/`except`, the way malicious
 /// install hooks silence failures).
-pub fn run(module: &Module, config: &InterpConfig) -> Trace {
-    let mut interp = Interp {
+pub fn execute(program: &Program, config: &InterpConfig) -> Trace {
+    let mut m = Machine {
+        program,
         fuel: config.fuel,
         steps: 0,
-        effects: Vec::new(),
-        functions: Vec::new(),
-        globals: Env::default(),
+        depth: 0,
+        string_bytes: 0,
+        globals: vec![None; program.globals.len()],
+        locals: Vec::new(),
+        base: 0,
+        args: Vec::new(),
+        names: Names {
+            program: Rc::clone(&program.names),
+            extra: Vec::new(),
+        },
+        extra_ids: HashMap::new(),
+        joins: HashMap::new(),
+        site_joins: vec![(u32::MAX, 0); program.attr_sites as usize],
+        records: Vec::new(),
+        effect_args: Vec::new(),
+        fault: None,
+        mocks: Mocks::default(),
     };
-    let (outcome, error) = match interp.exec_block(&module.body, &mut Env::default(), true) {
-        Ok(Flow::Normal) | Ok(Flow::Return(_)) => (Outcome::Completed, None),
-        Err(Stop::Fuel) => (Outcome::FuelExhausted, None),
-        Err(Stop::Error(e)) => (Outcome::Error, Some(e)),
+    let outcome = match m.exec_block(program.body) {
+        Ok(_) => Outcome::Completed,
+        Err(Stop::Fuel) => Outcome::FuelExhausted,
+        Err(Stop::Memory) => Outcome::MemoryExhausted,
+        Err(Stop::Depth) => Outcome::DepthExceeded,
+        Err(Stop::Error) => Outcome::Error,
+    };
+    let error = match (outcome, m.fault.take()) {
+        (Outcome::Error, Some(fault)) => Some(RuntimeError {
+            message: fault.message(&m.names),
+        }),
+        _ => None,
     };
     Trace {
-        effects: interp.effects,
+        effects: Effects {
+            names: m.names,
+            records: m.records,
+            args: m.effect_args,
+        },
         outcome,
-        steps: interp.steps,
+        steps: m.steps,
         error,
     }
 }
@@ -193,57 +354,96 @@ enum Flow {
     Return(Value),
 }
 
+/// Why evaluation unwinds. Only `Error` is catchable; its details wait in
+/// [`Machine::fault`], so a caught error never renders a message.
+#[derive(Debug, Clone, Copy)]
 enum Stop {
     Fuel,
-    Error(RuntimeError),
+    Memory,
+    Depth,
+    Error,
 }
 
-fn err(message: impl Into<String>) -> Stop {
-    Stop::Error(RuntimeError {
-        message: message.into(),
-    })
+/// A runtime error, rendered only if nothing catches it.
+enum Fault {
+    Static(&'static str),
+    NoAttribute(u32, Value),
+    CannotIndex(Value),
+    CannotNegate(Value),
+    Arity { expected: usize, got: usize },
+    NotCallable(Value),
+    Unsupported(BinOp, Value, Value),
+    Raised(Value),
 }
 
-struct FuncDef {
-    params: Vec<String>,
-    body: Vec<Stmt>,
-}
-
-/// FNV-1a. Variable lookup is the hottest operation in the sandbox and
-/// SipHash dominates it; a fixed basis keeps hashing deterministic.
-struct FastHasher(u64);
-
-impl Default for FastHasher {
-    fn default() -> Self {
-        FastHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for FastHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+impl Fault {
+    fn message(&self, names: &Names) -> String {
+        let preview = |v: &Value| {
+            let mut s = String::new();
+            v.write_preview(names, &mut s);
+            s
+        };
+        match self {
+            Fault::Static(m) => (*m).to_owned(),
+            Fault::NoAttribute(attr, v) => {
+                format!(
+                    "no attribute {:?} on {}",
+                    names.get(ApiId(*attr)),
+                    preview(v)
+                )
+            }
+            Fault::CannotIndex(v) => format!("cannot index {}", preview(v)),
+            Fault::CannotNegate(v) => format!("cannot negate {}", preview(v)),
+            Fault::Arity { expected, got } => {
+                format!("function expected {expected} args, got {got}")
+            }
+            Fault::NotCallable(v) => format!("{} is not callable", preview(v)),
+            Fault::Unsupported(op, l, r) => format!(
+                "unsupported operation {} between {} and {}",
+                op.symbol(),
+                preview(l),
+                preview(r)
+            ),
+            Fault::Raised(v) => format!("raised {}", preview(v)),
         }
     }
 }
 
-type Env = HashMap<String, Value, std::hash::BuildHasherDefault<FastHasher>>;
-
-struct Interp {
-    fuel: u64,
-    steps: u64,
-    effects: Vec<Effect>,
-    // Reference-counted so `call()` can borrow a definition without
-    // cloning its body while `&mut self` executes it.
-    functions: Vec<Rc<FuncDef>>,
-    globals: Env,
+/// The values external APIs return, built on first use.
+#[derive(Default)]
+struct Mocks {
+    value: Option<Value>,
+    builtin: Option<Value>,
+    environ: Option<Value>,
+    glob: Option<Value>,
 }
 
-impl Interp {
+struct Machine<'p> {
+    program: &'p Program,
+    fuel: u64,
+    steps: u64,
+    /// Frames charged to [`MAX_CALL_DEPTH`].
+    depth: u32,
+    string_bytes: usize,
+    globals: Vec<Option<Value>>,
+    /// Local slots of every active call; the current one starts at `base`.
+    locals: Vec<Option<Value>>,
+    base: usize,
+    /// Evaluated call arguments, shared by every call in flight.
+    args: Vec<Value>,
+    names: Names,
+    extra_ids: HashMap<Rc<str>, u32>,
+    /// `(base, attr)` → `base.attr` for paths the program did not intern.
+    joins: HashMap<(u32, u32), u32>,
+    /// Last `(base, path)` joined at each attribute site.
+    site_joins: Vec<(u32, u32)>,
+    records: Vec<(ApiId, usize)>,
+    effect_args: Vec<Value>,
+    fault: Option<Fault>,
+    mocks: Mocks,
+}
+
+impl Machine<'_> {
     fn burn(&mut self) -> Result<(), Stop> {
         if self.steps >= self.fuel {
             return Err(Stop::Fuel);
@@ -252,390 +452,515 @@ impl Interp {
         Ok(())
     }
 
-    fn exec_block(
-        &mut self,
-        stmts: &[Stmt],
-        locals: &mut Env,
-        global_scope: bool,
-    ) -> Result<Flow, Stop> {
-        for stmt in stmts {
-            match self.exec_stmt(stmt, locals, global_scope)? {
-                Flow::Normal => {}
-                ret @ Flow::Return(_) => return Ok(ret),
+    fn fail<T>(&mut self, fault: Fault) -> Result<T, Stop> {
+        self.fault = Some(fault);
+        Err(Stop::Error)
+    }
+
+    fn charge_bytes(&mut self, n: usize) -> Result<(), Stop> {
+        self.string_bytes = self.string_bytes.saturating_add(n);
+        if self.string_bytes > MAX_STRING_BYTES {
+            return Err(Stop::Memory);
+        }
+        Ok(())
+    }
+
+    fn char_value(&mut self, c: char) -> Result<Value, Stop> {
+        self.charge_bytes(c.len_utf8())?;
+        Ok(Value::Str(Rc::from(&*c.encode_utf8(&mut [0; 4]))))
+    }
+
+    fn intern(&mut self, s: &str) -> ApiId {
+        if let Some(id) = self.program.names.get(s) {
+            return ApiId(id);
+        }
+        if let Some(&id) = self.extra_ids.get(s) {
+            return ApiId(id);
+        }
+        let id = self.names.len() as u32;
+        let s: Rc<str> = Rc::from(s);
+        self.names.extra.push(Rc::clone(&s));
+        self.extra_ids.insert(s, id);
+        ApiId(id)
+    }
+
+    /// The id of `base.attr`.
+    fn join(&mut self, base: ApiId, attr: u32) -> ApiId {
+        let key = (base.0, attr);
+        if let Some(&id) = self
+            .program
+            .joins
+            .get(&key)
+            .or_else(|| self.joins.get(&key))
+        {
+            return ApiId(id);
+        }
+        let path = format!("{}.{}", self.names.get(base), self.names.get(ApiId(attr)));
+        let id = self.intern(&path);
+        self.joins.insert(key, id.0);
+        id
+    }
+
+    /// Records an effect of `api` whose arguments are `args[mark..]`.
+    fn record(&mut self, api: ApiId, mark: usize) {
+        self.effect_args.extend(self.args.drain(mark..));
+        self.records.push((api, self.effect_args.len()));
+    }
+
+    fn bind(&mut self, target: Target, value: Value) {
+        match target {
+            Target::Global(slot) => self.globals[slot as usize] = Some(value),
+            Target::Local(slot) => self.locals[self.base + slot as usize] = Some(value),
+        }
+    }
+
+    /// Reads a global slot. Undefined globals behave like external
+    /// handles — the junk helpers (`hlib_123.op_9(x)`) must be traceable
+    /// — and are memoised in their slot.
+    fn global(&mut self, slot: u32) -> Value {
+        let program = self.program;
+        self.globals[slot as usize]
+            .get_or_insert_with(|| Value::Module(ApiId(program.globals[slot as usize])))
+            .clone()
+    }
+
+    fn exec_block(&mut self, block: Span) -> Result<Flow, Stop> {
+        let program = self.program;
+        for &stmt in &program.lists[block.range()] {
+            if let ret @ Flow::Return(_) = self.exec(stmt)? {
+                return Ok(ret);
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(
-        &mut self,
-        stmt: &Stmt,
-        locals: &mut Env,
-        global_scope: bool,
-    ) -> Result<Flow, Stop> {
+    fn exec(&mut self, stmt: u32) -> Result<Flow, Stop> {
         self.burn()?;
-        match stmt {
-            Stmt::Import { module, alias } => {
-                let local = alias.clone().unwrap_or_else(|| {
-                    module.split('.').next().unwrap_or(module).to_owned()
-                });
-                let value = Value::Module(Rc::from(module.as_str()));
-                self.bind(&local, value, locals, global_scope);
-                Ok(Flow::Normal)
+        let program = self.program;
+        match program.stmts[stmt as usize] {
+            LStmt::Bind { target, value } => {
+                self.bind(target, program.consts[value as usize].clone());
             }
-            Stmt::FromImport {
-                module,
-                name,
-                alias,
-            } => {
-                let local = alias.clone().unwrap_or_else(|| name.clone());
-                let value = Value::ExternalFn(Rc::from(format!("{module}.{name}").as_str()));
-                self.bind(&local, value, locals, global_scope);
-                Ok(Flow::Normal)
+            LStmt::Assign { target, value } => {
+                let value = self.eval(value)?;
+                self.bind(target, value);
             }
-            Stmt::Assign { target, value } => {
-                let value = self.eval(value, locals)?;
-                match target {
-                    Expr::Name(name) => {
-                        self.bind(name, value, locals, global_scope);
+            // Attribute/index stores on mocks are effects too (e.g.
+            // `os.environ['X'] = …`), recorded and dropped.
+            LStmt::AssignAttr { base, attr, value } => {
+                self.eval(value)?;
+                let api = match self.eval(base)? {
+                    Value::Module(m) | Value::ExternalFn(m) | Value::Opaque(m) => {
+                        self.join(m, attr)
                     }
-                    // Attribute/index stores on mocks are effects too
-                    // (e.g. `os.environ['X'] = …`), recorded and dropped.
-                    Expr::Attribute { value: base, attr } => {
-                        let base = self.eval(base, locals)?;
-                        self.effects.push(Effect {
-                            api: Rc::from(format!("{}.{attr}=", external_name(&base)).as_str()),
-                            args: vec![],
-                        });
+                    other => {
+                        let mut path = String::new();
+                        other.write_preview(&self.names, &mut path);
+                        path.push('.');
+                        path.push_str(self.names.get(ApiId(attr)));
+                        self.intern(&path)
                     }
-                    Expr::Index { value: base, .. } => {
-                        let _ = self.eval(base, locals)?;
-                    }
-                    _ => return Err(err("unsupported assignment target")),
-                }
-                Ok(Flow::Normal)
+                };
+                self.record(api, self.args.len());
             }
-            Stmt::Expr(e) => {
-                let _ = self.eval(e, locals)?;
-                Ok(Flow::Normal)
+            LStmt::AssignIndex { base, value } => {
+                self.eval(value)?;
+                self.eval(base)?;
             }
-            Stmt::FunctionDef { name, params, body } => {
-                let idx = self.functions.len();
-                self.functions.push(Rc::new(FuncDef {
-                    params: params.clone(),
-                    body: body.clone(),
-                }));
-                self.bind(name, Value::Func(idx), locals, global_scope);
-                Ok(Flow::Normal)
+            LStmt::AssignInvalid { value } => {
+                self.eval(value)?;
+                return self.fail(Fault::Static("unsupported assignment target"));
             }
-            Stmt::If { cond, body, orelse } => {
-                let branch = if self.eval(cond, locals)?.truthy() {
+            LStmt::Expr(e) => {
+                self.eval(e)?;
+            }
+            LStmt::Def { target, func } => self.bind(target, Value::Func(func)),
+            LStmt::If { cond, body, orelse } => {
+                let branch = if self.eval(cond)?.truthy() {
                     body
                 } else {
                     orelse
                 };
-                self.exec_block(branch, locals, global_scope)
+                return self.exec_block(branch);
             }
-            Stmt::For { var, iter, body } => {
-                let iterable = self.eval(iter, locals)?;
-                let items: Vec<Value> = match iterable {
-                    Value::List(items) => items.as_ref().clone(),
-                    Value::Str(s) => s
-                        .chars()
-                        .map(|c| Value::Str(Rc::from(c.to_string().as_str())))
-                        .collect(),
-                    Value::Dict(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
-                    // Iterating an opaque/other value yields a couple of
-                    // opaque elements — enough to drive loop bodies.
-                    other => vec![other.clone(), other],
-                };
-                for item in items {
-                    self.bind(var, item, locals, global_scope);
-                    match self.exec_block(body, locals, global_scope)? {
-                        Flow::Normal => {}
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::While { cond, body } => {
-                while self.eval(cond, locals)?.truthy() {
+            LStmt::For { target, iter, body } => return self.exec_for(target, iter, body),
+            LStmt::While { cond, body } => {
+                while self.eval(cond)?.truthy() {
                     self.burn()?;
-                    match self.exec_block(body, locals, global_scope)? {
-                        Flow::Normal => {}
-                        ret @ Flow::Return(_) => return Ok(ret),
+                    if let ret @ Flow::Return(_) = self.exec_block(body)? {
+                        return Ok(ret);
                     }
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::Try { body, handler } => {
-                match self.exec_block(body, locals, global_scope) {
-                    Ok(flow) => Ok(flow),
-                    // Fuel exhaustion is not catchable.
-                    Err(Stop::Fuel) => Err(Stop::Fuel),
-                    Err(Stop::Error(_)) => self.exec_block(handler, locals, global_scope),
-                }
+            LStmt::Try { body, handler } => {
+                let mark = self.args.len();
+                return match self.exec_block(body) {
+                    Err(Stop::Error) => {
+                        self.fault = None;
+                        self.args.truncate(mark);
+                        self.exec_block(handler)
+                    }
+                    // Budget stops are not catchable.
+                    other => other,
+                };
             }
-            Stmt::Return(value) => {
+            LStmt::Return(value) => {
                 let v = match value {
-                    Some(e) => self.eval(e, locals)?,
+                    Some(e) => self.eval(e)?,
                     None => Value::NoneV,
                 };
-                Ok(Flow::Return(v))
+                return Ok(Flow::Return(v));
             }
-            Stmt::Raise(e) => {
-                let v = self.eval(e, locals)?;
-                Err(err(format!("raised {}", v.preview())))
+            LStmt::Raise(e) => {
+                let v = self.eval(e)?;
+                return self.fail(Fault::Raised(v));
             }
-            Stmt::Pass => Ok(Flow::Normal),
+            LStmt::Pass => {}
         }
+        Ok(Flow::Normal)
     }
 
-    fn bind(
-        &mut self,
-        name: &str,
-        value: Value,
-        locals: &mut Env,
-        global_scope: bool,
-    ) {
-        let scope = if global_scope { &mut self.globals } else { locals };
-        // Re-binding an existing name (every loop iteration) must not
-        // re-allocate the key.
-        if let Some(slot) = scope.get_mut(name) {
-            *slot = value;
-        } else {
-            scope.insert(name.to_owned(), value);
+    fn exec_for(&mut self, target: Target, iter: u32, body: Span) -> Result<Flow, Stop> {
+        let step = |m: &mut Self, item: Value| {
+            m.bind(target, item);
+            m.exec_block(body)
+        };
+        match self.eval(iter)? {
+            Value::List(items) => {
+                for item in items.iter() {
+                    if let ret @ Flow::Return(_) = step(self, item.clone())? {
+                        return Ok(ret);
+                    }
+                }
+            }
+            Value::Str(s) => {
+                for c in s.chars() {
+                    let item = self.char_value(c)?;
+                    if let ret @ Flow::Return(_) = step(self, item)? {
+                        return Ok(ret);
+                    }
+                }
+            }
+            Value::Dict(pairs) => {
+                for (key, _) in pairs.iter() {
+                    if let ret @ Flow::Return(_) = step(self, key.clone())? {
+                        return Ok(ret);
+                    }
+                }
+            }
+            // Iterating an opaque/other value yields a couple of opaque
+            // elements — enough to drive loop bodies.
+            other => {
+                for item in [other.clone(), other] {
+                    if let ret @ Flow::Return(_) = step(self, item)? {
+                        return Ok(ret);
+                    }
+                }
+            }
         }
+        Ok(Flow::Normal)
     }
 
-    fn lookup(&self, name: &str, locals: &Env) -> Option<Value> {
-        locals
-            .get(name)
-            .or_else(|| self.globals.get(name))
-            .cloned()
-    }
-
-    fn eval(&mut self, expr: &Expr, locals: &mut Env) -> Result<Value, Stop> {
+    fn eval(&mut self, expr: u32) -> Result<Value, Stop> {
         self.burn()?;
-        match expr {
-            Expr::Name(name) => match self.lookup(name, locals) {
-                Some(v) => Ok(v),
-                // Undefined globals behave like external handles: the
-                // junk helpers (`hlib_123.op_9(x)`) must be traceable.
-                // Memoised in globals — the next read returns the same
-                // handle instead of allocating a fresh one.
-                None => {
-                    let v = Value::Module(Rc::from(name.as_str()));
-                    self.globals.insert(name.clone(), v.clone());
-                    Ok(v)
-                }
+        let program = self.program;
+        Ok(match program.exprs[expr as usize] {
+            LExpr::Global(slot) => self.global(slot),
+            LExpr::Local { slot, global } => match &self.locals[self.base + slot as usize] {
+                Some(v) => v.clone(),
+                None => self.global(global),
             },
-            Expr::Str(s) => Ok(Value::Str(Rc::from(s.as_str()))),
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Float(v) => Ok(Value::Float(*v)),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::NoneLit => Ok(Value::NoneV),
-            Expr::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for i in items {
-                    out.push(self.eval(i, locals)?);
+            LExpr::Const(id) => program.consts[id as usize].clone(),
+            LExpr::List(items) => {
+                let mut out = Vec::with_capacity(items.len as usize);
+                for &item in &program.lists[items.range()] {
+                    out.push(self.eval(item)?);
                 }
-                Ok(Value::List(Rc::new(out)))
+                Value::List(Rc::new(out))
             }
-            Expr::Dict(pairs) => {
-                let mut out = Vec::with_capacity(pairs.len());
-                for (k, v) in pairs {
-                    out.push((self.eval(k, locals)?, self.eval(v, locals)?));
+            LExpr::Dict(pairs) => {
+                let mut out = Vec::with_capacity(pairs.len as usize / 2);
+                for kv in program.lists[pairs.range()].chunks_exact(2) {
+                    out.push((self.eval(kv[0])?, self.eval(kv[1])?));
                 }
-                Ok(Value::Dict(Rc::new(out)))
+                Value::Dict(Rc::new(out))
             }
-            Expr::Attribute { value, attr } => {
-                let base = self.eval(value, locals)?;
-                match base {
-                    Value::Module(m) => {
-                        Ok(Value::ExternalFn(Rc::from(format!("{m}.{attr}").as_str())))
-                    }
-                    Value::Opaque(src) => {
-                        // Reading a field of an API result (e.g.
-                        // `resp.content`) is itself an observable touch.
-                        let api: Rc<str> = Rc::from(format!("{src}.{attr}").as_str());
-                        self.effects.push(Effect {
-                            api: Rc::clone(&api),
-                            args: vec![],
-                        });
-                        Ok(Value::Opaque(api))
-                    }
-                    Value::Str(_) | Value::List(_) | Value::Dict(_) => {
-                        // Built-in methods (strip/lower/…): callable,
-                        // pure, returns a mock of the receiver type.
-                        Ok(Value::ExternalFn(Rc::from(
-                            format!("builtin.{attr}").as_str(),
-                        )))
-                    }
-                    other => Err(err(format!(
-                        "no attribute {attr:?} on {}",
-                        other.preview()
-                    ))),
-                }
+            LExpr::Attr { base, attr, site } => {
+                let base = self.eval(base)?;
+                self.attribute(base, attr, site)?
             }
-            Expr::Index { value, index } => {
-                let base = self.eval(value, locals)?;
-                let idx = self.eval(index, locals)?;
-                match (base, idx) {
-                    (Value::List(items), Value::Int(i)) => {
-                        let i = usize::try_from(i)
-                            .map_err(|_| err("negative index"))?;
-                        items
-                            .get(i)
-                            .cloned()
-                            .ok_or_else(|| err("index out of range"))
-                    }
-                    (Value::Dict(pairs), key) => Ok(pairs
-                        .iter()
-                        .find(|(k, _)| value_eq(k, &key))
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or(Value::NoneV)),
-                    (Value::Str(s), Value::Int(i)) => {
-                        let i = usize::try_from(i)
-                            .map_err(|_| err("negative index"))?;
-                        s.chars()
-                            .nth(i)
-                            .map(|c| Value::Str(Rc::from(c.to_string().as_str())))
-                            .ok_or_else(|| err("string index out of range"))
-                    }
-                    (Value::Opaque(src), _) => Ok(Value::Opaque(src)),
-                    (Value::Module(m), key) => {
-                        // `os.environ['AWS_KEY']`-style reads.
-                        self.effects.push(Effect {
-                            api: Rc::from(format!("{m}.__getitem__").as_str()),
-                            args: vec![key.preview()],
-                        });
-                        Ok(Value::Str(Rc::from("mock-value")))
-                    }
-                    (base, _) => Err(err(format!("cannot index {}", base.preview()))),
-                }
+            LExpr::Index { base, index } => {
+                let base = self.eval(base)?;
+                let index = self.eval(index)?;
+                self.index(base, index)?
             }
-            Expr::Binary { op, lhs, rhs } => {
+            LExpr::Binary { op, lhs, rhs } => {
+                let l = self.eval(lhs)?;
                 // Short-circuit logic first.
                 match op {
-                    BinOp::And => {
-                        let l = self.eval(lhs, locals)?;
-                        if !l.truthy() {
-                            return Ok(l);
-                        }
-                        return self.eval(rhs, locals);
+                    BinOp::And if !l.truthy() => l,
+                    BinOp::Or if l.truthy() => l,
+                    BinOp::And | BinOp::Or => self.eval(rhs)?,
+                    _ => {
+                        let r = self.eval(rhs)?;
+                        self.binary(op, l, r)?
                     }
-                    BinOp::Or => {
-                        let l = self.eval(lhs, locals)?;
-                        if l.truthy() {
-                            return Ok(l);
-                        }
-                        return self.eval(rhs, locals);
-                    }
-                    _ => {}
-                }
-                let l = self.eval(lhs, locals)?;
-                let r = self.eval(rhs, locals)?;
-                binary_op(*op, l, r)
-            }
-            Expr::Unary { op, operand } => {
-                let v = self.eval(operand, locals)?;
-                match op {
-                    UnaryOp::Not => Ok(Value::Bool(!v.truthy())),
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(err(format!("cannot negate {}", other.preview()))),
-                    },
                 }
             }
-            Expr::Call { callee, args } => {
-                let callee_v = self.eval(callee, locals)?;
-                let mut arg_vs = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vs.push(self.eval(a, locals)?);
+            LExpr::Unary { op, operand } => {
+                let v = self.eval(operand)?;
+                match (op, v) {
+                    (UnaryOp::Not, v) => Value::Bool(!v.truthy()),
+                    (UnaryOp::Neg, Value::Int(i)) => Value::Int(i.wrapping_neg()),
+                    (UnaryOp::Neg, Value::Float(f)) => Value::Float(-f),
+                    (UnaryOp::Neg, other) => return self.fail(Fault::CannotNegate(other)),
                 }
-                self.call(callee_v, arg_vs)
             }
+            LExpr::Call { callee, args } => {
+                let callee = self.eval(callee)?;
+                let mark = self.args.len();
+                for &arg in &program.lists[args.range()] {
+                    let v = self.eval(arg)?;
+                    self.args.push(v);
+                }
+                self.call(callee, mark)?
+            }
+        })
+    }
+
+    /// [`Self::join`] through the site's one-entry cache: a loop reads
+    /// the same attribute off the same handle every iteration.
+    fn join_at(&mut self, site: u32, base: ApiId, attr: u32) -> ApiId {
+        let (cached, path) = self.site_joins[site as usize];
+        if cached == base.0 {
+            return ApiId(path);
+        }
+        let path = self.join(base, attr);
+        self.site_joins[site as usize] = (base.0, path.0);
+        path
+    }
+
+    fn attribute(&mut self, base: Value, attr: u32, site: u32) -> Result<Value, Stop> {
+        match base {
+            Value::Module(m) => Ok(Value::ExternalFn(self.join_at(site, m, attr))),
+            Value::Opaque(src) => {
+                // Reading a field of an API result (e.g. `resp.content`)
+                // is itself an observable touch.
+                let api = self.join_at(site, src, attr);
+                self.record(api, self.args.len());
+                Ok(Value::Opaque(api))
+            }
+            // Built-in methods (strip/lower/…): callable, pure, return a
+            // mock of the receiver type.
+            Value::Str(_) | Value::List(_) | Value::Dict(_) => {
+                Ok(Value::ExternalFn(self.join_at(site, ApiId(BUILTIN), attr)))
+            }
+            other => self.fail(Fault::NoAttribute(attr, other)),
         }
     }
 
-    fn call(&mut self, callee: Value, args: Vec<Value>) -> Result<Value, Stop> {
-        match callee {
-            Value::Func(idx) => {
-                let def = Rc::clone(&self.functions[idx]);
-                if def.params.len() != args.len() {
-                    return Err(err(format!(
-                        "function expected {} args, got {}",
-                        def.params.len(),
-                        args.len()
-                    )));
-                }
-                let mut frame: Env =
-                    def.params.iter().cloned().zip(args).collect();
-                match self.exec_block(&def.body, &mut frame, false)? {
-                    Flow::Return(v) => Ok(v),
-                    Flow::Normal => Ok(Value::NoneV),
-                }
+    fn index(&mut self, base: Value, index: Value) -> Result<Value, Stop> {
+        match (base, index) {
+            (Value::List(items), Value::Int(i)) => match usize::try_from(i) {
+                Err(_) => self.fail(Fault::Static("negative index")),
+                Ok(i) => match items.get(i) {
+                    Some(v) => Ok(v.clone()),
+                    None => self.fail(Fault::Static("index out of range")),
+                },
+            },
+            (Value::Dict(pairs), key) => Ok(pairs
+                .iter()
+                .find(|(k, _)| value_eq(k, &key))
+                .map(|(_, v)| v.clone())
+                .unwrap_or(Value::NoneV)),
+            (Value::Str(s), Value::Int(i)) => match usize::try_from(i) {
+                Err(_) => self.fail(Fault::Static("negative index")),
+                Ok(i) => match s.chars().nth(i) {
+                    Some(c) => self.char_value(c),
+                    None => self.fail(Fault::Static("string index out of range")),
+                },
+            },
+            (Value::Opaque(src), _) => Ok(Value::Opaque(src)),
+            (Value::Module(m), key) => {
+                // `os.environ['AWS_KEY']`-style reads.
+                let api = self.join(m, GETITEM);
+                let mark = self.args.len();
+                self.args.push(key);
+                self.record(api, mark);
+                Ok(self.mock(Mock::Value, api))
             }
+            (base, _) => self.fail(Fault::CannotIndex(base)),
+        }
+    }
+
+    fn call(&mut self, callee: Value, mark: usize) -> Result<Value, Stop> {
+        match callee {
+            Value::Func(func) => self.call_function(func, mark),
             Value::ExternalFn(api) => {
-                self.effects.push(Effect {
-                    api: Rc::clone(&api),
-                    args: args.iter().map(Value::preview).collect(),
-                });
-                Ok(mock_result(&api))
+                self.record(api, mark);
+                Ok(self.mock(mock_kind(self.names.get(api)), api))
             }
             Value::Module(m) => {
-                // Calling a module handle (`socket.socket()` resolved via
-                // attribute gives ExternalFn; a bare handle call is the
-                // junk-helper case) records the touch.
-                self.effects.push(Effect {
-                    api: Rc::from(format!("{m}.__call__").as_str()),
-                    args: args.iter().map(Value::preview).collect(),
-                });
+                // Calling a bare module handle (the junk-helper case)
+                // records the touch.
+                let api = self.join(m, CALL);
+                self.record(api, mark);
                 Ok(Value::Opaque(m))
             }
             Value::Opaque(src) => {
                 // Calling a method read off an API result
                 // (`sock.connect(...)`, `resp.json()`) is an external
                 // touch under the result's dotted path.
-                self.effects.push(Effect {
-                    api: Rc::clone(&src),
-                    args: args.iter().map(Value::preview).collect(),
-                });
+                self.record(src, mark);
                 Ok(Value::Opaque(src))
             }
-            other => Err(err(format!("{} is not callable", other.preview()))),
+            other => {
+                self.args.truncate(mark);
+                self.fail(Fault::NotCallable(other))
+            }
         }
     }
-}
 
-fn external_name(value: &Value) -> String {
-    match value {
-        Value::Module(m) => m.to_string(),
-        Value::ExternalFn(f) => f.to_string(),
-        Value::Opaque(src) => src.to_string(),
-        other => other.preview(),
+    fn call_function(&mut self, func: u32, mark: usize) -> Result<Value, Stop> {
+        let program = self.program;
+        let def = &program.functions[func as usize];
+        let got = self.args.len() - mark;
+        if got != def.params.len as usize {
+            self.args.truncate(mark);
+            return self.fail(Fault::Arity {
+                expected: def.params.len as usize,
+                got,
+            });
+        }
+        let charge = 1 + def.height;
+        if self.depth + charge > MAX_CALL_DEPTH {
+            return Err(Stop::Depth);
+        }
+        let base = self.locals.len();
+        self.locals.resize(base + def.locals as usize, None);
+        for (&slot, arg) in program.lists[def.params.range()]
+            .iter()
+            .zip(self.args.drain(mark..))
+        {
+            self.locals[base + slot as usize] = Some(arg);
+        }
+        let caller = std::mem::replace(&mut self.base, base);
+        self.depth += charge;
+        let flow = self.exec_block(def.body);
+        self.depth -= charge;
+        self.base = caller;
+        self.locals.truncate(base);
+        Ok(match flow? {
+            Flow::Return(v) => v,
+            Flow::Normal => Value::NoneV,
+        })
+    }
+
+    /// The value a call to `api` returns.
+    fn mock(&mut self, kind: Mock, api: ApiId) -> Value {
+        let mocks = &mut self.mocks;
+        let str_value = |s: &str| Value::Str(Rc::from(s));
+        match kind {
+            Mock::Opaque => Value::Opaque(api),
+            Mock::Match => Value::Bool(true),
+            Mock::Value => mocks
+                .value
+                .get_or_insert_with(|| str_value("mock-value"))
+                .clone(),
+            Mock::Builtin => mocks
+                .builtin
+                .get_or_insert_with(|| str_value("mock"))
+                .clone(),
+            Mock::Environ => mocks
+                .environ
+                .get_or_insert_with(|| {
+                    Value::Dict(Rc::new(vec![(str_value("PATH"), str_value("/usr/bin"))]))
+                })
+                .clone(),
+            Mock::Glob => mocks
+                .glob
+                .get_or_insert_with(|| {
+                    Value::List(Rc::new(vec![str_value(
+                        "/home/user/.config/app/Login Data",
+                    )]))
+                })
+                .clone(),
+        }
+    }
+
+    fn binary(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, Stop> {
+        use Value::*;
+        let v = match (op, &l, &r) {
+            (BinOp::Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
+            (BinOp::Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
+            (BinOp::Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
+            (BinOp::Div, Int(_), Int(0)) => return self.fail(Fault::Static("division by zero")),
+            (BinOp::Div, Int(a), Int(b)) => Int(a.wrapping_div(*b)),
+            (BinOp::Mod, Int(_), Int(0)) => return self.fail(Fault::Static("modulo by zero")),
+            (BinOp::Mod, Int(a), Int(b)) => Int(a.wrapping_rem(*b)),
+            (BinOp::Pow, Int(a), Int(b)) => {
+                let exp = u32::try_from(*b).unwrap_or(0);
+                Int(a.checked_pow(exp).unwrap_or(i64::MAX))
+            }
+            (BinOp::Add, Float(a), Float(b)) => Float(a + b),
+            (BinOp::Sub, Float(a), Float(b)) => Float(a - b),
+            (BinOp::Mul, Float(a), Float(b)) => Float(a * b),
+            (BinOp::Div, Float(a), Float(b)) => Float(a / b),
+            (BinOp::Add, Int(a), Float(b)) => Float(*a as f64 + b),
+            (BinOp::Add, Float(a), Int(b)) => Float(a + *b as f64),
+            (BinOp::Add, Str(a), Str(b)) => {
+                self.charge_bytes(a.len() + b.len())?;
+                let mut s = String::with_capacity(a.len() + b.len());
+                s.push_str(a);
+                s.push_str(b);
+                Str(Rc::from(s))
+            }
+            (BinOp::Eq, a, b) => Bool(value_eq(a, b)),
+            (BinOp::Ne, a, b) => Bool(!value_eq(a, b)),
+            (BinOp::Lt, Int(a), Int(b)) => Bool(a < b),
+            (BinOp::Le, Int(a), Int(b)) => Bool(a <= b),
+            (BinOp::Gt, Int(a), Int(b)) => Bool(a > b),
+            (BinOp::Ge, Int(a), Int(b)) => Bool(a >= b),
+            (BinOp::Lt, Float(a), Float(b)) => Bool(a < b),
+            (BinOp::Gt, Float(a), Float(b)) => Bool(a > b),
+            (BinOp::In, needle, List(items)) => Bool(items.iter().any(|i| value_eq(i, needle))),
+            (BinOp::In, Str(needle), Str(hay)) => Bool(hay.contains(needle.as_ref())),
+            // Mixed/opaque arithmetic degrades to an opaque value instead
+            // of failing — mock data flows through without killing the
+            // trace.
+            (_, Opaque(src), _) | (_, _, Opaque(src)) => Opaque(*src),
+            _ => return self.fail(Fault::Unsupported(op, l, r)),
+        };
+        Ok(v)
     }
 }
 
 /// Mocked return values chosen so malicious code paths keep executing
 /// (conditions pass, loops iterate once or twice).
-fn mock_result(api: &Rc<str>) -> Value {
-    match &**api {
-        "os.getenv" | "clipboard.paste" | "socket.gethostname" => {
-            Value::Str(Rc::from("mock-value"))
-        }
-        "os.environ" => Value::Dict(Rc::new(vec![(
-            Value::Str(Rc::from("PATH")),
-            Value::Str(Rc::from("/usr/bin")),
-        )])),
-        "glob.glob" => Value::List(Rc::new(vec![
-            Value::Str(Rc::from("/home/user/.config/app/Login Data")),
-        ])),
-        "re.match" => Value::Bool(true),
-        api if api.starts_with("builtin.") => Value::Str(Rc::from("mock")),
-        _ => Value::Opaque(Rc::clone(api)),
+#[derive(Clone, Copy)]
+enum Mock {
+    /// An opaque result named after the API.
+    Opaque,
+    /// The string `mock-value`.
+    Value,
+    /// The string `mock`, from a built-in method.
+    Builtin,
+    /// A one-entry environment dict.
+    Environ,
+    /// A one-path glob result naming browser credential storage.
+    Glob,
+    /// `True`.
+    Match,
+}
+
+fn mock_kind(api: &str) -> Mock {
+    match api {
+        "os.getenv" | "clipboard.paste" | "socket.gethostname" => Mock::Value,
+        "os.environ" => Mock::Environ,
+        "glob.glob" => Mock::Glob,
+        "re.match" => Mock::Match,
+        api if api.starts_with("builtin.") => Mock::Builtin,
+        _ => Mock::Opaque,
     }
 }
 
@@ -647,62 +972,6 @@ fn value_eq(a: &Value, b: &Value) -> bool {
         (Value::NoneV, Value::NoneV) => true,
         _ => false,
     }
-}
-
-fn binary_op(op: BinOp, l: Value, r: Value) -> Result<Value, Stop> {
-    use Value::*;
-    let v = match (op, &l, &r) {
-        (BinOp::Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
-        (BinOp::Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
-        (BinOp::Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
-        (BinOp::Div, Int(a), Int(b)) => {
-            if *b == 0 {
-                return Err(err("division by zero"));
-            }
-            Int(a / b)
-        }
-        (BinOp::Mod, Int(a), Int(b)) => {
-            if *b == 0 {
-                return Err(err("modulo by zero"));
-            }
-            Int(a % b)
-        }
-        (BinOp::Pow, Int(a), Int(b)) => {
-            let exp = u32::try_from(*b).unwrap_or(0);
-            Int(a.checked_pow(exp).unwrap_or(i64::MAX))
-        }
-        (BinOp::Add, Float(a), Float(b)) => Float(a + b),
-        (BinOp::Sub, Float(a), Float(b)) => Float(a - b),
-        (BinOp::Mul, Float(a), Float(b)) => Float(a * b),
-        (BinOp::Div, Float(a), Float(b)) => Float(a / b),
-        (BinOp::Add, Int(a), Float(b)) => Float(*a as f64 + b),
-        (BinOp::Add, Float(a), Int(b)) => Float(a + *b as f64),
-        (BinOp::Add, Str(a), Str(b)) => Str(Rc::from(format!("{a}{b}").as_str())),
-        (BinOp::Eq, a, b) => Bool(value_eq(a, b)),
-        (BinOp::Ne, a, b) => Bool(!value_eq(a, b)),
-        (BinOp::Lt, Int(a), Int(b)) => Bool(a < b),
-        (BinOp::Le, Int(a), Int(b)) => Bool(a <= b),
-        (BinOp::Gt, Int(a), Int(b)) => Bool(a > b),
-        (BinOp::Ge, Int(a), Int(b)) => Bool(a >= b),
-        (BinOp::Lt, Float(a), Float(b)) => Bool(a < b),
-        (BinOp::Gt, Float(a), Float(b)) => Bool(a > b),
-        (BinOp::In, needle, List(items)) => {
-            Bool(items.iter().any(|i| value_eq(i, needle)))
-        }
-        (BinOp::In, Str(needle), Str(hay)) => Bool(hay.contains(needle.as_ref())),
-        // Mixed/opaque arithmetic degrades to an opaque value instead of
-        // failing — mock data flows through without killing the trace.
-        (_, Opaque(src), _) | (_, _, Opaque(src)) => Opaque(src.clone()),
-        (op, l, r) => {
-            return Err(err(format!(
-                "unsupported operation {} between {} and {}",
-                op.symbol(),
-                l.preview(),
-                r.preview()
-            )))
-        }
-    };
-    Ok(v)
 }
 
 #[cfg(test)]
@@ -722,9 +991,14 @@ mod tests {
         assert_eq!(t.outcome, Outcome::Completed);
         assert!(t.touched("os.getenv"));
         assert!(t.touched("requests.post"));
-        let post = t.effects.iter().find(|e| &*e.api == "requests.post").unwrap();
-        assert!(post.args[0].contains("evil.xyz"));
-        assert!(post.args[1].contains("mock-value"), "{:?}", post.args);
+        let post = t
+            .effects
+            .iter()
+            .find(|e| e.api() == "requests.post")
+            .unwrap();
+        let args = post.arg_previews();
+        assert!(args[0].contains("evil.xyz"));
+        assert!(args[1].contains("mock-value"), "{args:?}");
     }
 
     #[test]
@@ -734,7 +1008,7 @@ mod tests {
         );
         assert_eq!(t.outcome, Outcome::Completed);
         // `send` is an undefined global → traced as a handle call.
-        assert!(t.effects.iter().any(|e| e.api.starts_with("send")));
+        assert!(t.effects.iter().any(|e| e.api().starts_with("send")));
     }
 
     #[test]
@@ -763,6 +1037,72 @@ mod tests {
             &InterpConfig { fuel: 100 },
         );
         assert_eq!(t.outcome, Outcome::FuelExhausted);
+    }
+
+    #[test]
+    fn doubling_strings_exhaust_the_byte_budget_but_keep_effects() {
+        let t = trace(
+            "s = 'ab'\nprobe(s)\ntry:\n    while True:\n        s = s + s\nexcept:\n    pass\n",
+        );
+        assert_eq!(t.outcome, Outcome::MemoryExhausted);
+        assert!(t.touched("probe"));
+        assert!(t.steps < 1_000, "stopped after {} steps", t.steps);
+    }
+
+    #[test]
+    fn iterating_a_string_is_charged_per_character() {
+        // 22 doublings create 2^24 - 4 bytes, four short of the budget;
+        // the fifth character iterated crosses it.
+        assert_eq!(MAX_STRING_BYTES, 1 << 24);
+        let t = trace(
+            "s = 'ab'\ni = 0\nwhile i < 22:\n    s = s + s\n    i = i + 1\nfor c in s:\n    probe(c)\n",
+        );
+        assert_eq!(t.effects.len(), 4);
+        assert_eq!(t.outcome, Outcome::MemoryExhausted);
+    }
+
+    #[test]
+    fn unbounded_recursion_exceeds_the_call_depth() {
+        for src in [
+            "def f():\n    f()\n\nf()\n",
+            "def f(n):\n    return f(n)\n\nf(1)\n",
+        ] {
+            let t = run(&parse(src).unwrap(), &InterpConfig { fuel: 1_000_000 });
+            assert_eq!(t.outcome, Outcome::DepthExceeded, "{src:?}");
+            assert!(t.error.is_none());
+        }
+        // Not catchable either.
+        let t = trace("def f():\n    f()\ntry:\n    f()\nexcept:\n    send(1)\n");
+        assert_eq!(t.outcome, Outcome::DepthExceeded);
+        assert!(!t.touched("send"));
+    }
+
+    #[test]
+    fn deep_recursion_stops_within_a_small_thread_stack() {
+        // Recursion from inside the deepest list nesting the parser
+        // accepts: the block, the return value and the call take the
+        // other four levels.
+        let levels = crate::parser::MAX_NESTING - 4;
+        let nested = format!(
+            "def f(n):\n    return {}f(n){}\n\nf(1)\n",
+            "[".repeat(levels),
+            "]".repeat(levels)
+        );
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut outcomes = Vec::new();
+                for src in ["def f(n):\n    return f(n)\n\nf(1)\n", nested.as_str()] {
+                    let t = run(&parse(src).unwrap(), &InterpConfig { fuel: 10_000_000 });
+                    outcomes.push(t.outcome);
+                }
+                outcomes
+            })
+            .unwrap();
+        assert_eq!(
+            handle.join().expect("no stack overflow"),
+            [Outcome::DepthExceeded, Outcome::DepthExceeded]
+        );
     }
 
     #[test]
@@ -819,7 +1159,7 @@ mod tests {
             "d = {'a': 1, 'b': 2}\nx = d['a']\nitems = [10, 20, 30]\ny = items[2]\nif x == 1 and y == 30:\n    probe('ok')\n",
         );
         assert_eq!(t.outcome, Outcome::Completed);
-        assert!(t.effects.iter().any(|e| e.api.starts_with("probe")));
+        assert!(t.effects.iter().any(|e| e.api().starts_with("probe")));
     }
 
     #[test]
@@ -835,11 +1175,31 @@ mod tests {
     }
 
     #[test]
+    fn runtime_paths_are_interned_once() {
+        let t = trace("import socket\ns = socket.socket()\ni = 0\nwhile i < 5:\n    s.recv(1)\n    i = i + 1\n");
+        let ids: Vec<ApiId> = t
+            .effects
+            .iter()
+            .filter(|e| e.api() == "socket.socket.recv")
+            .map(|e| e.api_id())
+            .collect();
+        assert_eq!(ids.len(), 10, "a field read and a call per iteration");
+        assert!(ids.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
     fn uncallable_values_error_cleanly() {
         let t = trace("x = 3\nx()\n");
         assert_eq!(t.outcome, Outcome::Error);
         let err = t.error.expect("error outcome carries the error");
         assert!(err.message.contains("not callable"), "{err}");
+    }
+
+    #[test]
+    fn integer_overflow_wraps_instead_of_panicking() {
+        let t =
+            trace("x = -9223372036854775807 - 1\ny = -x\nz = x / -1\nw = x % -1\nsend(y, z, w)\n");
+        assert_eq!(t.outcome, Outcome::Completed);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * [`canon`] — alpha-renaming canonicalization so the embedding is
 //!   robust to the identifier-renaming mutations attackers apply;
 //! * [`diff`] — line diff between two programs, driving CC detection;
+//! * [`lower`] — the compact, slot-resolved form of a module that the
+//!   interpreter executes and the static rules read;
 //! * [`interp`] — a sandboxed, effect-tracing interpreter (the
 //!   dynamic-analysis substrate in the style of OSSF package-analysis);
 //! * [`gen`] — a generator of *malicious package code*: nine behaviour
@@ -43,9 +45,10 @@ pub mod diff;
 pub mod gen;
 pub mod interp;
 pub mod lexer;
+pub mod lower;
 pub mod parser;
 pub mod printer;
 
 pub use ast::{Expr, Module, Stmt};
 pub use diff::line_diff;
-pub use parser::{parse, ParseErr};
+pub use parser::{parse, ParseErr, ParseErrKind};

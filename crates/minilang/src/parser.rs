@@ -11,6 +11,17 @@ pub struct ParseErr {
     pub line: usize,
     /// Description of the problem.
     pub message: String,
+    /// What kind of problem it is.
+    pub kind: ParseErrKind,
+}
+
+/// The kind of a [`ParseErr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrKind {
+    /// A lexical or syntactic problem.
+    Syntax,
+    /// Nesting past [`MAX_NESTING`] levels.
+    TooDeep,
 }
 
 impl fmt::Display for ParseErr {
@@ -26,9 +37,18 @@ impl From<LexError> for ParseErr {
         ParseErr {
             line: err.line,
             message: err.message,
+            kind: ParseErrKind::Syntax,
         }
     }
 }
+
+/// Nesting levels a source may reach: enclosing blocks, brackets, call
+/// argument lists, unary operators and left-folded operator or postfix
+/// chains (`a + b + c`, `x.y.z`) each count one. Every AST consumer
+/// recurses on the tree, so the cap is what keeps hostile input from
+/// overflowing the stack of the 2 MiB worker threads, even in a debug
+/// build. Generated code reaches 14 (worlds of seeds 42, 77 and 913).
+pub const MAX_NESTING: usize = 100;
 
 const KEYWORDS: [&str; 18] = [
     "def", "return", "if", "elif", "else", "for", "while", "in", "import", "from", "as", "try",
@@ -40,7 +60,7 @@ const KEYWORDS: [&str; 18] = [
 /// # Errors
 ///
 /// Returns [`ParseErr`] on any lexical or syntactic problem, carrying the
-/// 1-based source line.
+/// 1-based source line, and when nesting passes [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -53,7 +73,11 @@ const KEYWORDS: [&str; 18] = [
 /// ```
 pub fn parse(source: &str) -> Result<Module, ParseErr> {
     let tokens = lex(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let body = parser.parse_block_until_eof()?;
     Ok(Module::new(body))
 }
@@ -61,6 +85,8 @@ pub fn parse(source: &str) -> Result<Module, ParseErr> {
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Nesting levels open at the cursor.
+    depth: usize,
 }
 
 impl Parser {
@@ -87,7 +113,24 @@ impl Parser {
         ParseErr {
             line: self.line(),
             message: message.into(),
+            kind: ParseErrKind::Syntax,
         }
+    }
+
+    /// Opens a nesting level; the caller closes it with [`Self::leave`].
+    fn enter(&mut self) -> Result<(), ParseErr> {
+        if self.depth >= MAX_NESTING {
+            return Err(ParseErr {
+                kind: ParseErrKind::TooDeep,
+                ..self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self, levels: usize) {
+        self.depth -= levels;
     }
 
     fn expect_op(&mut self, op: &'static str) -> Result<(), ParseErr> {
@@ -145,6 +188,13 @@ impl Parser {
 
     /// Parses `: NEWLINE INDENT stmt+ DEDENT`.
     fn parse_suite(&mut self) -> Result<Vec<Stmt>, ParseErr> {
+        self.enter()?;
+        let body = self.parse_suite_body();
+        self.leave(1);
+        body
+    }
+
+    fn parse_suite_body(&mut self) -> Result<Vec<Stmt>, ParseErr> {
         self.expect_op(":")?;
         self.expect_newline()?;
         match self.peek() {
@@ -304,7 +354,10 @@ impl Parser {
 
     fn parse_if_from_elif(&mut self) -> Result<Stmt, ParseErr> {
         // `elif` behaves exactly like a nested `if`.
-        self.parse_if()
+        self.enter()?;
+        let stmt = self.parse_if();
+        self.leave(1);
+        stmt
     }
 
     fn parse_for(&mut self) -> Result<Stmt, ParseErr> {
@@ -336,12 +389,18 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseErr> {
-        self.parse_or()
+        self.enter()?;
+        let expr = self.parse_or();
+        self.leave(1);
+        expr
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseErr> {
         let mut lhs = self.parse_and()?;
+        let mut levels = 0;
         while self.at_keyword("or") {
+            self.enter()?;
+            levels += 1;
             self.bump();
             let rhs = self.parse_and()?;
             lhs = Expr::Binary {
@@ -350,12 +409,16 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseErr> {
         let mut lhs = self.parse_not()?;
+        let mut levels = 0;
         while self.at_keyword("and") {
+            self.enter()?;
+            levels += 1;
             self.bump();
             let rhs = self.parse_not()?;
             lhs = Expr::Binary {
@@ -364,12 +427,15 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseErr> {
         if self.eat_keyword("not") {
+            self.enter()?;
             let operand = self.parse_not()?;
+            self.leave(1);
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 operand: Box::new(operand),
@@ -380,6 +446,7 @@ impl Parser {
 
     fn parse_comparison(&mut self) -> Result<Expr, ParseErr> {
         let mut lhs = self.parse_arith()?;
+        let mut levels = 0;
         loop {
             let op = match self.peek() {
                 Token::Op("==") => BinOp::Eq,
@@ -391,6 +458,8 @@ impl Parser {
                 Token::Ident(kw) if kw == "in" => BinOp::In,
                 _ => break,
             };
+            self.enter()?;
+            levels += 1;
             self.bump();
             let rhs = self.parse_arith()?;
             lhs = Expr::Binary {
@@ -399,17 +468,21 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
     fn parse_arith(&mut self) -> Result<Expr, ParseErr> {
         let mut lhs = self.parse_term()?;
+        let mut levels = 0;
         loop {
             let op = match self.peek() {
                 Token::Op("+") => BinOp::Add,
                 Token::Op("-") => BinOp::Sub,
                 _ => break,
             };
+            self.enter()?;
+            levels += 1;
             self.bump();
             let rhs = self.parse_term()?;
             lhs = Expr::Binary {
@@ -418,11 +491,13 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
     fn parse_term(&mut self) -> Result<Expr, ParseErr> {
         let mut lhs = self.parse_factor()?;
+        let mut levels = 0;
         loop {
             let op = match self.peek() {
                 Token::Op("*") => BinOp::Mul,
@@ -430,6 +505,8 @@ impl Parser {
                 Token::Op("%") => BinOp::Mod,
                 _ => break,
             };
+            self.enter()?;
+            levels += 1;
             self.bump();
             let rhs = self.parse_factor()?;
             lhs = Expr::Binary {
@@ -438,13 +515,16 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
     fn parse_factor(&mut self) -> Result<Expr, ParseErr> {
         if matches!(self.peek(), Token::Op("-")) {
             self.bump();
+            self.enter()?;
             let operand = self.parse_factor()?;
+            self.leave(1);
             return Ok(Expr::Unary {
                 op: UnaryOp::Neg,
                 operand: Box::new(operand),
@@ -457,7 +537,9 @@ impl Parser {
         let base = self.parse_postfix()?;
         if matches!(self.peek(), Token::Op("**")) {
             self.bump();
+            self.enter()?;
             let exp = self.parse_factor()?; // right-associative
+            self.leave(1);
             return Ok(Expr::Binary {
                 op: BinOp::Pow,
                 lhs: Box::new(base),
@@ -469,7 +551,12 @@ impl Parser {
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseErr> {
         let mut expr = self.parse_atom()?;
+        let mut levels = 0;
         loop {
+            if matches!(self.peek(), Token::Op("(" | "." | "[")) {
+                self.enter()?;
+                levels += 1;
+            }
             match self.peek() {
                 Token::Op("(") => {
                     self.bump();
@@ -510,6 +597,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.leave(levels);
         Ok(expr)
     }
 
@@ -741,6 +829,54 @@ mod tests {
     fn keyword_cannot_be_identifier() {
         assert!(parse("def = 3\n").is_err());
         assert!(parse("x = def\n").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let deep = |open: &str, close: &str, n: usize| {
+            format!("x = {}1{}\n", open.repeat(n), close.repeat(n))
+        };
+        // Brackets, calls, unary chains and folded operator chains all
+        // count, and so do blocks.
+        let chain = format!("x = a{}\n", " + a".repeat(MAX_NESTING));
+        let attrs = format!("x = a{}\n", ".b".repeat(MAX_NESTING));
+        let mut blocks = String::new();
+        for level in 0..=MAX_NESTING {
+            blocks.push_str(&" ".repeat(level * 4));
+            blocks.push_str("if x:\n");
+        }
+        blocks.push_str(&" ".repeat((MAX_NESTING + 1) * 4));
+        blocks.push_str("pass\n");
+        for src in [
+            deep("(", ")", 50_000),
+            deep("[", "]", MAX_NESTING),
+            deep("f(", ")", MAX_NESTING),
+            deep("-", "", MAX_NESTING + 1),
+            deep("not ", "", MAX_NESTING + 1),
+            chain,
+            attrs,
+            blocks,
+        ] {
+            let err = parse(&src).unwrap_err();
+            assert_eq!(err.kind, ParseErrKind::TooDeep, "{err}");
+        }
+        // Well inside the limit, and in sequence rather than nested,
+        // everything parses.
+        assert!(parse(&deep("(", ")", MAX_NESTING / 2)).is_ok());
+        assert!(parse(&format!("x = a{}\n", " + a".repeat(MAX_NESTING / 2))).is_ok());
+        assert!(parse(&"x = [1]\n".repeat(MAX_NESTING * 2)).is_ok());
+    }
+
+    #[test]
+    fn the_deepest_accepted_source_parses_on_a_small_stack() {
+        let src = format!("x = {}1{}\n", "(".repeat(MAX_NESTING - 1), ")".repeat(MAX_NESTING - 1));
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&src).is_ok())
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert!(parsed);
     }
 
     #[test]

@@ -81,9 +81,10 @@ impl PackageName {
     }
 
     /// Whether this name is a plausible typosquat of `target`: within
-    /// edit distance 2 but not identical.
+    /// edit distance 2 but not identical. Runs the banded DP, which
+    /// rejects most pairs on length or within a row or two.
     pub fn is_typosquat_of(&self, target: &PackageName) -> bool {
-        self != target && self.edit_distance(target) <= 2
+        self != target && levenshtein_bounded(self.as_str(), target.as_str(), 2).is_some()
     }
 }
 

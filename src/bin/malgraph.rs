@@ -693,6 +693,9 @@ fn cmd_scan(args: &[String]) -> i32 {
         .map(|n| n.parse().unwrap_or_else(|_| die("bad package name")));
 
     let scan_span = obs::span!("scan");
+    if let Err(e) = malgraph::minilang::parse(&source) {
+        println!("parse  : {e}");
+    }
     let sv = StaticDetector::default().scan_source(&source, name.as_ref());
     println!(
         "static : malicious={} score={:.1} rules={:?}",

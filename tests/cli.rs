@@ -85,6 +85,37 @@ fn scan_flags_malicious_code_with_nonzero_exit() {
 }
 
 #[test]
+fn scan_survives_hostile_code_and_reports_deep_nesting() {
+    let dir = std::env::temp_dir().join(format!("malgraph-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = format!("x = {}1{}\n", "(".repeat(50_000), ")".repeat(50_000));
+    for (name, code) in [
+        // Doubling a string reaches gigabytes well within the fuel.
+        ("doubling", "s = 'ab'\nwhile True:\n    s = s + s\n".to_owned()),
+        // Unbounded recursion, with and without an argument.
+        ("recursion", "def f():\n    f()\n\nf()\n".to_owned()),
+        ("recursion_arg", "def f(n):\n    return f(n)\n\nf(1)\n".to_owned()),
+        ("nesting", deep),
+    ] {
+        let path = dir.join(format!("{name}.pyl"));
+        std::fs::write(&path, code).unwrap();
+        let out = bin()
+            .args(["scan", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{name}: {text}");
+        assert!(text.contains("sandbox: labels=[\"clean\"]"), "{name}: {text}");
+        assert_eq!(
+            text.contains("parse  : parse error at line 1: nesting deeper than 100 levels"),
+            name == "nesting",
+            "{name}: {text}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_usage_exits_with_error() {
     let out = bin().output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
