@@ -20,14 +20,18 @@ fi
 echo "== cargo test -q"
 cargo test -q
 
-# The sandbox gates, run explicitly because `cargo test` at the root
-# builds only the facade's tests: the minilang suite (parser nesting
-# limit, lowering, the interpreter's fuel/string/call-depth budgets on a
-# 2 MiB thread) and the detector suite (static rules, sandbox labels,
-# stop counters, cached ≡ reference evaluation). The root
-# `sandbox_golden` test pins their combined output byte for byte.
-echo "== cargo test -q -p minilang -p detector"
-cargo test -q -p minilang -p detector
+# The sandbox and graph-core gates, run explicitly because `cargo test`
+# at the root builds only the facade's tests: the minilang suite (parser
+# nesting limit, lowering, the interpreter's fuel/string/call-depth
+# budgets on a 2 MiB thread), the detector suite (static rules, sandbox
+# labels, stop counters, cached ≡ reference evaluation) and the
+# malgraph-core suite (the similarity pipeline's cold, warm and grown
+# caches ≡ the one-shot reference under every kernel × thread count,
+# checkpoint and ingest). The root `sandbox_golden` and
+# `similarity_golden` tests pin the sandbox's and the similar-edge
+# stage's output byte for byte.
+echo "== cargo test -q -p minilang -p detector -p malgraph-core"
+cargo test -q -p minilang -p detector -p malgraph-core
 
 # The fault-tolerance gate, run explicitly so a filtered or skipped
 # harness can never silently drop it: the resilient collector must

@@ -25,6 +25,7 @@ use crate::sources::Archive;
 use crate::transport::{CollectionHealth, FetchHealth};
 use oss_types::{PackageId, Sha256, SimTime, SourceId};
 use registry_sim::ReportCategory;
+use std::collections::HashSet;
 use std::fmt;
 
 /// How much of the corpus to export.
@@ -187,6 +188,29 @@ pub fn import_json(json: &str) -> Result<CollectedDataset, ExportError> {
     dataset_from_value(&root)
 }
 
+/// Reads a document's `packages` array. A package id may appear only
+/// once: the graph has one primary node per id and the similarity memo
+/// keys on it, so a repeated record (which, with `"sha256": null`, can
+/// even carry different code) is rejected here rather than left to
+/// corrupt the build.
+fn read_packages(root: &jsonio::Value) -> Result<Vec<CollectedPackage>, ExportError> {
+    let entries = require(root, "packages")?
+        .as_array()
+        .ok_or_else(|| bad_field("packages"))?;
+    let mut packages = Vec::with_capacity(entries.len());
+    let mut seen: HashSet<PackageId> = HashSet::with_capacity(entries.len());
+    for entry in entries {
+        let package = read_package(entry)?;
+        if !seen.insert(package.id.clone()) {
+            return Err(ExportError {
+                message: format!("malformed manifest: package {} appears twice", package.id),
+            });
+        }
+        packages.push(package);
+    }
+    Ok(packages)
+}
+
 /// Reads one package entry of a manifest, re-verifying its signature
 /// against the archive when both are present.
 fn read_package(entry: &jsonio::Value) -> Result<CollectedPackage, ExportError> {
@@ -325,14 +349,7 @@ pub fn dataset_from_value(root: &jsonio::Value) -> Result<CollectedDataset, Expo
         .as_u64()
         .ok_or_else(|| bad_field("website_count"))? as usize;
 
-    let package_entries = require(root, "packages")?
-        .as_array()
-        .ok_or_else(|| bad_field("packages"))?;
-    let mut packages = Vec::with_capacity(package_entries.len());
-    for entry in package_entries {
-        packages.push(read_package(entry)?);
-    }
-
+    let packages = read_packages(root)?;
     let report_entries = require(root, "reports")?
         .as_array()
         .ok_or_else(|| bad_field("reports"))?;
@@ -388,13 +405,7 @@ pub fn delta_from_value(root: &jsonio::Value) -> Result<CorpusDelta, ExportError
             message: format!("unsupported delta format version {format_version}"),
         });
     }
-    let mut packages = Vec::new();
-    for entry in require(root, "packages")?
-        .as_array()
-        .ok_or_else(|| bad_field("packages"))?
-    {
-        packages.push(read_package(entry)?);
-    }
+    let packages = read_packages(root)?;
     let mut reports = Vec::new();
     for entry in require(root, "reports")?
         .as_array()
@@ -608,6 +619,36 @@ mod tests {
             "recovered_from_mirror":false,"mirror_recoverable":false,"meta":null}],
             "reports":[]}"#;
         assert!(import_json(bad_id).is_err());
+    }
+
+    #[test]
+    fn repeated_package_ids_are_rejected() {
+        let mut repeated = corpus();
+        let copy = repeated
+            .packages
+            .iter()
+            .find(|p| p.archive.is_some())
+            .expect("corpus has an available package")
+            .clone();
+        let expected = format!("package {} appears twice", copy.id);
+        repeated.packages.push(copy);
+        for fidelity in [ExportFidelity::Full, ExportFidelity::ManifestOnly] {
+            let json = export_json(&repeated, fidelity).unwrap();
+            let err = import_json(&json).unwrap_err().to_string();
+            assert!(err.contains(&expected), "{err}");
+        }
+        // The checkpoint journal's window documents share the reader.
+        let delta = CorpusDelta {
+            window: 0,
+            start: SimTime::from_minutes(0),
+            end: repeated.collect_time,
+            packages: repeated.packages,
+            reports: Vec::new(),
+            website_count: 0,
+            collect_time: repeated.collect_time,
+        };
+        let err = import_delta_json(&export_delta_json(&delta)).unwrap_err();
+        assert!(err.to_string().contains(&expected), "{err}");
     }
 
     #[test]

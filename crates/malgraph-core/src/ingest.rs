@@ -26,11 +26,11 @@
 //!   window's [`SimilarityOutput`] (behind an `Arc`, so reuse is a
 //!   refcount bump) is reused outright;
 //! * otherwise the pipeline re-runs through
-//!   [`crate::similarity::similar_pairs_cached`], which parses and
-//!   embeds only packages whose *source text* was never seen (republished
-//!   byte-identical code hits the source memo) and decides the O(|c|²)
-//!   refinement once per distinct-content vector group — bitwise-identical
-//!   to the plain pipeline.
+//!   [`crate::similarity::similar_pairs_cached`] — the same pipeline
+//!   `build` runs, here with each ecosystem's [`SimilarityCache`]
+//!   carried across windows instead of a fresh one — so only packages
+//!   whose *source text* was never seen in any window are parsed and
+//!   embedded (republished byte-identical code hits the source memo).
 //!
 //! # Cache invalidation (the PR7 `OnceLock`s)
 //!

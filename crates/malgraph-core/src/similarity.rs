@@ -1,29 +1,15 @@
 //! The similar-edge pipeline: source code → AST → embedding → K-Means →
 //! cosine-refined similar pairs (paper §III-A).
 //!
-//! # Determinism contract
+//! # One pipeline
 //!
-//! [`similar_pairs`] is deterministic for a given input and config, on
-//! any machine, at any worker count:
-//!
-//! * the K-Means engine guarantees bitwise-identical clusterings at any
-//!   thread count (fixed chunk boundaries, in-index-order merging — see
-//!   `cluster`'s crate docs);
-//! * every fan-out here keys its partial results by input index
-//!   (embedding chunks, refinement clusters) and merges them in that
-//!   index order, never in completion order.
-//!
-//! Future parallelism must keep both properties: work may be *scheduled*
-//! freely, but results must be *combined* in an order derived from the
-//! input alone.
-//!
-//! # The cached pipeline
-//!
-//! [`similar_pairs_cached`] is the incremental-ingestion entry point:
-//! same inputs, same output — asserted bitwise-identical to
-//! [`similar_pairs`], which stays untouched as the oracle (the
-//! `AnalyzeMode::Uncached` pattern) — but it carries a
-//! [`SimilarityCache`] across corpus deltas:
+//! [`similar_pairs_cached`] is the pipeline. [`similar_pairs`] runs it
+//! with a fresh [`SimilarityCache`], which is what `build` does for each
+//! ecosystem; the incremental ingestion path instead carries one cache
+//! per ecosystem across corpus deltas. Either way the expensive work
+//! runs once per distinct piece of content, because malicious packages
+//! reuse code (flood campaigns republish the same artifact under
+//! hundreds of names):
 //!
 //! * **embedding memo** — parse + embed runs once per package ever
 //!   seen; a re-run after a 10% corpus delta embeds only the new
@@ -31,13 +17,15 @@
 //!   cloning them per window. Sound because package code is immutable
 //!   once collected and `embed_sparse_into` output is independent of
 //!   buffer history (the same property the chunked fan-out already
-//!   relies on).
+//!   relies on). The memo keys on [`PackageId`], so the entries of one
+//!   call must carry distinct ids (`collect` and `import_json` both
+//!   guarantee it).
 //! * **source interning** — the embedding is a pure function of the
 //!   source text, so a never-seen package whose code is byte-identical
-//!   to an already-embedded one (flood campaigns republish the same
-//!   artifact under hundreds of names) skips parse + embed entirely;
-//!   the memo stores the exact source for the equality check, so a hash
-//!   collision cannot conflate distinct code.
+//!   to an already-embedded one, earlier in the same call or in an
+//!   earlier one, skips parse + embed entirely; the memo stores the
+//!   exact source for the equality check, so a hash collision cannot
+//!   conflate distinct code.
 //! * **distinct-content interning** — each embedding is interned
 //!   against every vector ever seen (hash-bucketed with exact bit
 //!   comparison), so packages with bitwise-identical embeddings share
@@ -55,8 +43,29 @@
 //!
 //! The K-Means schedule is *not* cached: clustering is a global
 //! property of the grown corpus, and a warm-start from the previous
-//! window's centroids would change the bits. It runs identically in
-//! both paths.
+//! window's centroids would change the bits.
+//!
+//! The unit tests keep the simplest statement of the pipeline as its
+//! reference: parse and embed every entry, run the same schedule, then
+//! test every member pair of each cluster with the exact dense dot, on
+//! one thread, with no screen. Cold, warm and grown caches must match it
+//! bit for bit under every kernel and thread count.
+//!
+//! # Determinism contract
+//!
+//! The pipeline is deterministic for a given input and config, on any
+//! machine, at any worker count, and whatever the cache already holds:
+//!
+//! * the K-Means engine guarantees bitwise-identical clusterings at any
+//!   thread count (fixed chunk boundaries, in-index-order merging — see
+//!   `cluster`'s crate docs);
+//! * every fan-out here keys its partial results by input index
+//!   (embedding misses, refinement clusters) and merges them in that
+//!   index order, never in completion order.
+//!
+//! Future parallelism must keep both properties: work may be *scheduled*
+//! freely, but results must be *combined* in an order derived from the
+//! input alone.
 
 use cluster::{kmeans_points, kmeans_warm_points, KMeansConfig, KMeansResult, Kernel, Points};
 use embed::{EmbedBuffer, Embedder, SparseEmbedding};
@@ -264,66 +273,17 @@ fn resolve_threads(requested: usize, items: usize) -> usize {
     threads.clamp(1, items.max(1))
 }
 
-/// Phase 1: parse + embed — embarrassingly parallel, fanned out across
-/// cores with crossbeam scoped threads. Each worker reuses one
-/// `EmbedBuffer` across its whole chunk (no per-module `dim`-sized
-/// allocation) and emits *sparse* embeddings — a feature-hashed module
-/// touches a few hundred of `dim` buckets, so the batch costs
-/// O(features) memory per module instead of O(dim).
-///
-/// Returns the embedded vectors plus `owners` (the entry index each
-/// vector came from, ascending). Unparseable entries are skipped.
-fn embed_entries(
-    entries: &[(PackageId, &str)],
-    config: &SimilarityConfig,
-) -> (Vec<SparseEmbedding>, Vec<usize>) {
-    let phase = obs::span!("similarity/embed");
-    obs::counter_add("similarity.entries", entries.len() as u64);
-    let embedder = Embedder::new(config.dim);
-    let threads = resolve_threads(config.threads, entries.len());
-    let chunk_size = entries.len().div_ceil(threads.max(1)).max(1);
-    let embedded: Vec<(usize, SparseEmbedding)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, chunk) in entries.chunks(chunk_size).enumerate() {
-            let embedder = &embedder;
-            handles.push(scope.spawn(move |_| {
-                let base = c * chunk_size;
-                let mut buf = EmbedBuffer::new();
-                let mut out = Vec::with_capacity(chunk.len());
-                for (j, (_, code)) in chunk.iter().enumerate() {
-                    if let Ok(module) = minilang::parse(code) {
-                        out.push((base + j, embedder.embed_sparse_into(&module, &mut buf)));
-                    }
-                }
-                out
-            }));
-        }
-        let mut all = Vec::with_capacity(entries.len());
-        for handle in handles {
-            all.extend(handle.join().expect("embed worker must not panic"));
-        }
-        all
-    })
-    .expect("crossbeam scope");
-    let mut vectors: Vec<SparseEmbedding> = Vec::with_capacity(embedded.len());
-    let mut owners: Vec<usize> = Vec::with_capacity(embedded.len());
-    for (owner, vector) in embedded {
-        vectors.push(vector);
-        owners.push(owner);
-    }
-    obs::counter_add("similarity.parse_failures", (entries.len() - vectors.len()) as u64);
-    drop(phase);
-    (vectors, owners)
-}
-
-/// Phase 1, memoised: parses and embeds only source text the cache has
-/// never seen. Never-seen *packages* whose code is byte-identical to a
+/// Phase 1: parses and embeds only source text the cache has never
+/// seen. Never-seen *packages* whose code is byte-identical to a
 /// memoised source (or to an earlier entry in this same batch) are
 /// served the interned verdict without being parsed; the remaining true
-/// misses are fanned out in miss-list order and merged by index, then
-/// both their embedding content and their source are interned. The
-/// caller assembles `(vectors, owners)` from the memo by reference — no
-/// per-window clone of the whole corpus.
+/// misses are fanned out in miss-list order across crossbeam scoped
+/// threads and merged by index, then both their embedding content and
+/// their source are interned. Each worker reuses one `EmbedBuffer`
+/// across its chunk and emits *sparse* embeddings (a feature-hashed
+/// module touches a few hundred of `dim` buckets). The caller assembles
+/// `(vectors, owners)` from the memo by reference — no per-window clone
+/// of the whole corpus.
 fn embed_misses(
     entries: &[(PackageId, &str)],
     config: &SimilarityConfig,
@@ -456,114 +416,6 @@ fn lpt_buckets(clusters: &[Vec<usize>], threads: usize) -> Vec<Vec<usize>> {
     buckets
 }
 
-/// Phase 3: cosine-refined pairs within each cluster. The big clusters
-/// (floods) dominate this O(|c|²) step. Workers are bounded by the
-/// configured thread count (not one thread per cluster) and clusters
-/// are distributed largest-first onto the least-loaded worker. Embedder
-/// outputs are L2-normalized, so the similarity is a single sparse dot
-/// product — and with the quantized kernel, most pairs never pay even
-/// that: the certified i8 upper bound proves them `< threshold` first
-/// (survivors are rescored exactly, so the pair set is bitwise
-/// identical — see `cluster::matrix`). The screen is only sound for
-/// `threshold > -1`: at `threshold ≤ -1` the exact path's clamp to `-1`
-/// could lift a provably-small dot back over the threshold.
-/// Determinism: each worker tags its output with the cluster index and
-/// the merge flattens in cluster-index order, so the pair list does not
-/// depend on the worker count or scheduling.
-fn refine_pairs(
-    points: &Points,
-    clusters: &[Vec<usize>],
-    owners: &[usize],
-    config: &SimilarityConfig,
-) -> Vec<(usize, usize)> {
-    let phase = obs::span!("similarity/refine");
-    let quant = (config.kernel == Kernel::TiledQuantized && config.threshold > -1.0)
-        .then(|| points.quant());
-    let threads = resolve_threads(config.threads, clusters.len());
-    let buckets = lpt_buckets(clusters, threads);
-    // Pair lists a worker produces, tagged with their cluster index,
-    // plus the worker's screen tallies.
-    type TaggedPairs = (Vec<(usize, Vec<(usize, usize)>)>, u64, u64);
-    let mut by_cluster: Vec<Vec<(usize, usize)>> = vec![Vec::new(); clusters.len()];
-    let refined: Vec<TaggedPairs> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
-                scope.spawn(move |_| {
-                    let threshold = f64::from(config.threshold);
-                    let (matrix, sparse) = (points.matrix(), points.sparse());
-                    let mut pruned = 0u64;
-                    let mut rescored = 0u64;
-                    let tagged = bucket
-                        .iter()
-                        .map(|&c| {
-                            let members = &clusters[c];
-                            let mut local = Vec::new();
-                            for a in 0..members.len() {
-                                for b in (a + 1)..members.len() {
-                                    let (ia, ib) = (members[a], members[b]);
-                                    if let Some(q) = quant {
-                                        if q.pair_upper_bound(ia, q, ib) < threshold {
-                                            pruned += 1;
-                                            continue;
-                                        }
-                                    }
-                                    rescored += 1;
-                                    // Gather-based sparse·dense dot: same
-                                    // bits as the dense dot (zero-skip
-                                    // lemma, see `cluster::matrix`), no
-                                    // branchy merge walk. The dense-scalar
-                                    // kernel keeps the pre-kernel dense
-                                    // path as the benchmark baseline.
-                                    let dot = match config.kernel {
-                                        Kernel::DenseScalar => cluster::matrix::dense_dot(
-                                            matrix.row(ia),
-                                            matrix.row(ib),
-                                        ),
-                                        _ => {
-                                            let (si, sv) = sparse.row(ia);
-                                            cluster::matrix::sparse_dot_dense(
-                                                si,
-                                                sv,
-                                                matrix.row(ib),
-                                            )
-                                        }
-                                    };
-                                    if dot.clamp(-1.0, 1.0) >= config.threshold {
-                                        local.push((owners[ia], owners[ib]));
-                                    }
-                                }
-                            }
-                            (c, local)
-                        })
-                        .collect();
-                    (tagged, pruned, rescored)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("refine worker must not panic"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-    let mut pruned_total = 0u64;
-    let mut rescored_total = 0u64;
-    for (tagged, pruned, rescored) in refined {
-        pruned_total += pruned;
-        rescored_total += rescored;
-        for (c, local) in tagged {
-            by_cluster[c] = local;
-        }
-    }
-    let pairs: Vec<(usize, usize)> = by_cluster.into_iter().flatten().collect();
-    obs::counter_add("similarity.pairs", pairs.len() as u64);
-    obs::counter_add("kernel.pruned_quantized", pruned_total);
-    obs::counter_add("kernel.rescored", rescored_total);
-    drop(phase);
-    pairs
-}
-
 /// Groups a cluster's member positions by vid, in first-appearance
 /// order; each group holds ascending member positions sharing one
 /// distinct vector content.
@@ -581,22 +433,33 @@ fn group_by_vid(members: &[usize], vid_of: &[u32]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Phase 3, collapsed: bitwise the same pair list as [`refine_pairs`],
-/// paying each screen + dot once per *oriented pair of distinct vector
-/// contents* within a cluster instead of once per member pair.
+/// Phase 3: cosine-refined pairs within each cluster, paying each
+/// screen + dot once per *oriented pair of distinct vector contents*
+/// instead of once per member pair. Embedder outputs are L2-normalized,
+/// so the similarity is a single dot product; with the quantized kernel
+/// the certified i8 upper bound proves most decisions `< threshold`
+/// before the exact dot runs (survivors are rescored exactly — see
+/// `cluster::matrix`). The screen is only sound for `threshold > -1`:
+/// at `threshold ≤ -1` the exact path's clamp to `-1` could lift a
+/// provably-small dot back over the threshold. Workers are bounded by
+/// the configured thread count, clusters are distributed largest-first
+/// onto the least-loaded worker, and each worker tags its output with
+/// the cluster index, so the merged pair list does not depend on the
+/// worker count or scheduling.
 ///
-/// Soundness: the decision for `(ia, ib)` is a pure function of the
-/// bytes of rows `ia` and `ib` (quant scales, l1/norm terms and the
-/// dots are all row-content-derived), so every member pair with the
-/// same `(vid_from, vid_to)` orientation shares its representative's
-/// decision exactly. Orientation is preserved (the sparse·dense dot is
-/// not guaranteed bitwise-symmetric), and an orientation whose
-/// nested-loop emission range is provably empty — every position of one
-/// group precedes every position of the other — skips its decision
-/// outright, since no emitted pair could consume it. Emission replays
-/// the plain nested member walk with each pair's verdict served as a
-/// byte lookup in the per-cluster group matrix, so accepted pairs
-/// appear in exactly the original nested-loop order with no sort.
+/// Soundness of the collapse: the decision for `(ia, ib)` is a pure
+/// function of the bytes of rows `ia` and `ib` (quant scales, l1/norm
+/// terms and the dots are all row-content-derived), so every member
+/// pair with the same `(vid_from, vid_to)` orientation shares its
+/// representative's decision exactly. Orientation is preserved (the
+/// sparse·dense dot is not guaranteed bitwise-symmetric), and an
+/// orientation whose nested-loop emission range is provably empty —
+/// every position of one group precedes every position of the other —
+/// skips its decision outright, since no emitted pair could consume it.
+/// Emission replays the plain nested member walk with each pair's
+/// verdict served as a byte lookup in the per-cluster group matrix, so
+/// accepted pairs appear in exactly the original nested-loop order with
+/// no sort.
 fn refine_pairs_grouped(
     points: &Points,
     vid_of: &[u32],
@@ -727,47 +590,21 @@ fn refine_pairs_grouped(
 }
 
 /// Runs the pipeline over `(package, code)` entries belonging to one
-/// ecosystem. Unparseable code is skipped (it can never join a group,
-/// exactly like a package the Packj extractor chokes on).
-pub fn similar_pairs(
-    entries: &[(PackageId, &str)],
-    config: &SimilarityConfig,
-) -> SimilarityOutput {
-    let (vectors, owners) = embed_entries(entries, config);
-    if vectors.len() < 2 {
-        return SimilarityOutput {
-            pairs: Vec::new(),
-            chosen_k: 0,
-            trace: Vec::new(),
-        };
-    }
-    // One `Points` build per call: dense SoA matrix + CSR view + (lazy)
-    // quantized companion, shared by every K-Means run of the schedule
-    // and by the refinement screen.
-    let rows: Vec<(&[u32], &[f32])> = vectors
-        .iter()
-        .map(|v| (v.indices(), v.values()))
-        .collect();
-    let points = Points::from_sparse_rows(config.dim, &rows);
-    let (best, trace) = run_schedule(&points, config);
-    let clusters = best.clusters();
-    let pairs = refine_pairs(&points, &clusters, &owners, config);
-    SimilarityOutput {
-        pairs,
-        chosen_k: best.k(),
-        trace,
-    }
+/// ecosystem, with a fresh cache. Unparseable code is skipped (it can
+/// never join a group, exactly like a package the Packj extractor
+/// chokes on).
+pub fn similar_pairs(entries: &[(PackageId, &str)], config: &SimilarityConfig) -> SimilarityOutput {
+    similar_pairs_cached(entries, config, &mut SimilarityCache::new())
 }
 
-/// [`similar_pairs`] with a persistent [`SimilarityCache`]: the
-/// incremental-ingestion fast path. Output is bitwise-identical to
-/// [`similar_pairs`] over the same entries and config (see the
-/// module-level docs for why); the win is that only never-seen *source
-/// text* is parsed and embedded (everything else is borrowed from the
-/// memo — flood campaigns re-publish the same artifacts, so mature
-/// windows embed almost nothing), and the refinement pays its screen +
-/// dot once per oriented distinct-content pair per cluster instead of
-/// once per member pair.
+/// [`similar_pairs`] with a caller-held [`SimilarityCache`], which the
+/// incremental ingestion path carries across corpus deltas. The output
+/// depends only on the entries and the config, never on what the cache
+/// already holds (see the module-level docs for why); what a warm cache
+/// changes is the work: only never-seen *source text* is parsed and
+/// embedded (everything else is borrowed from the memo — flood
+/// campaigns re-publish the same artifacts, so mature windows embed
+/// almost nothing). Entry ids must be distinct.
 pub fn similar_pairs_cached(
     entries: &[(PackageId, &str)],
     config: &SimilarityConfig,
@@ -776,8 +613,8 @@ pub fn similar_pairs_cached(
     let phase = obs::span!("similarity/embed");
     obs::counter_add("similarity.entries", entries.len() as u64);
     embed_misses(entries, config, cache);
-    // Assemble `(vectors, owners, vids)` in entry order by reference —
-    // bit-for-bit the rows `embed_entries` would produce.
+    // Assemble `(vectors, owners, vids)` in entry order by reference:
+    // one row per parseable entry.
     let mut vectors: Vec<&SparseEmbedding> = Vec::with_capacity(entries.len());
     let mut owners: Vec<usize> = Vec::with_capacity(entries.len());
     let mut vid_of: Vec<u32> = Vec::with_capacity(entries.len());
@@ -801,6 +638,9 @@ pub fn similar_pairs_cached(
             trace: Vec::new(),
         };
     }
+    // One `Points` build per call: dense SoA matrix + CSR view + (lazy)
+    // quantized companion, shared by every K-Means run of the schedule
+    // and by the refinement screen.
     let rows: Vec<(&[u32], &[f32])> = vectors
         .iter()
         .map(|v| (v.indices(), v.values()))
@@ -822,6 +662,90 @@ mod tests {
     use minilang::gen::{generate, mutate, Behavior, Mutation};
     use minilang::printer::print_module;
     use rand::Rng;
+
+    /// Reference phase 1: parses and embeds every entry in entry order.
+    /// Returns the vectors plus the entry index each came from;
+    /// unparseable entries are skipped.
+    fn embed_entries(
+        entries: &[(PackageId, &str)],
+        config: &SimilarityConfig,
+    ) -> (Vec<SparseEmbedding>, Vec<usize>) {
+        let embedder = Embedder::new(config.dim);
+        let mut buf = EmbedBuffer::new();
+        entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, code))| {
+                let module = minilang::parse(code).ok()?;
+                Some((embedder.embed_sparse_into(&module, &mut buf), i))
+            })
+            .unzip()
+    }
+
+    /// Reference phase 3: every member pair of each cluster, in cluster
+    /// order and then nested-loop order, kept when the exact dense dot
+    /// reaches the threshold.
+    fn refine_pairs(
+        points: &Points,
+        clusters: &[Vec<usize>],
+        owners: &[usize],
+        config: &SimilarityConfig,
+    ) -> Vec<(usize, usize)> {
+        let matrix = points.matrix();
+        let mut pairs = Vec::new();
+        for members in clusters {
+            for (a, &ia) in members.iter().enumerate() {
+                for &ib in &members[a + 1..] {
+                    let dot = cluster::matrix::dense_dot(matrix.row(ia), matrix.row(ib));
+                    if dot.clamp(-1.0, 1.0) >= config.threshold {
+                        pairs.push((owners[ia], owners[ib]));
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// The pipeline's simplest statement: embed every entry, run the
+    /// shared K-Means schedule, test every member pair — no cache, no
+    /// screen, no collapse, and one thread outside the schedule.
+    fn reference(entries: &[(PackageId, &str)], config: &SimilarityConfig) -> SimilarityOutput {
+        let (vectors, owners) = embed_entries(entries, config);
+        if vectors.len() < 2 {
+            return SimilarityOutput {
+                pairs: Vec::new(),
+                chosen_k: 0,
+                trace: Vec::new(),
+            };
+        }
+        let rows: Vec<(&[u32], &[f32])> = vectors
+            .iter()
+            .map(|v| (v.indices(), v.values()))
+            .collect();
+        let points = Points::from_sparse_rows(config.dim, &rows);
+        let (best, trace) = run_schedule(&points, config);
+        let pairs = refine_pairs(&points, &best.clusters(), &owners, config);
+        SimilarityOutput {
+            pairs,
+            chosen_k: best.k(),
+            trace,
+        }
+    }
+
+    /// Every kernel at one and three threads.
+    fn configs() -> Vec<SimilarityConfig> {
+        let mut out = Vec::new();
+        for kernel in [Kernel::DenseScalar, Kernel::Tiled, Kernel::TiledQuantized] {
+            for threads in [1, 3] {
+                out.push(SimilarityConfig {
+                    kernel,
+                    threads,
+                    ..SimilarityConfig::default()
+                });
+            }
+        }
+        out
+    }
 
     /// Builds `families` code families with `per` members each.
     fn corpus(families: usize, per: usize, seed: u64) -> Vec<(PackageId, String)> {
@@ -958,53 +882,54 @@ mod tests {
     }
 
     #[test]
-    fn cached_pipeline_is_bitwise_identical_to_plain() {
+    fn cold_and_warm_caches_match_the_reference() {
         // The corpus has duplicate code (mutation fires with p=0.5), so
-        // the collapsed refinement genuinely takes the grouped path.
+        // the source interner and the collapsed refinement both engage.
         let data = corpus(4, 8, 9);
         let mut entries: Vec<(PackageId, &str)> =
             data.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
         let broken: PackageId = "pypi/broken@1.0.0".parse().unwrap();
         entries.push((broken, "this is not ( valid code"));
-        for kernel in [Kernel::DenseScalar, Kernel::TiledQuantized] {
-            for threads in [1, 3] {
-                let config = SimilarityConfig {
-                    kernel,
-                    threads,
-                    ..SimilarityConfig::default()
-                };
-                let label = format!("{kernel:?}/{threads}t");
-                let plain = similar_pairs(&entries, &config);
-                let mut cache = SimilarityCache::new();
-                let cold = similar_pairs_cached(&entries, &config, &mut cache);
-                assert_outputs_identical(&plain, &cold, &format!("{label} cold"));
-                assert_eq!(cache.len(), entries.len(), "{label}: memo must cover all entries");
-                let warm = similar_pairs_cached(&entries, &config, &mut cache);
-                assert_outputs_identical(&plain, &warm, &format!("{label} warm"));
-            }
+        for config in configs() {
+            let label = format!("{:?}/{}t", config.kernel, config.threads);
+            let expected = reference(&entries, &config);
+            assert!(!expected.pairs.is_empty(), "{label}: corpus must yield pairs");
+            let mut cache = SimilarityCache::new();
+            let cold = similar_pairs_cached(&entries, &config, &mut cache);
+            assert_outputs_identical(&expected, &cold, &format!("{label} cold"));
+            assert_eq!(cache.len(), entries.len(), "{label}: memo must cover all entries");
+            let warm = similar_pairs_cached(&entries, &config, &mut cache);
+            assert_outputs_identical(&expected, &warm, &format!("{label} warm"));
         }
     }
 
     #[test]
     fn cache_carries_across_growing_corpora() {
         // Windowed growth: run the cached pipeline on a prefix, then on
-        // the full list with the same cache — the second run must match
-        // the plain pipeline over the full list exactly, embedding only
-        // the suffix.
+        // the full list with the same cache — each run must match the
+        // reference over its own list exactly.
         let data = corpus(3, 6, 10);
         let entries: Vec<(PackageId, &str)> =
             data.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
-        let config = SimilarityConfig::default();
-        let mut cache = SimilarityCache::new();
         let prefix = &entries[..entries.len() / 2];
-        let prefix_plain = similar_pairs(prefix, &config);
-        let prefix_cached = similar_pairs_cached(prefix, &config, &mut cache);
-        assert_outputs_identical(&prefix_plain, &prefix_cached, "prefix");
-        assert_eq!(cache.len(), prefix.len());
-        let full_plain = similar_pairs(&entries, &config);
-        let full_cached = similar_pairs_cached(&entries, &config, &mut cache);
-        assert_outputs_identical(&full_plain, &full_cached, "grown");
-        assert_eq!(cache.len(), entries.len());
+        for config in configs() {
+            let label = format!("{:?}/{}t", config.kernel, config.threads);
+            let mut cache = SimilarityCache::new();
+            let prefix_cached = similar_pairs_cached(prefix, &config, &mut cache);
+            assert_outputs_identical(
+                &reference(prefix, &config),
+                &prefix_cached,
+                &format!("{label} prefix"),
+            );
+            assert_eq!(cache.len(), prefix.len());
+            let full_cached = similar_pairs_cached(&entries, &config, &mut cache);
+            assert_outputs_identical(
+                &reference(&entries, &config),
+                &full_cached,
+                &format!("{label} grown"),
+            );
+            assert_eq!(cache.len(), entries.len());
+        }
     }
 
     #[test]
@@ -1042,18 +967,17 @@ mod tests {
         let _ = similar_pairs_cached(&entries, &config, &mut cache);
         let reps_before = cache.reps.len();
         // A flood republishes every artifact byte-identically under
-        // fresh names: the grown corpus must reproduce the plain
-        // pipeline exactly while embedding nothing new — every verdict
-        // is served by the source interner, so the distinct-content
-        // table cannot grow.
+        // fresh names: the grown corpus must reproduce the reference
+        // exactly while embedding nothing new — every verdict is served
+        // by the source interner, so the distinct-content table cannot
+        // grow.
         let mut grown: Vec<(PackageId, &str)> = entries.clone();
         for (i, (_, code)) in entries.iter().enumerate() {
             let id: PackageId = format!("pypi/republished-{i}@1.0.0").parse().unwrap();
             grown.push((id, code));
         }
-        let plain = similar_pairs(&grown, &config);
         let cached = similar_pairs_cached(&grown, &config, &mut cache);
-        assert_outputs_identical(&plain, &cached, "republished flood");
+        assert_outputs_identical(&reference(&grown, &config), &cached, "republished flood");
         assert_eq!(cache.reps.len(), reps_before, "no new distinct content");
         assert_eq!(cache.len(), grown.len(), "every clone memoised by id");
         // Same-window duplicates (two fresh ids, one source) must also
@@ -1063,9 +987,8 @@ mod tests {
         let twin_b: PackageId = "pypi/twin-b@1.0.0".parse().unwrap();
         grown.push((twin_a.clone(), novel[0].1.as_str()));
         grown.push((twin_b.clone(), novel[0].1.as_str()));
-        let plain = similar_pairs(&grown, &config);
         let cached = similar_pairs_cached(&grown, &config, &mut cache);
-        assert_outputs_identical(&plain, &cached, "in-window twins");
+        assert_outputs_identical(&reference(&grown, &config), &cached, "in-window twins");
         assert_eq!(cache.embedded[&twin_a], cache.embedded[&twin_b]);
     }
 }

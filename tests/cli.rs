@@ -55,6 +55,43 @@ fn collect_then_analyze_round_trips() {
 }
 
 #[test]
+fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
+    use malgraph::crawler::{export_json, import_json, ExportFidelity};
+    let dir = std::env::temp_dir().join(format!("malgraph-repeat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = dir.join("corpus.json");
+    let out = bin()
+        .args(["collect", "--seed", "5", "--scale", "0.02", "--out"])
+        .arg(&corpus)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // Append a copy of one available PyPI package record.
+    let mut dataset = import_json(&std::fs::read_to_string(&corpus).unwrap()).unwrap();
+    let copy = dataset
+        .packages
+        .iter()
+        .find(|p| p.archive.is_some() && p.id.to_string().starts_with("pypi/"))
+        .expect("corpus has an available PyPI package")
+        .clone();
+    let id = copy.id.to_string();
+    dataset.packages.push(copy);
+    let repeated = dir.join("repeated.json");
+    std::fs::write(&repeated, export_json(&dataset, ExportFidelity::Full).unwrap()).unwrap();
+
+    let out = bin()
+        .args(["analyze", "--corpus"])
+        .arg(&repeated)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("package {id} appears twice")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn scan_flags_malicious_code_with_nonzero_exit() {
     let dir = std::env::temp_dir().join(format!("malgraph-scan-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
