@@ -19,6 +19,9 @@ use std::io::Write as _;
 #[global_allocator]
 static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc::new();
 
+const USAGE: &str =
+    "usage: repro [--seed N] [--scale F] [--threads N] [--uncached] [--out PATH] [--check] [ids…]";
+
 fn main() {
     let mut seed = 42u64;
     let mut scale = 1.0f64; // the full paper-scale corpus runs in under a minute
@@ -35,35 +38,35 @@ fn main() {
                 seed = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
+                    .unwrap_or_else(|| usage_error("--seed needs an integer"));
             }
             "--scale" => {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a float in (0,1]"));
+                    .filter(|s| *s > 0.0 && *s <= 1.0)
+                    .unwrap_or_else(|| usage_error("--scale needs a float in (0,1]"));
             }
             "--threads" => {
                 threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a positive integer"));
+                    .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
             }
             "--uncached" => mode = AnalyzeMode::Uncached,
             "--out" => {
-                out_path = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
+                out_path = Some(args.next().unwrap_or_else(|| usage_error("--out needs a path")));
             }
             "--check" => check = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--seed N] [--scale F] [--threads N] [--uncached] \
-                     [--out PATH] [--check] [ids…]"
-                );
+                eprintln!("{USAGE}");
                 eprintln!("experiments: {}", EXPERIMENTS.join(" "));
                 eprintln!("extensions:  {}", EXTENSIONS.join(" "));
                 return;
             }
-            id => ids.push(id.to_string()),
+            id if EXPERIMENTS.contains(&id) || EXTENSIONS.contains(&id) => ids.push(id.to_string()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+            other => usage_error(&format!("unknown experiment id {other:?} (see --help)")),
         }
     }
     if ids.is_empty() {
@@ -442,4 +445,8 @@ fn sentinel_appendix(out_path: &str) -> String {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+fn usage_error(msg: &str) -> ! {
+    die(&format!("{msg}\n{USAGE}"))
 }

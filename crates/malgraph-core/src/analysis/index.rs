@@ -16,7 +16,7 @@
 //! snapshot of the dataset it was built from: methods that take the
 //! dataset again assert the package count still matches.
 
-use crate::build::MalGraph;
+use crate::build::{eco_slot, MalGraph};
 use crate::node::Relation;
 use crawler::{CollectedDataset, CollectedPackage};
 use oss_types::{Ecosystem, PackageId, SimTime};
@@ -147,13 +147,6 @@ impl AnalysisIndex {
                 .collect()
         })
     }
-}
-
-fn eco_slot(ecosystem: Ecosystem) -> usize {
-    Ecosystem::ALL
-        .iter()
-        .position(|e| *e == ecosystem)
-        .expect("ecosystem listed in ALL")
 }
 
 #[cfg(test)]

@@ -1,12 +1,25 @@
 //! MALGRAPH construction from a collected corpus (paper §III).
+//!
+//! The five stages — package nodes, then duplicated, dependency, similar
+//! and co-existing edges — are written once, in `MalGraph::emit`, and
+//! every graph is made by it: [`build`] over a whole corpus,
+//! [`MalGraph::apply_delta`] once per corpus delta, and checkpoint
+//! `restore` over a snapshot's corpus. The three differ only in their
+//! inputs: where node emission starts, and the per-ecosystem similarity
+//! memos (`EcoState`) the similar stage reuses — fresh for `build`,
+//! carried across deltas by ingestion, seeded from the snapshot by
+//! restore. So the windowed-vs-one-shot and restore-vs-build checks
+//! compare one function with itself. The similar stage runs one
+//! ecosystem at a time on every path; the pipeline inside it keeps its
+//! own workers ([`SimilarityConfig::threads`]).
 
 use crate::analysis::index::AnalysisIndex;
 use crate::node::{MalNode, Relation};
-use crate::similarity::{similar_pairs, SimilarityConfig, SimilarityOutput};
+use crate::similarity::{similar_pairs_cached, SimilarityCache, SimilarityConfig, SimilarityOutput};
 use crawler::{CollectedDataset, CollectedPackage, CollectedReport};
 use graphstore::index::{AdjacencyIndex, ComponentIndex};
 use graphstore::{NodeId, PropertyGraph};
-use oss_types::{Ecosystem, PackageId};
+use oss_types::{CrashPlan, CrashSignal, Ecosystem, PackageId};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -168,8 +181,9 @@ impl MalGraph {
         self.analysis.get_or_init(|| AnalysisIndex::new(dataset))
     }
 
-    /// A graph with no nodes and no edges — the starting point of the
-    /// incremental ingestion path ([`MalGraph::apply_delta`]).
+    /// A graph with no nodes and no edges — the starting point of
+    /// [`build`], of the incremental ingestion path
+    /// ([`MalGraph::apply_delta`]) and of checkpoint restore.
     pub fn empty() -> MalGraph {
         MalGraph {
             graph: PropertyGraph::new(),
@@ -184,11 +198,159 @@ impl MalGraph {
     }
 }
 
+/// Per-ecosystem similarity memo of the construction: the output of the
+/// last similarity run and the entry-list length it covered, plus the
+/// embedding cache the next run starts from. The cache is never
+/// persisted — a cold cache reproduces identical outputs.
+#[derive(Debug, Default)]
+pub(crate) struct EcoState {
+    /// Embedding memo + collapse state for the cached pipeline.
+    pub(crate) cache: SimilarityCache,
+    /// Entry-list length at the last similarity run; since entry lists
+    /// are append-only, an equal length proves the list unchanged.
+    pub(crate) entries_len: usize,
+    /// The output of the last similarity run over this ecosystem,
+    /// shared with the graph's diagnostics (reuse is a refcount bump,
+    /// not a multi-million-pair copy).
+    pub(crate) output: Option<Arc<SimilarityOutput>>,
+}
+
+impl EcoState {
+    /// One empty memo per ecosystem, in [`Ecosystem::ALL`] order.
+    pub(crate) fn fresh() -> Vec<EcoState> {
+        Ecosystem::ALL.iter().map(|_| EcoState::default()).collect()
+    }
+}
+
+/// Position of `ecosystem` in [`Ecosystem::ALL`] (its memo's index).
+pub(crate) fn eco_slot(ecosystem: Ecosystem) -> usize {
+    Ecosystem::ALL
+        .iter()
+        .position(|e| *e == ecosystem)
+        .expect("ecosystem listed in ALL")
+}
+
+impl MalGraph {
+    /// The construction sequence (paper §III-A) behind [`build`],
+    /// [`MalGraph::apply_delta`] and checkpoint restore: nodes for
+    /// `dataset.packages[from..]` (earlier packages' nodes are listed in
+    /// `nodes_by_pkg`), then every edge stage over the whole corpus, each
+    /// under its `build/*` span and firing the crash point of that name
+    /// when done. The similar stage takes an ecosystem's output from its
+    /// memo when the entry list has the length the memo covered;
+    /// otherwise it runs the cached pipeline on the memo's cache,
+    /// publishes the output to the memo and fires `similar/publish`.
+    ///
+    /// # Errors
+    ///
+    /// The [`CrashSignal`] of the armed crash point, if it fired; the
+    /// graph, `nodes_by_pkg` and `memos` are then left torn.
+    pub(crate) fn emit(
+        &mut self,
+        dataset: &CollectedDataset,
+        from: usize,
+        nodes_by_pkg: &mut Vec<Vec<NodeId>>,
+        memos: &mut [EcoState],
+        options: &BuildOptions,
+        crash: &CrashPlan,
+    ) -> Result<(), CrashSignal> {
+        // 1. One node per package/source mention of the new packages.
+        let stage = obs::span!("build/nodes");
+        let (nodes, packages) = (self.graph.node_count(), self.primary.len());
+        emit_package_nodes(
+            &mut self.graph,
+            &mut self.primary,
+            nodes_by_pkg,
+            &dataset.packages[from..],
+        );
+        obs::counter_add("build.nodes", (self.graph.node_count() - nodes) as u64);
+        obs::counter_add("build.packages", (self.primary.len() - packages) as u64);
+        drop(stage);
+        crash.fire("build/nodes")?;
+
+        // Edges between old nodes can appear as the corpus grows (a new
+        // package resolves an old dependency name or report member), so
+        // every edge stage re-runs over the whole corpus.
+        self.graph.clear_edges();
+
+        // 2. Duplicated cliques over the nodes of each package.
+        let stage = obs::span!("build/duplicated");
+        let edges = emit_duplicated_edges(&mut self.graph, nodes_by_pkg);
+        obs::counter_add("build.edges_added{relation=duplicated}", edges);
+        drop(stage);
+        crash.fire("build/duplicated")?;
+
+        // 3. Dependency edges between malicious packages.
+        let stage = obs::span!("build/dependency");
+        let edges = emit_dependency_edges(&mut self.graph, &self.primary, &dataset.packages);
+        obs::counter_add("build.edges_added{relation=dependency}", edges);
+        drop(stage);
+        crash.fire("build/dependency")?;
+
+        // 4. Similar edges per ecosystem.
+        let stage = obs::span!("build/similar");
+        let edges = self.emit_similar_edges(&dataset.packages, memos, &options.similarity, crash)?;
+        obs::counter_add("build.edges_added{relation=similar}", edges);
+        drop(stage);
+        crash.fire("build/similar")?;
+
+        // 5. Co-existing cliques per report.
+        let stage = obs::span!("build/coexisting");
+        let edges = emit_coexisting_edges(&mut self.graph, &self.primary, &dataset.reports);
+        obs::counter_add("build.edges_added{relation=coexisting}", edges);
+        drop(stage);
+        crash.fire("build/coexisting")
+    }
+
+    /// Stage 4: similar edges and the similarity diagnostics, one
+    /// ecosystem at a time in job order. Returns the edge count.
+    fn emit_similar_edges(
+        &mut self,
+        packages: &[CollectedPackage],
+        memos: &mut [EcoState],
+        similarity: &SimilarityConfig,
+        crash: &CrashPlan,
+    ) -> Result<u64, CrashSignal> {
+        self.similarity_diagnostics.clear();
+        let mut similar_edges = 0u64;
+        for (eco, entries) in similarity_jobs(packages) {
+            let memo = &mut memos[eco_slot(eco)];
+            let output = match &memo.output {
+                Some(cached) if memo.entries_len == entries.len() => {
+                    obs::counter_add("ingest.similarity_reused", 1);
+                    Arc::clone(cached)
+                }
+                _ => {
+                    obs::counter_add("ingest.similarity_recomputed", 1);
+                    let _span = obs::span!("build/similar/ecosystem={}", eco.display_name());
+                    let output = Arc::new(similar_pairs_cached(&entries, similarity, &mut memo.cache));
+                    memo.entries_len = entries.len();
+                    memo.output = Some(Arc::clone(&output));
+                    // The publish boundary: the memo now holds an output
+                    // the graph does not carry yet.
+                    crash.fire("similar/publish")?;
+                    output
+                }
+            };
+            // One primary lookup per entry instead of two per pair: the
+            // similar relation carries millions of pairs per ecosystem,
+            // and string-keyed `PackageId` hashing dominated this stage.
+            let nodes: Vec<NodeId> = entries.iter().map(|(id, _)| self.primary[id]).collect();
+            self.graph.add_undirected_edges(
+                output.pairs.iter().map(|&(a, b)| (nodes[a], nodes[b])),
+                Relation::Similar,
+            );
+            similar_edges += output.pairs.len() as u64;
+            self.similarity_diagnostics.push((eco, output));
+        }
+        Ok(similar_edges)
+    }
+}
+
 /// Stage 1: one node per package/source mention for each package of
 /// `packages`, appended in order; the first mention is the package's
-/// *primary* node. Shared by the one-shot builder (all packages) and
-/// the incremental path (the delta's suffix).
-pub(crate) fn emit_package_nodes(
+/// *primary* node.
+fn emit_package_nodes(
     graph: &mut PropertyGraph<MalNode, Relation>,
     primary: &mut HashMap<PackageId, NodeId>,
     nodes_by_pkg: &mut Vec<Vec<NodeId>>,
@@ -216,7 +378,7 @@ pub(crate) fn emit_package_nodes(
 
 /// Stage 2: duplicated cliques over the nodes of each package. Returns
 /// the number of (undirected) edges added.
-pub(crate) fn emit_duplicated_edges(
+fn emit_duplicated_edges(
     graph: &mut PropertyGraph<MalNode, Relation>,
     nodes_by_pkg: &[Vec<NodeId>],
 ) -> u64 {
@@ -234,7 +396,7 @@ pub(crate) fn emit_duplicated_edges(
 
 /// Stage 3: dependency edges between malicious packages of the corpus
 /// (legitimate dependencies are dropped). Returns the edge count.
-pub(crate) fn emit_dependency_edges(
+fn emit_dependency_edges(
     graph: &mut PropertyGraph<MalNode, Relation>,
     primary: &HashMap<PackageId, NodeId>,
     packages: &[CollectedPackage],
@@ -275,14 +437,12 @@ pub(crate) fn emit_dependency_edges(
     dependency_edges
 }
 
-/// Stage 4 (inputs): the per-ecosystem similarity jobs — `(ecosystem,
-/// entries)` in `Ecosystem::ALL` order, ecosystems with fewer than two
-/// available packages dropped. Entries are corpus-ordered, so under
-/// append-only corpus growth a job's entry list only ever gains a
-/// suffix — an unchanged length implies an unchanged list.
-pub(crate) fn similarity_jobs(
-    packages: &[CollectedPackage],
-) -> Vec<(Ecosystem, Vec<(PackageId, &str)>)> {
+/// The per-ecosystem similarity jobs — `(ecosystem, entries)` in
+/// `Ecosystem::ALL` order, ecosystems with fewer than two available
+/// packages dropped. Entries are corpus-ordered, so under append-only
+/// corpus growth a job's entry list only ever gains a suffix — an
+/// unchanged length implies an unchanged list.
+fn similarity_jobs(packages: &[CollectedPackage]) -> Vec<(Ecosystem, Vec<(PackageId, &str)>)> {
     Ecosystem::ALL
         .iter()
         .map(|&eco| {
@@ -297,31 +457,13 @@ pub(crate) fn similarity_jobs(
         .collect()
 }
 
-/// Stage 4 (apply): turns per-job similarity outputs into similar edges
-/// (in job order, so the graph does not depend on which pipeline
-/// finished first) and assembles the diagnostics. Returns them with the
-/// edge count.
-pub(crate) fn apply_similarity_outputs(
-    graph: &mut PropertyGraph<MalNode, Relation>,
-    primary: &HashMap<PackageId, NodeId>,
-    jobs: &[(Ecosystem, Vec<(PackageId, &str)>)],
-    outputs: Vec<Arc<SimilarityOutput>>,
-) -> (Vec<(Ecosystem, Arc<SimilarityOutput>)>, u64) {
-    let mut similarity_diagnostics = Vec::new();
-    let mut similar_edges = 0u64;
-    for ((eco, entries), out) in jobs.iter().zip(outputs) {
-        // One primary lookup per entry instead of two per pair: the
-        // similar relation carries millions of pairs per ecosystem, and
-        // string-keyed `PackageId` hashing dominated this stage.
-        let nodes: Vec<NodeId> = entries.iter().map(|(id, _)| primary[id]).collect();
-        graph.add_undirected_edges(
-            out.pairs.iter().map(|&(a, b)| (nodes[a], nodes[b])),
-            Relation::Similar,
-        );
-        similar_edges += out.pairs.len() as u64;
-        similarity_diagnostics.push((*eco, out));
-    }
-    (similarity_diagnostics, similar_edges)
+/// The entry count of each similarity job of `packages`, in job order:
+/// the lengths a memo must cover for the similar stage to reuse it.
+pub(crate) fn similarity_job_sizes(packages: &[CollectedPackage]) -> Vec<(Ecosystem, usize)> {
+    similarity_jobs(packages)
+        .into_iter()
+        .map(|(eco, entries)| (eco, entries.len()))
+        .collect()
 }
 
 /// Stage 5: co-existing cliques per report. Externally produced corpora
@@ -329,7 +471,7 @@ pub(crate) fn apply_similarity_outputs(
 /// the clique irreflexive (`add_undirected_edge` asserts a ≠ b) for
 /// both `collect` and `import_json` inputs. Cross-report repeats are
 /// deduped by the seen-pair set, replacing the `has_edge` linear scan.
-pub(crate) fn emit_coexisting_edges(
+fn emit_coexisting_edges(
     graph: &mut PropertyGraph<MalNode, Relation>,
     primary: &HashMap<PackageId, NodeId>,
     reports: &[CollectedReport],
@@ -372,85 +514,25 @@ pub(crate) fn emit_coexisting_edges(
 /// 5. **co-existing** edges: clique over the packages named by the same
 ///    security report.
 ///
-/// The stage bodies are shared with the incremental path
-/// ([`MalGraph::apply_delta`]), which re-emits every edge stage over the
-/// grown corpus in this exact order — that sharing, not a test, is what
-/// makes the two paths structurally incapable of diverging.
+/// This is `MalGraph::emit` over the whole corpus, from an empty graph
+/// and fresh similarity memos: the very sequence the incremental path
+/// runs per delta and checkpoint restore runs from a snapshot. The
+/// corpus is borrowed, never cloned.
 pub fn build(dataset: &CollectedDataset, options: &BuildOptions) -> MalGraph {
     let _build_span = obs::span!("build");
-    let mut graph: PropertyGraph<MalNode, Relation> = PropertyGraph::new();
-    let mut primary: HashMap<PackageId, NodeId> = HashMap::new();
-
-    // 1. One node per package/source mention.
-    let stage = obs::span!("build/nodes");
-    let mut nodes_by_pkg: Vec<Vec<NodeId>> = Vec::with_capacity(dataset.packages.len());
-    emit_package_nodes(&mut graph, &mut primary, &mut nodes_by_pkg, &dataset.packages);
-    obs::counter_add("build.nodes", graph.node_count() as u64);
-    obs::counter_add("build.packages", primary.len() as u64);
-    drop(stage);
-
-    // 2. Duplicated cliques over the nodes of each package.
-    let stage = obs::span!("build/duplicated");
-    let duplicated_edges = emit_duplicated_edges(&mut graph, &nodes_by_pkg);
-    obs::counter_add("build.edges_added{relation=duplicated}", duplicated_edges);
-    drop(stage);
-
-    // 3. Dependency edges between malicious packages.
-    let stage = obs::span!("build/dependency");
-    let dependency_edges = emit_dependency_edges(&mut graph, &primary, &dataset.packages);
-    obs::counter_add("build.edges_added{relation=dependency}", dependency_edges);
-    drop(stage);
-
-    // 4. Similar edges per ecosystem. The per-ecosystem pipelines are
-    // independent, so they run concurrently; joining and applying edges
-    // in `Ecosystem::ALL` order keeps the graph deterministic regardless
-    // of which pipeline finishes first.
-    let stage = obs::span!("build/similar");
-    let jobs = similarity_jobs(&dataset.packages);
-    // Carry the span stack into the workers: the per-ecosystem spans fold
-    // under build/similar exactly as they would run serially, so the
-    // profile is identical at any worker count.
-    let ctx = obs::current_context();
-    let outputs: Vec<Arc<SimilarityOutput>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(eco, ref entries)| {
-                let similarity = &options.similarity;
-                let ctx = &ctx;
-                scope.spawn(move |_| {
-                    let _attached = ctx.attach();
-                    let _span = obs::span!("build/similar/ecosystem={}", eco.display_name());
-                    similar_pairs(entries, similarity)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| Arc::new(h.join().expect("similarity worker must not panic")))
-            .collect()
-    })
-    .expect("crossbeam scope");
-    let (similarity_diagnostics, similar_edges) =
-        apply_similarity_outputs(&mut graph, &primary, &jobs, outputs);
-    obs::counter_add("build.edges_added{relation=similar}", similar_edges);
-    drop(stage);
-
-    // 5. Co-existing cliques per report.
-    let stage = obs::span!("build/coexisting");
-    let coexisting_edges = emit_coexisting_edges(&mut graph, &primary, &dataset.reports);
-    obs::counter_add("build.edges_added{relation=coexisting}", coexisting_edges);
-    drop(stage);
-
-    MalGraph {
-        graph,
-        primary,
-        similarity_diagnostics,
-        indexes: OnceLock::new(),
-        dup_carry: Mutex::new(None),
-        adjacency: Default::default(),
-        stats: OnceLock::new(),
-        analysis: OnceLock::new(),
-    }
+    let mut graph = MalGraph::empty();
+    let mut nodes_by_pkg = Vec::with_capacity(dataset.packages.len());
+    graph
+        .emit(
+            dataset,
+            0,
+            &mut nodes_by_pkg,
+            &mut EcoState::fresh(),
+            options,
+            &CrashPlan::none(),
+        )
+        .expect("an unarmed crash plan never fires");
+    graph
 }
 
 #[cfg(test)]

@@ -32,10 +32,12 @@
 //! The union corpus (full fidelity, via the crawler's manifest format)
 //! plus each ecosystem's last [`SimilarityOutput`] and entry-list
 //! length. The graph itself is *not* stored: node and edge emission are
-//! deterministic functions of the corpus and are re-emitted through the
-//! very same `build` stage helpers in milliseconds. What makes resume
-//! fast is skipping the similarity stage — the persisted outputs are
-//! applied directly, exactly like the ingest memo's reuse path. The
+//! deterministic functions of the corpus, re-emitted in milliseconds by
+//! the one construction sequence `build` and `apply_delta` run. What
+//! makes resume fast is skipping the similarity pipeline — [`restore`]
+//! seeds the similarity memos with the persisted outputs, so every
+//! ecosystem takes the memo's reuse path, as in a window that added
+//! nothing to it. The
 //! `f32` schedule traces are stored as raw bit patterns so the
 //! round-trip is exact, not close, and the (at full scale, millions of)
 //! similar pairs are encoded as one flat `"a,b a,b …"` string per
@@ -61,8 +63,8 @@
 //! asserts the identity contract cell by cell.
 
 use crate::build::{self, BuildOptions, MalGraph};
-use crate::ingest::{EcoState, IngestState};
-use crate::similarity::{SimilarityCache, SimilarityOutput};
+use crate::ingest::IngestState;
+use crate::similarity::SimilarityOutput;
 use crawler::{CollectedDataset, CorpusDelta, ExportFidelity};
 use jsonio::durable::{self, SealError};
 use oss_types::{CrashPlan, CrashSignal, Ecosystem, Sha256};
@@ -567,74 +569,67 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
 
 /// Rebuilds a live graph + ingest state from a validated snapshot.
 ///
-/// Node and edge stages re-run through the shared `build` helpers (the
-/// same stage order as [`build::build`]); the expensive similarity
-/// stage is *not* re-run — the persisted outputs are applied directly,
-/// after checking each job's entry-list length against the snapshot
-/// (append-only entry lists make an equal length proof of equality, the
-/// same argument the ingest memo rests on).
+/// The snapshot's similarity outputs are checked against the corpus it
+/// carries and seeded into the ingest state's memos; the graph is then
+/// re-emitted by the one construction sequence [`build::build`] and
+/// [`MalGraph::apply_delta`] run, which finds every memo's entry-list
+/// length unchanged (append-only entry lists make an equal length proof
+/// of equality) and so reuses every output: restore recomputes nothing.
 ///
 /// # Errors
 ///
 /// `Malformed` when the snapshot's similarity outputs do not line up
-/// with the corpus it carries — a spliced or hand-edited snapshot; the
-/// recovery ladder treats it like any other corruption.
-pub fn restore(snapshot: Snapshot, _options: &BuildOptions) -> Result<(MalGraph, IngestState), CheckpointError> {
+/// with the corpus it carries — an ecosystem listed twice, listed with
+/// no similarity job, missing, covering a different number of entries,
+/// or holding a pair that is reflexive or names an entry past the end.
+/// That is a spliced or hand-edited snapshot; the recovery ladder
+/// treats it like any other corruption.
+pub fn restore(snapshot: Snapshot, options: &BuildOptions) -> Result<(MalGraph, IngestState), CheckpointError> {
     let _span = obs::span!("recover/restore");
-    let mut graph = MalGraph::empty();
     let mut state = IngestState::new();
     state.dataset = snapshot.dataset;
     state.windows = snapshot.windows_applied;
+    let jobs = build::similarity_job_sizes(&state.dataset.packages);
+    let malformed = |what: String| CheckpointError::Malformed(format!("snapshot similarity {what}"));
     // Consumed by-value so the corpus and the pair lists (hundreds of
     // megabytes at full scale) move instead of cloning.
-    let mut stored: Vec<Option<(Ecosystem, usize, SimilarityOutput)>> =
-        snapshot.similarity.into_iter().map(Some).collect();
-
-    build::emit_package_nodes(
-        &mut graph.graph,
-        &mut graph.primary,
-        &mut state.nodes_by_pkg,
-        &state.dataset.packages,
-    );
-    build::emit_duplicated_edges(&mut graph.graph, &state.nodes_by_pkg);
-    build::emit_dependency_edges(&mut graph.graph, &graph.primary, &state.dataset.packages);
-    let jobs = build::similarity_jobs(&state.dataset.packages);
-    let mut outputs: Vec<Arc<SimilarityOutput>> = Vec::with_capacity(jobs.len());
-    for (eco, entries) in &jobs {
-        let (_, entries_len, stored_output) = stored
-            .iter_mut()
-            .find(|s| s.as_ref().is_some_and(|(stored_eco, _, _)| stored_eco == eco))
-            .and_then(Option::take)
-            .ok_or_else(|| {
-                CheckpointError::Malformed(format!(
-                    "snapshot lacks similarity output for {}",
-                    eco.slug()
-                ))
-            })?;
-        if entries_len != entries.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "snapshot similarity for {} covers {} entries, corpus has {}",
-                eco.slug(),
-                entries_len,
-                entries.len()
+    for (eco, entries_len, output) in snapshot.similarity {
+        let Some(&(_, len)) = jobs.iter().find(|(job, _)| *job == eco) else {
+            return Err(malformed(format!("lists {}, which has no similarity job", eco.slug())));
+        };
+        let memo = &mut state.eco[build::eco_slot(eco)];
+        if memo.output.is_some() {
+            return Err(malformed(format!("lists {} twice", eco.slug())));
+        }
+        if entries_len != len {
+            return Err(malformed(format!(
+                "for {} covers {entries_len} entries, corpus has {len}",
+                eco.slug()
             )));
         }
-        let output = Arc::new(stored_output);
-        let slot = Ecosystem::ALL
-            .iter()
-            .position(|e| e == eco)
-            .expect("ecosystem listed in ALL");
-        state.eco[slot] = EcoState {
-            cache: SimilarityCache::default(),
-            entries_len,
-            output: Some(Arc::clone(&output)),
-        };
-        outputs.push(output);
+        if let Some((a, b)) = output.pairs.iter().find(|&&(a, b)| a == b || a.max(b) >= len) {
+            return Err(malformed(format!(
+                "for {} pairs {a} with {b} among {len} entries",
+                eco.slug()
+            )));
+        }
+        memo.entries_len = entries_len;
+        memo.output = Some(Arc::new(output));
     }
-    let (diagnostics, _) =
-        build::apply_similarity_outputs(&mut graph.graph, &graph.primary, &jobs, outputs);
-    graph.similarity_diagnostics = diagnostics;
-    build::emit_coexisting_edges(&mut graph.graph, &graph.primary, &state.dataset.reports);
+    if let Some((eco, _)) = jobs.iter().find(|(eco, _)| state.eco[build::eco_slot(*eco)].output.is_none()) {
+        return Err(malformed(format!("lacks an output for {}", eco.slug())));
+    }
+    let mut graph = MalGraph::empty();
+    graph
+        .emit(
+            &state.dataset,
+            0,
+            &mut state.nodes_by_pkg,
+            &mut state.eco,
+            options,
+            &CrashPlan::none(),
+        )
+        .expect("an unarmed crash plan never fires");
     Ok((graph, state))
 }
 
@@ -925,6 +920,122 @@ mod tests {
         let (recovered, state) = recover(&store, &options).unwrap();
         assert_eq!(state.windows_applied(), deltas.len(), "journal replay catches up");
         assert_eq!(graph_signature(&recovered), graph_signature(&graph));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn an_uninterrupted_run_fires_every_crash_point_on_schedule() {
+        let _gate = obs_gate().read().unwrap_or_else(|e| e.into_inner());
+        let (deltas, options) = fixture();
+        let store = temp_store("protocol");
+        let crash = CrashPlan::none();
+        run_checkpointed_ingest(&deltas, &options, &store, &crash, &CheckpointOptions::default())
+            .unwrap();
+        // An ecosystem's similarity is recomputed in each window that
+        // grows its entry list (its available packages) to two or more.
+        let mut recomputed = 0u32;
+        let mut entries = [0usize; Ecosystem::ALL.len()];
+        for delta in &deltas {
+            for (slot, &eco) in Ecosystem::ALL.iter().enumerate() {
+                let added = delta
+                    .packages
+                    .iter()
+                    .filter(|p| p.id.ecosystem() == eco && p.archive.is_some())
+                    .count();
+                entries[slot] += added;
+                if added > 0 && entries[slot] >= 2 {
+                    recomputed += 1;
+                }
+            }
+        }
+        assert!(recomputed > 0);
+        let windows = deltas.len() as u32;
+        for &point in CRASH_POINTS {
+            let expected = match point {
+                "collect/merge" => 1,
+                "similar/publish" => recomputed,
+                _ => windows,
+            };
+            assert_eq!(crash.hits(point), expected, "hits of {point}");
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Makes the first similarity entry of generation `windows` start
+    /// with `pair`, then reseals the file, so only the snapshot's own
+    /// validation stands between the pair and the graph.
+    fn reseal_with_first_pair(store: &CheckpointStore, windows: usize, pair: &str) {
+        let path = store.generation_path(windows);
+        let body = open_body(&path, GENERATION_TAG).unwrap().unwrap();
+        let at = body.find("\"pairs\":\"").expect("a similarity entry") + "\"pairs\":\"".len();
+        let sep = if body[at..].starts_with('"') { "" } else { " " };
+        let body = format!("{}{pair}{sep}{}", &body[..at], &body[at..]);
+        seal_body(&path, GENERATION_TAG, &body).unwrap();
+    }
+
+    #[test]
+    fn impossible_similar_pairs_are_discarded_at_restore() {
+        let _gate = obs_gate().write().unwrap_or_else(|e| e.into_inner());
+        let (deltas, options) = fixture();
+        for (name, pair) in [("pair-range", "0,999999"), ("pair-self", "1,1")] {
+            let store = temp_store(name);
+            let (graph, _) = run_checkpointed_ingest(
+                &deltas,
+                &options,
+                &store,
+                &CrashPlan::none(),
+                &CheckpointOptions::default(),
+            )
+            .unwrap();
+            reseal_with_first_pair(&store, deltas.len(), pair);
+            let snapshot = store.read_generation(deltas.len()).unwrap();
+            assert!(
+                matches!(restore(snapshot, &options), Err(CheckpointError::Malformed(_))),
+                "pair {pair} must be rejected"
+            );
+            obs::reset();
+            obs::enable();
+            let (recovered, state) = recover(&store, &options).unwrap();
+            let snap = obs::snapshot();
+            obs::disable();
+            let counter = |name: &str| {
+                snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+            };
+            assert_eq!(counter("recovery.discarded{stage=checkpoint}"), 1, "{pair}");
+            assert_eq!(counter("recovery.fallbacks{stage=generation}"), 1, "{pair}");
+            assert_eq!(counter("recovery.resumed{stage=checkpoint}"), 1, "{pair}");
+            assert_eq!(counter("recovery.replayed{stage=journal}"), 1, "{pair}");
+            assert_eq!(state.windows_applied(), deltas.len());
+            assert_eq!(graph_signature(&recovered), graph_signature(&graph), "{pair}");
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_ecosystem_listed_twice_or_without_a_job() {
+        let _gate = obs_gate().read().unwrap_or_else(|e| e.into_inner());
+        let (deltas, options) = fixture();
+        let store = temp_store("listing");
+        run_checkpointed_ingest(&deltas, &options, &store, &CrashPlan::none(), &CheckpointOptions::default())
+            .unwrap();
+        let mut twice = store.read_generation(deltas.len()).unwrap();
+        let first = twice.similarity[0].clone();
+        twice.similarity.push(first);
+        assert!(matches!(restore(twice, &options), Err(CheckpointError::Malformed(_))));
+        // Leave the first listed ecosystem one available package: it
+        // has no similarity job, yet the snapshot still lists it.
+        let mut jobless = store.read_generation(deltas.len()).unwrap();
+        let eco = jobless.similarity[0].0;
+        let mut kept = false;
+        for pkg in jobless.dataset.packages.iter_mut() {
+            if pkg.id.ecosystem() == eco && pkg.archive.is_some() {
+                if kept {
+                    pkg.archive = None;
+                }
+                kept = true;
+            }
+        }
+        assert!(matches!(restore(jobless, &options), Err(CheckpointError::Malformed(_))));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -1,36 +1,37 @@
-//! Incremental graph construction from corpus deltas (ISSUE 8).
+//! Incremental graph construction from corpus deltas.
 //!
 //! Continuous monitoring delivers the corpus as a sequence of
 //! [`CorpusDelta`]s (see `crawler::windows`); [`MalGraph::apply_delta`]
 //! folds each one into a live graph without a from-scratch rebuild. The
 //! contract is *byte identity*: ingesting windows `0..n` one at a time
 //! yields a graph, diagnostics and analysis output bitwise-identical to
-//! one [`crate::build`] over the union corpus — the full rebuild stays
-//! in the tree as the oracle, exactly like `AnalyzeMode::Uncached` and
-//! `cluster::serial`.
+//! ingesting their union as one window, which is what [`crate::build`]
+//! does. Both run the one construction sequence (`MalGraph::emit` in
+//! `build.rs`), so the check is N windows against 1: the same function
+//! over the same corpus, split differently.
 //!
 //! # What is incremental, what is recomputed
 //!
 //! Node emission is append-only: a delta's packages take the next node
 //! ids, so the node table matches a one-shot build positionally. Edges
-//! are *cleared and re-emitted* over the union through the very same
-//! stage helpers `build` uses (`emit_duplicated_edges`, …, in the same
-//! order), because dependency and co-existing edges between *old* nodes
-//! can appear when a new package resolves a previously-legitimate
-//! dependency name or a previously-unknown report member. Re-emission
-//! of those stages is cheap (milliseconds at paper scale); the expense
-//! lives in the similarity stage, which is where the caching goes:
+//! are *cleared and re-emitted* over the union, because dependency and
+//! co-existing edges between *old* nodes can appear when a new package
+//! resolves a previously-legitimate dependency name or a
+//! previously-unknown report member. Re-emission of those stages is
+//! cheap (milliseconds at paper scale); the expense lives in the
+//! similarity stage, which is where the caching goes — [`IngestState`]
+//! carries each ecosystem's similarity memo from window to window:
 //!
 //! * per-ecosystem entry lists are corpus-ordered and append-only, so
 //!   an unchanged length proves the list unchanged and the previous
-//!   window's [`SimilarityOutput`] (behind an `Arc`, so reuse is a
-//!   refcount bump) is reused outright;
+//!   window's [`SimilarityOutput`](crate::similarity::SimilarityOutput)
+//!   (behind an `Arc`, so reuse is a refcount bump) is reused outright;
 //! * otherwise the pipeline re-runs through
-//!   [`crate::similarity::similar_pairs_cached`] — the same pipeline
-//!   `build` runs, here with each ecosystem's [`SimilarityCache`]
-//!   carried across windows instead of a fresh one — so only packages
-//!   whose *source text* was never seen in any window are parsed and
-//!   embedded (republished byte-identical code hits the source memo).
+//!   [`crate::similarity::similar_pairs_cached`] on the memo's
+//!   [`SimilarityCache`](crate::similarity::SimilarityCache) — `build`
+//!   makes the same call on a fresh cache — so only packages whose
+//!   *source text* was never seen in any window are parsed and embedded
+//!   (republished byte-identical code hits the source memo).
 //!
 //! # Cache invalidation (the PR7 `OnceLock`s)
 //!
@@ -45,30 +46,11 @@
 //! Every drop/extension increments an `ingest.*` counter, so stale-cache
 //! regressions are observable, not silent.
 
-use crate::build::{self, relation_slot, BuildOptions, MalGraph};
+use crate::build::{relation_slot, BuildOptions, EcoState, MalGraph};
 use crate::node::Relation;
-use crate::similarity::{similar_pairs_cached, SimilarityCache, SimilarityOutput};
 use crawler::{CollectedDataset, CorpusDelta};
 use graphstore::NodeId;
-use oss_types::{CrashPlan, CrashSignal, Ecosystem, SimTime};
-use std::sync::Arc;
-
-/// Per-ecosystem similarity memo carried across deltas. `pub(crate)` so
-/// the checkpoint module can snapshot the memo (entry-list length + last
-/// output) and rebuild it on restore; the embedding cache itself is
-/// never persisted — a cold cache reproduces identical outputs.
-#[derive(Debug, Default)]
-pub(crate) struct EcoState {
-    /// Embedding memo + collapse state for the cached pipeline.
-    pub(crate) cache: SimilarityCache,
-    /// Entry-list length at the last similarity run; since entry lists
-    /// are append-only, an equal length proves the list unchanged.
-    pub(crate) entries_len: usize,
-    /// The output of the last similarity run over this ecosystem,
-    /// shared with the graph's diagnostics (reuse is a refcount bump,
-    /// not a multi-million-pair copy).
-    pub(crate) output: Option<Arc<SimilarityOutput>>,
-}
+use oss_types::{CrashPlan, CrashSignal, SimTime};
 
 /// The mutable companion of an incrementally-built [`MalGraph`]: the
 /// union corpus so far, the per-package node lists, and the
@@ -101,7 +83,7 @@ impl IngestState {
                 health: None,
             },
             nodes_by_pkg: Vec::new(),
-            eco: Ecosystem::ALL.iter().map(|_| EcoState::default()).collect(),
+            eco: EcoState::fresh(),
             windows: 0,
         }
     }
@@ -155,88 +137,26 @@ impl MalGraph {
         obs::counter_add("ingest.windows", 1);
         obs::counter_add("ingest.packages_added", delta.packages.len() as u64);
         obs::counter_add("ingest.reports_added", delta.reports.len() as u64);
-        let from_pkg = state.dataset.packages.len();
-        let from_node = self.graph.node_count();
+        let from = state.dataset.packages.len();
         delta.apply_to(&mut state.dataset);
 
-        // 1. Append nodes for the delta's packages: they take the next
-        // node ids, so the node table stays positionally identical to a
-        // one-shot build over the union.
-        {
-            let _stage = obs::span!("ingest/delta/nodes");
-            build::emit_package_nodes(
-                &mut self.graph,
-                &mut self.primary,
-                &mut state.nodes_by_pkg,
-                &state.dataset.packages[from_pkg..],
-            );
-            obs::counter_add(
-                "ingest.nodes_added",
-                (self.graph.node_count() - from_node) as u64,
-            );
-        }
-        crash.fire("build/nodes")?;
-
-        // 2. Re-emit every edge stage over the union, in build order —
-        // dependency and co-existing edges between old nodes can appear
-        // when new packages resolve old dependency names or old report
-        // members, so the cheap stages always recompute; only the
-        // similarity stage is served from the memo.
+        // 1. The build stages over the grown corpus: the delta's packages
+        // take the next node ids, so the node table stays positionally
+        // identical to a one-shot build over the union; every edge stage
+        // re-runs, with the similarity memos carried in `state`.
         {
             let _stage = obs::span!("ingest/delta/edges");
-            self.graph.clear_edges();
-            let duplicated = build::emit_duplicated_edges(&mut self.graph, &state.nodes_by_pkg);
-            crash.fire("build/duplicated")?;
-            let dependency =
-                build::emit_dependency_edges(&mut self.graph, &self.primary, &state.dataset.packages);
-            crash.fire("build/dependency")?;
-            let jobs = build::similarity_jobs(&state.dataset.packages);
-            let mut outputs: Vec<Arc<SimilarityOutput>> = Vec::with_capacity(jobs.len());
-            for (eco, entries) in &jobs {
-                let slot = Ecosystem::ALL
-                    .iter()
-                    .position(|e| e == eco)
-                    .expect("ecosystem listed in ALL");
-                let memo = &mut state.eco[slot];
-                let output = match &memo.output {
-                    Some(cached) if memo.entries_len == entries.len() => {
-                        obs::counter_add("ingest.similarity_reused", 1);
-                        Arc::clone(cached)
-                    }
-                    _ => {
-                        obs::counter_add("ingest.similarity_recomputed", 1);
-                        let _sim =
-                            obs::span!("ingest/delta/similar/ecosystem={}", eco.display_name());
-                        let output = Arc::new(similar_pairs_cached(
-                            entries,
-                            &options.similarity,
-                            &mut memo.cache,
-                        ));
-                        memo.entries_len = entries.len();
-                        memo.output = Some(Arc::clone(&output));
-                        // The similarity-cache publish boundary: the
-                        // memo now holds an output the graph does not
-                        // carry yet.
-                        crash.fire("similar/publish")?;
-                        output
-                    }
-                };
-                outputs.push(output);
-            }
-            let (diagnostics, similar) =
-                build::apply_similarity_outputs(&mut self.graph, &self.primary, &jobs, outputs);
-            self.similarity_diagnostics = diagnostics;
-            crash.fire("build/similar")?;
-            let coexisting =
-                build::emit_coexisting_edges(&mut self.graph, &self.primary, &state.dataset.reports);
-            crash.fire("build/coexisting")?;
-            obs::counter_add("ingest.edges_emitted{relation=duplicated}", duplicated);
-            obs::counter_add("ingest.edges_emitted{relation=dependency}", dependency);
-            obs::counter_add("ingest.edges_emitted{relation=similar}", similar);
-            obs::counter_add("ingest.edges_emitted{relation=coexisting}", coexisting);
+            self.emit(
+                &state.dataset,
+                from,
+                &mut state.nodes_by_pkg,
+                &mut state.eco,
+                options,
+                crash,
+            )?;
         }
 
-        // 3. Invalidate or extend the lazy query caches.
+        // 2. Invalidate or extend the lazy query caches.
         {
             let _stage = obs::span!("ingest/delta/invalidate");
             let dup_slot = relation_slot(Relation::Duplicated);

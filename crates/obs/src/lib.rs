@@ -335,6 +335,40 @@ mod tests {
     }
 
     #[test]
+    fn span_allocations_do_not_depend_on_what_the_thread_ran_before() {
+        let _guard = lock();
+        enable();
+        alloc::enable_tracking();
+        // A fresh thread makes its span stack and shard on first use, and
+        // its first pass nests deeper than it ever had; the second pass
+        // repeats the same work on a thread that has done it all before.
+        let passes: Vec<u64> = std::thread::spawn(|| {
+            (0..2)
+                .map(|_| {
+                    reset();
+                    {
+                        let _s1 = span!("hist/1");
+                        let _s2 = span!("hist/2");
+                        let _s3 = span!("hist/3");
+                        let _s4 = span!("hist/4");
+                        let _s5 = span!("hist/5");
+                        let _s6 = span!("hist/6");
+                        counter_add("hist.calls", 1);
+                        std::hint::black_box(vec![0u8; 64]);
+                    }
+                    let snap = snapshot();
+                    snap.spans.iter().filter(|s| s.name.starts_with("hist/")).map(|s| s.allocs).sum()
+                })
+                .collect()
+        })
+        .join()
+        .unwrap();
+        alloc::disable_tracking();
+        disable();
+        assert_eq!(passes[0], passes[1], "allocation calls of two identical passes");
+    }
+
+    #[test]
     fn alloc_tracking_disabled_reports_zero_deltas() {
         let _guard = lock();
         enable();

@@ -265,6 +265,9 @@ fn sweep_shards() {
 /// Turn the registry on with the real wall clock (idempotent; the clock
 /// epoch is set the first time the registry is touched).
 pub fn enable() {
+    // Make the clock now, not inside the first span, which would be
+    // charged its allocation.
+    let _ = clock_cell();
     ENABLED.store(true, Ordering::SeqCst);
 }
 
@@ -359,8 +362,14 @@ struct StackFrame {
     accum: Arc<ChildAccum>,
 }
 
+/// Span nesting depth a thread's stack holds without reallocating.
+const STACK_RESERVE: usize = 32;
+
 thread_local! {
-    static STACK: RefCell<Vec<StackFrame>> = const { RefCell::new(Vec::new()) };
+    // Reserved up front rather than grown on demand: growth would charge
+    // an allocation to whichever span first nests deeper than its thread
+    // ever had, so a span's count would depend on the thread's history.
+    static STACK: RefCell<Vec<StackFrame>> = RefCell::new(Vec::with_capacity(STACK_RESERVE));
 }
 
 /// Remove the frame with `token` and everything above it (frames above a
@@ -487,6 +496,11 @@ impl Span {
         if !enabled() {
             return Span::noop();
         }
+        // Make this thread's stack and shard, if this is its first span,
+        // before sampling the allocation counters: their one-time
+        // allocations belong to no span.
+        let _ = STACK.try_with(|_| ());
+        let _ = SHARD.try_with(|_| ());
         let (start_bytes, start_allocs) = alloc_track::thread_totals();
         let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
         let accum: Arc<ChildAccum> = Arc::default();
