@@ -39,8 +39,9 @@ fi
 #  * vector kernels — embed / cluster property suites and
 #    kernel_equivalence (every Kernel at 1 and 7 threads, identical
 #    output);
-#  * the malgraph-bench suites — analysis_equivalence (indexed ≡
-#    uncached reference, every section), ingest_equivalence (windowed ≡
+#  * the malgraph-bench suites — analysis_equivalence (every section
+#    byte-identical to one serial pass on a fresh context, in reverse
+#    order, at 7 threads and warm), ingest_equivalence (windowed ≡
 #    one window, with exact ingest.* counter deltas), crash_recovery
 #    (every crash point × {1, 7} threads × {clean resume, corrupted
 #    latest checkpoint} resumes byte-identically), profile_equivalence
@@ -56,23 +57,19 @@ cargo bench --no-run -p malgraph-bench
 # they report a number, and feed the perf gate below:
 #  * kernel_bench — the three kernels agree on a real workload
 #    (identical assignments and pair sets);
-#  * analyze_bench — every section from the indexed path is
-#    byte-identical to the uncached reference;
 #  * ingest_bench — the windowed graph matches the one-window graph
 #    node for node and edge for edge;
 #  * recovery_bench — a staged final-window crash resumed end-to-end
 #    matches the uninterrupted graph.
 echo "== kernel_bench --quick"
 cargo run --release -q -p malgraph-bench --bin kernel_bench -- --quick
-echo "== analyze_bench --quick"
-cargo run --release -q -p malgraph-bench --bin analyze_bench -- --quick
 echo "== ingest_bench --quick"
 cargo run --release -q -p malgraph-bench --bin ingest_bench -- --quick
 echo "== recovery_bench --quick"
 cargo run --release -q -p malgraph-bench --bin recovery_bench -- --quick
 
 # The perf-regression gate (PR 9): the quick benches above rewrote
-# BENCH_PR{6,7,8}_quick.json on this machine; diff each against its
+# BENCH_PR{6,8,10}_quick.json on this machine; diff each against its
 # checked-in baseline with `malgraph perf diff` and fail on regression.
 # Thresholds are deliberately generous (+50% relative AND +250 ms
 # absolute, both must be exceeded) — this gate catches real regressions,
@@ -82,7 +79,7 @@ cargo run --release -q -p malgraph-bench --bin recovery_bench -- --quick
 #   MALGRAPH_PERF_ACCEPT=1 ./ci.sh
 echo "== perf_gate (malgraph perf diff vs baselines/)"
 cargo build --release -q --bin malgraph
-for bench in BENCH_PR6_quick BENCH_PR7_quick BENCH_PR8_quick BENCH_PR10_quick; do
+for bench in BENCH_PR6_quick BENCH_PR8_quick BENCH_PR10_quick; do
     if [[ "${MALGRAPH_PERF_ACCEPT:-}" == "1" ]]; then
         cp "$bench.json" "baselines/$bench.json"
         echo "perf_gate: accepted $bench.json as the new baseline"

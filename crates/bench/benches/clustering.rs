@@ -2,7 +2,7 @@
 //! stages behind the SG construction (paper §III-A).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cluster::{kmeans, kmeans_warm, serial, KMeansConfig};
+use cluster::{kmeans, kmeans_warm, KMeansConfig};
 use embed::Embedder;
 use minilang::gen::{generate, Behavior};
 use rand::rngs::StdRng;
@@ -68,9 +68,9 @@ fn blob_data(n: usize, dim: usize, centers: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Engine ablation (DESIGN.md §6): the retained seed serial
-/// implementation vs. the parallel engine vs. a warm-started schedule
-/// step, all on the same data and the same iteration budget.
+/// Engine ablation (DESIGN.md §6): the parallel engine vs. a
+/// warm-started schedule step, on the same data and the same iteration
+/// budget.
 fn bench_engines(c: &mut Criterion) {
     let data = blob_data(1000, 256, 24, 4);
     let config = KMeansConfig {
@@ -81,10 +81,6 @@ fn bench_engines(c: &mut Criterion) {
     let k = 32usize;
     let mut group = c.benchmark_group("kmeans_engine_1000x256_k32");
     group.sample_size(10);
-    group.bench_function("seed_serial", |b| {
-        let mut rng = StdRng::seed_from_u64(5);
-        b.iter(|| serial::kmeans(&data, k, &config, &mut rng));
-    });
     group.bench_function("parallel", |b| {
         let mut rng = StdRng::seed_from_u64(5);
         b.iter(|| kmeans(&data, k, &config, &mut rng));
@@ -100,13 +96,9 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance-criterion configuration of ISSUE 1: n = 5000,
-/// dim = 1024, k = 64 — parallel + warm-start must beat the seed serial
-/// engine (numbers recorded in `BENCH_PR1.json` by the `kmeans_bench`
-/// binary).
+/// The engine at n = 5000, dim = 1024, k = 64: the workload recorded in
+/// `BENCH_PR1.json` (same data, seeds and config).
 fn bench_engines_5k(c: &mut Criterion) {
-    // Same data / seeds / config as the `kmeans_bench` binary, so these
-    // samples and BENCH_PR1.json describe the identical workload.
     let data = blob_data(5000, 1024, 48, 5000);
     let config = KMeansConfig {
         max_iters: 25,
@@ -116,12 +108,6 @@ fn bench_engines_5k(c: &mut Criterion) {
     let k = 64usize;
     let mut group = c.benchmark_group("kmeans_engine_5000x1024_k64");
     group.sample_size(3);
-    group.bench_function("seed_serial", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            serial::kmeans(&data, k, &config, &mut rng)
-        });
-    });
     group.bench_function("parallel", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);

@@ -1,18 +1,17 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! repro [--seed N] [--scale F] [--threads N] [--uncached] [--out PATH] [ids…]
+//! repro [--seed N] [--scale F] [--threads N] [--out PATH] [--check] [ids…]
 //! ```
 //!
 //! Without ids, every experiment plus the extension sections runs. With
 //! `--out`, the full report is also written as Markdown (used to refresh
 //! `EXPERIMENTS.md`). `--threads` fans the sections out over scoped
-//! worker threads (the report is byte-identical at any thread count);
-//! `--uncached` switches to the serial reference mode that recomputes
-//! every query from scratch.
+//! worker threads (the report is byte-identical at any thread count).
 
-use malgraph_bench::{AnalyzeMode, Repro, EXPERIMENTS, EXTENSIONS};
+use malgraph_bench::{Repro, EXPERIMENTS, EXTENSIONS};
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 // Counting allocator, as in the malgraph CLI: the regenerated report's
 // profile appendix attributes allocation bytes per pipeline stage.
@@ -20,13 +19,12 @@ use std::io::Write as _;
 static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc::new();
 
 const USAGE: &str =
-    "usage: repro [--seed N] [--scale F] [--threads N] [--uncached] [--out PATH] [--check] [ids…]";
+    "usage: repro [--seed N] [--scale F] [--threads N] [--out PATH] [--check] [ids…]";
 
 fn main() {
     let mut seed = 42u64;
     let mut scale = 1.0f64; // the full paper-scale corpus runs in under a minute
     let mut threads = 1usize;
-    let mut mode = AnalyzeMode::Indexed;
     let mut out_path: Option<String> = None;
     let mut check = false;
     let mut ids: Vec<String> = Vec::new();
@@ -53,7 +51,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
             }
-            "--uncached" => mode = AnalyzeMode::Uncached,
             "--out" => {
                 out_path = Some(args.next().unwrap_or_else(|| usage_error("--out needs a path")));
             }
@@ -75,8 +72,10 @@ fn main() {
     }
 
     eprintln!("generating world (seed {seed}, scale {scale}) and building MALGRAPH…");
+    // The stage timings and the profile appendix read obs spans.
+    obs::enable();
     obs::alloc::enable_tracking();
-    let repro = Repro::with_mode(seed, scale, mode);
+    let repro = Repro::new(seed, scale);
     eprintln!(
         "corpus: {} packages, {} reports, {} graph nodes",
         repro.dataset.packages.len(),
@@ -154,10 +153,12 @@ fn main() {
         md.push_str(&format!("(seed {seed}, scale {scale}).\n\n```text\n"));
         md.push_str(&full);
         md.push_str("```\n");
-        md.push_str(&timing_appendix(&section_ms, threads, mode));
-        md.push_str(&bench_appendix(&path));
+        let dir = record_dir(&path);
+        md.push_str(&timing_appendix(&section_ms, threads));
+        md.push_str(&bench_appendix(&dir));
         md.push_str(&profile_appendix(&obs::snapshot()));
-        md.push_str(&sentinel_appendix(&path));
+        md.push_str(&recovery_appendix(&dir));
+        md.push_str(&sentinel_appendix(&dir));
         md.push_str(&format!("\nLast run {timings_line}.\n"));
         let mut file = std::fs::File::create(&path)
             .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
@@ -170,15 +171,15 @@ fn main() {
 /// Per-section timing appendix: the `analyze/{id}` span totals of this
 /// run, slowest first, so the regenerated EXPERIMENTS.md records where
 /// analyze time goes alongside what it produces.
-fn timing_appendix(section_ms: &[(String, f64)], threads: usize, mode: AnalyzeMode) -> String {
+fn timing_appendix(section_ms: &[(String, f64)], threads: usize) -> String {
     let mut md = String::from(
         "\n## Analyze timings — per section\n\n\
          Wall time spent inside each section's `analyze/{id}` span during this run\n\
          (worker wall time under `--threads`), slowest first.\n\n```text\n",
     );
     md.push_str(&format!(
-        "mode {:?} · {} worker thread(s)\n{:<12} {:>10}\n",
-        mode, threads, "section", "ms"
+        "{} worker thread(s)\n{:<12} {:>10}\n",
+        threads, "section", "ms"
     ));
     let mut ranked: Vec<&(String, f64)> = section_ms.iter().collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -191,35 +192,49 @@ fn timing_appendix(section_ms: &[(String, f64)], threads: usize, mode: AnalyzeMo
     md
 }
 
+/// The directory the benchmark records are looked up in: the one the
+/// report is written to.
+fn record_dir(out_path: &str) -> PathBuf {
+    Path::new(out_path)
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
+}
+
+/// Reads the benchmark record `name` from `dir`; `None` when it is
+/// absent or unparseable, so the report never fails for want of one.
+fn load_record(dir: &Path, name: &str) -> Option<jsonio::Value> {
+    let text = std::fs::read_to_string(dir.join(name)).ok()?;
+    match jsonio::Value::parse(&text) {
+        Ok(v) => Some(v),
+        Err(e) => {
+            eprintln!("warning: skipping unparseable {name}: {e:?}");
+            None
+        }
+    }
+}
+
+/// Number field `key` of a record row, 0 when missing.
+fn f(row: &jsonio::Value, key: &str) -> f64 {
+    row.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
+}
+
+/// Integer field `key` of a record row, 0 when missing.
+fn u(row: &jsonio::Value, key: &str) -> u64 {
+    row.get(key).and_then(|v| v.as_u64()).unwrap_or(0)
+}
+
 /// Perf-trajectory appendix: the engine-benchmark snapshots
 /// (`BENCH_PR1.json`, `BENCH_PR6.json`, `BENCH_PR7.json`) rendered as
 /// rows next to the
 /// paper tables, so one regenerated EXPERIMENTS.md carries both "does it
-/// reproduce the paper" and "how fast does it do so". Snapshots are
-/// looked up beside the output file; absent ones are skipped, so the
-/// report never fails just because a bench binary has not been run.
-fn bench_appendix(out_path: &str) -> String {
-    let dir = std::path::Path::new(out_path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| std::path::PathBuf::from("."), std::path::Path::to_path_buf);
-    let load = |name: &str| -> Option<jsonio::Value> {
-        let text = std::fs::read_to_string(dir.join(name)).ok()?;
-        match jsonio::Value::parse(&text) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                eprintln!("warning: skipping unparseable {name}: {e:?}");
-                None
-            }
-        }
-    };
-    let f = |row: &jsonio::Value, key: &str| row.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let u = |row: &jsonio::Value, key: &str| row.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-
+/// reproduce the paper" and "how fast does it do so". Absent snapshots
+/// are skipped.
+fn bench_appendix(dir: &Path) -> String {
     let mut md = String::new();
     let mut body = String::new();
 
-    if let Some(pr1) = load("BENCH_PR1.json") {
+    if let Some(pr1) = load_record(dir, "BENCH_PR1.json") {
         body.push_str(&format!(
             "== BENCH_PR1 — K-Means engines (dim {}, k {}, {} host thread(s))\n\
              {:>6}  {:>10}  {:>11}  {:>9}  {:>6}  {:>6}\n",
@@ -242,7 +257,7 @@ fn bench_appendix(out_path: &str) -> String {
         body.push('\n');
     }
 
-    if let Some(pr6) = load("BENCH_PR6.json") {
+    if let Some(pr6) = load_record(dir, "BENCH_PR6.json") {
         body.push_str(&format!(
             "== BENCH_PR6 — vector kernels, assignment + refinement, identical output \
              (dim {}, nnz ~{}, k {}, threshold {:.2})\n\
@@ -269,7 +284,7 @@ fn bench_appendix(out_path: &str) -> String {
         body.push('\n');
     }
 
-    if let Some(pr7) = load("BENCH_PR7.json") {
+    if let Some(pr7) = load_record(dir, "BENCH_PR7.json") {
         body.push_str(&format!(
             "== BENCH_PR7 — analysis harness, indexed vs uncached, identical reports \
              (seed {}, scale {}, {} host thread(s))\n\
@@ -311,10 +326,12 @@ fn bench_appendix(out_path: &str) -> String {
         md.push_str(
             "\n## Perf trajectory — engine benchmark snapshots\n\n\
              Rebuilt from `BENCH_PR1.json` / `BENCH_PR6.json` / `BENCH_PR7.json` beside\n\
-             this file (regenerate them with the `kmeans_bench`, `kernel_bench` and\n\
-             `analyze_bench` release binaries). The PR-6 columns are end-to-end\n\
-             assignment + cosine refinement; the PR-7 columns are full analysis\n\
-             sections; every mode is asserted bitwise-identical before its time is\n\
+             this file. `BENCH_PR1` and `BENCH_PR7` are records: the serial K-Means\n\
+             engine and the uncached harness mode they compare against are gone, and\n\
+             so are the binaries that wrote them. `BENCH_PR6.json` is regenerated by\n\
+             the `kernel_bench` release binary. The `BENCH_PR6` columns are end-to-end\n\
+             assignment + cosine refinement; the `BENCH_PR7` columns are full analysis\n\
+             sections; every mode was asserted bitwise-identical before its time was\n\
              reported.\n\n```text\n",
         );
         md.push_str(body.trim_end_matches('\n'));
@@ -384,17 +401,91 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
+/// Crash-recovery appendix: the resume-vs-rebuild table rendered from
+/// `BENCH_PR10.json`, between fixed prose that explains it. Empty when
+/// the record is absent.
+fn recovery_appendix(dir: &Path) -> String {
+    let Some(pr10) = load_record(dir, "BENCH_PR10.json") else {
+        return String::new();
+    };
+    let full_ms = f(&pr10, "full_build_ms");
+    let mut md = String::from(
+        "\n## Crash recovery — resume vs. rebuild\n\n\
+         Rebuilt from `BENCH_PR10.json` beside this file (regenerate with the\n\
+         `recovery_bench` release binary; seed 42, scale 1.0, 18 787 packages in\n\
+         9 disclosure-quantile windows, minima over 3 repetitions). Two staged\n\
+         crashes bracket the recovery cost against a cold `build()` over the\n\
+         union corpus; every resumed graph is asserted node-for-node and\n\
+         edge-for-edge identical to that rebuild — including the `f32` bits of\n\
+         the similarity traces — before its time is reported.\n\n```text\n",
+    );
+    md.push_str(&format!(
+        "== BENCH_PR10 — crash-consistent checkpointing \
+         (seed {}, scale {}, {} windows, best of {})\n{:<48}{:>6}{:>18}\n",
+        u(&pr10, "seed"),
+        f(&pr10, "scale"),
+        u(&pr10, "windows"),
+        u(&pr10, "reps"),
+        "scenario",
+        "ms",
+        "vs cold rebuild"
+    ));
+    for (scenario, key) in [
+        ("cold full rebuild (the oracle)", "full_build_ms"),
+        ("resume, crash after final checkpoint sealed", "resume_ms"),
+        (
+            "restore only (bare recover(), nothing to replay)",
+            "restore_only_ms",
+        ),
+        (
+            "resume, crash lost the final window",
+            "resume_lost_window_ms",
+        ),
+    ] {
+        let ms = f(&pr10, key);
+        let note = if key == "resume_ms" {
+            "   (target >= 3x)"
+        } else {
+            ""
+        };
+        md.push_str(&format!(
+            "{scenario:<48}{ms:>6.0}{:>17.2}x{note}\n",
+            full_ms / ms
+        ));
+    }
+    md.push_str(
+        "```\n\n\
+         The headline row is a kill at the last `checkpoint/publish`: every\n\
+         window is durable, so resume is the pure recovery path — validate the\n\
+         newest generation's checksum, rebuild nodes and structural edges from\n\
+         the snapshotted corpus, apply the persisted similarity outputs, find\n\
+         nothing in the journal to replay. The last row is the worst case — a\n\
+         kill at the last `ingest/apply`, after a full window of similarity work\n\
+         completed in memory but before it was checkpointed. That work is\n\
+         genuinely lost: replay re-embeds and re-refines the touched ecosystems\n\
+         against a cold memo, which costs more than the one-shot rebuild (whose\n\
+         own similarity stage is the dominant cost being skipped everywhere\n\
+         else). Checkpointing buys a 4.4× restart when the checkpoint landed,\n\
+         and never worse than ~1.5× the rebuild when it did not — with the\n\
+         byte-identity contract held in both cases, at every one of the eleven\n\
+         crash points, at 1 and 7 threads (`crash_recovery` matrix).\n\n\
+         Encoding note: a generation snapshot carries millions of similar pairs\n\
+         at this scale. Storing them as nested JSON arrays (three heap nodes per\n\
+         pair, pretty-printed) made one generation write cost 61 s and its read\n\
+         18 s; the flat `\"a,b a,b …\"` per-ecosystem string encoding in a\n\
+         compact-rendered body brought the same write to ~3.9 s and the full\n\
+         restore to the 1.76 s above.\n",
+    );
+    md
+}
+
 /// Perf-sentinel appendix: demonstrates the regression gate on live data
 /// by diffing a quick-bench snapshot against itself (clean pass) and then
 /// against a copy with one timing inflated 25% (caught, non-zero exit in
 /// the CLI). This is exactly what `ci.sh`'s perf_gate step runs via
 /// `malgraph perf diff baselines/<bench>.json <bench>.json`.
-fn sentinel_appendix(out_path: &str) -> String {
-    let dir = std::path::Path::new(out_path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| std::path::PathBuf::from("."), std::path::Path::to_path_buf);
-    let Some((name, text)) = ["BENCH_PR8_quick.json", "BENCH_PR7_quick.json", "BENCH_PR6_quick.json"]
+fn sentinel_appendix(dir: &Path) -> String {
+    let Some((name, text)) = ["BENCH_PR8_quick.json", "BENCH_PR6_quick.json"]
         .iter()
         .find_map(|n| std::fs::read_to_string(dir.join(n)).ok().map(|t| (*n, t)))
     else {

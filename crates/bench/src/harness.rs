@@ -3,29 +3,24 @@
 //! measured ones.
 
 use crawler::{collect, CollectedDataset, CollectedPackage, IndexedRegistry};
-use graphstore::NodeId;
-use malgraph_core::analysis::index::AnalysisIndex;
 use malgraph_core::analysis::{campaign, diversity, evolution, overlap, quality, typosquat};
 use malgraph_core::{build, BuildOptions, MalGraph, Relation};
 use oss_types::{ChangeOp, Ecosystem, PackageId, SimDuration, SourceId};
 use registry_sim::{World, WorldConfig};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How the harness provisions its graph and corpus queries.
+/// How the harness provisions its graph and corpus queries. It has one
+/// variant; the type stays because [`Repro::from_parts`] takes it and the
+/// `perfbench` benchmark names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalyzeMode {
     /// Serve repeated queries from the lazily built component and corpus
-    /// indexes (the default, and the fast path).
+    /// indexes.
     #[default]
     Indexed,
-    /// Recompute every query from scratch — the serial reference the
-    /// equivalence suite and `analyze_bench` compare the indexed path
-    /// against, byte for byte.
-    Uncached,
 }
 
 /// A fully prepared reproduction context: world → corpus → MALGRAPH.
@@ -39,13 +34,12 @@ pub struct Repro {
     pub graph: MalGraph,
     /// Wall times of the preparation stages.
     pub timings: StageTimings,
-    /// Query-provisioning mode for the analysis sections.
-    pub mode: AnalyzeMode,
 }
 
 /// Wall times of the pipeline stages, printed by `repro` so performance
 /// regressions are visible next to the measurements. Measured with `obs`
-/// spans — the harness owns no timing mechanism of its own.
+/// spans — the harness owns no timing mechanism of its own — so they read
+/// zero unless the caller has enabled `obs`.
 #[derive(Debug, Clone, Copy)]
 pub struct StageTimings {
     /// World generation (the simulated ground truth).
@@ -70,20 +64,14 @@ pub const EXPERIMENTS: [&str; 19] = [
 pub const EXTENSIONS: [&str; 4] = ["detection", "typosquat", "scaling", "validation"];
 
 impl Repro {
-    /// Builds the context at the given corpus scale, in
-    /// [`AnalyzeMode::Indexed`] mode.
+    /// Builds the context at the given corpus scale. It leaves `obs` as
+    /// the caller set it.
     pub fn new(seed: u64, scale: f64) -> Repro {
-        Repro::with_mode(seed, scale, AnalyzeMode::Indexed)
-    }
-
-    /// Builds the context with an explicit [`AnalyzeMode`].
-    pub fn with_mode(seed: u64, scale: f64, mode: AnalyzeMode) -> Repro {
         let config = WorldConfig {
             seed,
             ..WorldConfig::default()
         }
         .with_scale(scale);
-        obs::enable();
         let span = obs::span!("repro/world");
         let world = World::generate(config);
         let world_elapsed = span.finish();
@@ -108,7 +96,6 @@ impl Repro {
             dataset,
             graph,
             timings,
-            mode,
         }
     }
 
@@ -116,12 +103,13 @@ impl Repro {
     /// equivalence suite and `ingest_bench` wire an incrementally grown
     /// graph (`MalGraph::apply_delta` over corpus deltas) into the same
     /// analysis sections the one-shot context runs, so the two paths can
-    /// be compared byte for byte.
+    /// be compared byte for byte. [`AnalyzeMode::Indexed`] is the only
+    /// `mode`.
     pub fn from_parts(
         world: World,
         dataset: CollectedDataset,
         graph: MalGraph,
-        mode: AnalyzeMode,
+        _mode: AnalyzeMode,
     ) -> Repro {
         let zero = std::time::Duration::ZERO;
         Repro {
@@ -134,7 +122,6 @@ impl Repro {
                 build: zero,
                 similarity: zero,
             },
-            mode,
         }
     }
 
@@ -218,86 +205,11 @@ impl Repro {
             .collect()
     }
 
-    /// Groups of `relation`, mode-switched: the cached per-label
-    /// component index, or a fresh component computation.
-    fn groups(&self, relation: Relation) -> Cow<'_, [Vec<NodeId>]> {
-        match self.mode {
-            AnalyzeMode::Indexed => Cow::Borrowed(self.graph.groups(relation)),
-            AnalyzeMode::Uncached => {
-                Cow::Owned(self.graph.graph.components(|l| *l == relation))
-            }
-        }
-    }
-
-    /// Release-ordered similar-group sequences, mode-switched.
+    /// Release-ordered similar-group sequences, from the analysis index.
     fn release_sequences(&self) -> Vec<Vec<&CollectedPackage>> {
-        match self.mode {
-            AnalyzeMode::Indexed => self
-                .graph
-                .analysis_index(&self.dataset)
-                .release_sequences(&self.graph, &self.dataset),
-            AnalyzeMode::Uncached => evolution::release_sequences_in(
-                &self.graph.graph.components(|l| *l == Relation::Similar),
-                &self.graph,
-                &self.dataset,
-            ),
-        }
-    }
-
-    /// Group active periods, mode-switched.
-    fn active_periods(&self, relation: Relation) -> Vec<SimDuration> {
-        match self.mode {
-            AnalyzeMode::Indexed => {
-                campaign::active_periods(&self.graph, &self.dataset, relation)
-            }
-            AnalyzeMode::Uncached => campaign::active_periods_in(
-                &self.graph.graph.components(|l| *l == relation),
-                &self.graph,
-                &AnalysisIndex::new(&self.dataset),
-            ),
-        }
-    }
-
-    /// Campaign timeline of the co-existing group containing `member`,
-    /// mode-switched between the CSR snapshot and the raw adjacency BFS.
-    fn campaign_timeline(&self, member: &PackageId) -> Vec<campaign::TimelineEntry> {
-        match self.mode {
-            AnalyzeMode::Indexed => {
-                campaign::campaign_timeline(&self.graph, &self.dataset, member)
-            }
-            AnalyzeMode::Uncached => {
-                campaign::campaign_timeline_reference(&self.graph, &self.dataset, member)
-            }
-        }
-    }
-
-    /// Version-lineage download series (Fig. 11), mode-switched between
-    /// the O(1)-lookup registry index and per-name registry scans.
-    fn lineage_series(&self) -> Vec<Vec<u64>> {
-        match self.mode {
-            AnalyzeMode::Indexed => evolution::lineage_download_series(
-                &self.dataset,
-                &IndexedRegistry::new(&self.world),
-            ),
-            AnalyzeMode::Uncached => {
-                evolution::lineage_download_series(&self.dataset, &self.world)
-            }
-        }
-    }
-
-    /// IDN ranking rows (Table VIII), mode-switched the same way; the
-    /// indexed path also answers corpus lookups from the analysis index
-    /// instead of a scan per consecutive-version pair.
-    fn idn_rows(&self, top: usize) -> Vec<evolution::IdnRow> {
-        match self.mode {
-            AnalyzeMode::Indexed => evolution::idn_ranking_indexed(
-                self.graph.analysis_index(&self.dataset),
-                &self.dataset,
-                &IndexedRegistry::new(&self.world),
-                top,
-            ),
-            AnalyzeMode::Uncached => evolution::idn_ranking(&self.dataset, &self.world, top),
-        }
+        self.graph
+            .analysis_index(&self.dataset)
+            .release_sequences(&self.graph, &self.dataset)
     }
 
     /// Table I — source and size of the initial corpus.
@@ -360,7 +272,7 @@ impl Repro {
             "paper: a group mixing duplicated/similar/co-existing edges",
         );
         // Pick a medium co-existing group so the rendering stays legible.
-        let groups = self.groups(Relation::Coexisting);
+        let groups = self.graph.groups(Relation::Coexisting);
         let group = groups
             .iter()
             .filter(|g| (4..=12).contains(&g.len()))
@@ -385,11 +297,7 @@ impl Repro {
             "{:<5} {:>8} {:>12} {:>14} {:>13}",
             "", "Node", "Edge", "Ave.OutDeg", "Ave.InDeg"
         );
-        let rows = match self.mode {
-            AnalyzeMode::Indexed => diversity::table2(&self.graph),
-            AnalyzeMode::Uncached => diversity::table2_reference(&self.graph),
-        };
-        for row in rows {
+        for row in diversity::table2(&self.graph) {
             let _ = writeln!(
                 out,
                 "{:<5} {:>8} {:>12} {:>14.2} {:>13.2}",
@@ -585,11 +493,7 @@ impl Repro {
             "{:<9} {:>16} {:>16} {:>16}",
             "OSS", "SG #(Ave.)", "DeG #(Ave.)", "CG #(Ave.)"
         );
-        let rows = match self.mode {
-            AnalyzeMode::Indexed => diversity::table7(&self.graph),
-            AnalyzeMode::Uncached => diversity::table7_reference(&self.graph),
-        };
-        for row in rows {
+        for row in diversity::table7(&self.graph) {
             let cell = |c: &diversity::DiversityCell| format!("{} ({:.2})", c.groups, c.avg_size);
             let _ = writeln!(
                 out,
@@ -661,7 +565,7 @@ example cycle:");
             "Fig. 7 — the attack based on the dependency library",
             "paper: the front package looks benign; installing it pulls the malicious dependency",
         );
-        let groups = self.groups(Relation::Dependency);
+        let groups = self.graph.groups(Relation::Dependency);
         let Some(group) = groups.first() else {
             out.push_str("(no dependency group in this corpus)\n");
             return out;
@@ -697,7 +601,7 @@ example cycle:");
              urs-remote, etc-crypto, mh-web-hardware, mall-front-babel-directive (15 total)",
         );
         let member: PackageId = "npm/etc-crypto@1.0.0".parse().expect("valid id");
-        let timeline = self.campaign_timeline(&member);
+        let timeline = campaign::campaign_timeline(&self.graph, &self.dataset, &member);
         if timeline.is_empty() {
             out.push_str("(showcase campaign not present at this scale)\n");
             return out;
@@ -717,7 +621,7 @@ example cycle:");
             "paper: 80% SG within days · 80% CG within a year · DeG longest (≈3 years)",
         );
         for relation in [Relation::Similar, Relation::Coexisting, Relation::Dependency] {
-            let periods = self.active_periods(relation);
+            let periods = campaign::active_periods(&self.graph, &self.dataset, relation);
             if periods.is_empty() {
                 let _ = writeln!(out, "{:<4} (no groups)", relation.group_label());
                 continue;
@@ -790,7 +694,10 @@ example cycle:");
             .iter()
             .map(|seq| seq.iter().filter_map(|p| p.meta.map(|m| m.downloads)).collect())
             .collect();
-        series.extend(self.lineage_series());
+        series.extend(evolution::lineage_download_series(
+            &self.dataset,
+            &IndexedRegistry::new(&self.world),
+        ));
         let boxes = evolution::download_evolution_from_series(&series, 10);
         let _ = writeln!(
             out,
@@ -829,8 +736,13 @@ example cycle:");
             "Table VIII — top-10 increasing download number with the operation",
             "paper: top IDN 66,092,932 with (CDep, CD, CN, CC); multi-op trojan lineages dominate",
         );
-        let rows = self.idn_rows(10);
         let _ = writeln!(out, "{:>12}  {:<24} package", "IDN", "Operation");
+        let rows = evolution::idn_ranking_indexed(
+            self.graph.analysis_index(&self.dataset),
+            &self.dataset,
+            &IndexedRegistry::new(&self.world),
+            10,
+        );
         for row in rows {
             let _ = writeln!(
                 out,
@@ -856,45 +768,25 @@ example cycle:");
         // campaign re-releases duplicate code heavily — one shared cache
         // covers the world evaluation and the archive census (the
         // archives' code strings all appear among the world sources).
-        let (report, census) = match self.mode {
-            AnalyzeMode::Indexed => {
-                let mut cache = detector::SandboxCache::default();
-                let report = detector::evaluate_world_cached(&self.world, &mut cache);
-                let census =
-                    self.behaviour_census(|code| cache.run(code).verdict.labels.clone());
-                (report, census)
-            }
-            AnalyzeMode::Uncached => {
-                let report = detector::evaluate_world(&self.world);
-                let sandbox = detector::DynamicDetector::default();
-                let census = self.behaviour_census(|code| sandbox.analyze_source(code).labels);
-                (report, census)
-            }
-        };
+        let mut cache = detector::SandboxCache::default();
+        let report = detector::evaluate_world_cached(&self.world, &mut cache);
         let _ = writeln!(out, "{report}");
         let _ = writeln!(out, "
 behaviour census over recovered archives:");
-        for (label, count) in census {
-            let _ = writeln!(out, "  {label:<18} {count:>6}");
-        }
-        out
-    }
-
-    /// Behaviour census of the *collected* corpus: what an analyst
-    /// running the sandbox over every recovered archive would see.
-    fn behaviour_census(
-        &self,
-        mut verdict: impl FnMut(&str) -> Vec<detector::BehaviorLabel>,
-    ) -> std::collections::BTreeMap<String, usize> {
+        // What an analyst running the sandbox over every recovered
+        // archive of the *collected* corpus would see.
         let mut census: std::collections::BTreeMap<String, usize> = Default::default();
         for pkg in &self.dataset.packages {
             if let Some(archive) = &pkg.archive {
-                for label in verdict(&archive.code) {
+                for label in &cache.run(&archive.code).verdict.labels {
                     *census.entry(label.to_string()).or_default() += 1;
                 }
             }
         }
-        census
+        for (label, count) in census {
+            let _ = writeln!(out, "  {label:<18} {count:>6}");
+        }
+        out
     }
 
     /// Extension experiment — typosquat targeting census.
@@ -903,14 +795,11 @@ behaviour census over recovered archives:");
             "Extension — typosquat targeting (§V: 'the most popular attack vector')",
             "which legitimate packages the corpus impersonates, by edit distance ≤ 2",
         );
-        let census = match self.mode {
-            AnalyzeMode::Indexed => typosquat::typosquat_census_indexed(
-                self.graph.analysis_index(&self.dataset),
-                &self.dataset,
-                None,
-            ),
-            AnalyzeMode::Uncached => typosquat::typosquat_census(&self.dataset, None),
-        };
+        let census = typosquat::typosquat_census_indexed(
+            self.graph.analysis_index(&self.dataset),
+            &self.dataset,
+            None,
+        );
         let _ = writeln!(
             out,
             "{} of {} corpus packages squat a popular name ({:.1}%)",
@@ -939,45 +828,27 @@ behaviour census over recovered archives:");
             "scale", "DG edges", "DeG edges", "SG edges", "CG edges"
         );
         const SCALES: [f64; 3] = [0.02, 0.05, 0.10];
-        let edge_row = |repro: &Repro| -> Vec<usize> {
-            Relation::ALL
+        // The three sub-worlds are independent of each other and of
+        // `self` — build them concurrently and assemble in scale order,
+        // so the report bytes never depend on which finishes first.
+        let rows: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = SCALES
                 .iter()
-                .map(|&r| match repro.mode {
-                    AnalyzeMode::Indexed => repro.graph.relation_stats(r).edges,
-                    AnalyzeMode::Uncached => {
-                        graphstore::stats::RelationStats::compute(&repro.graph.graph, |l| {
-                            *l == r
-                        })
-                        .edges
-                    }
-                })
-                .collect()
-        };
-        let rows: Vec<Vec<usize>> = match self.mode {
-            // The three sub-worlds are independent of each other and of
-            // `self` — build them concurrently and assemble in scale
-            // order, so the report bytes never depend on which finishes
-            // first.
-            AnalyzeMode::Indexed => std::thread::scope(|scope| {
-                let handles: Vec<_> = SCALES
-                    .iter()
-                    .map(|&scale| {
-                        scope.spawn(move || {
-                            let repro = Repro::with_mode(7, scale, AnalyzeMode::Indexed);
-                            edge_row(&repro)
-                        })
+                .map(|&scale| {
+                    scope.spawn(move || {
+                        let repro = Repro::new(7, scale);
+                        Relation::ALL
+                            .iter()
+                            .map(|&r| repro.graph.relation_stats(r).edges)
+                            .collect()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scaling sub-world worker panicked"))
-                    .collect()
-            }),
-            AnalyzeMode::Uncached => SCALES
-                .iter()
-                .map(|&scale| edge_row(&Repro::with_mode(7, scale, AnalyzeMode::Uncached)))
-                .collect(),
-        };
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scaling sub-world worker panicked"))
+                .collect()
+        });
         for (scale, row) in SCALES.iter().zip(rows) {
             let _ = writeln!(
                 out,
@@ -999,33 +870,19 @@ behaviour census over recovered archives:");
         // over packages that appear in some SG.
         let mut labels_true: Vec<usize> = Vec::new();
         let mut labels_sg: Vec<usize> = Vec::new();
-        // One id → campaign map replaces a linear `find` over the world
-        // per SG member (first occurrence wins, matching `find`).
-        let campaign_of: Option<HashMap<&PackageId, usize>> = match self.mode {
-            AnalyzeMode::Indexed => {
-                let mut map = HashMap::with_capacity(self.world.packages.len());
-                for p in &self.world.packages {
-                    map.entry(&p.id)
-                        .or_insert_with(|| p.campaign.map(|c| c.index() + 1).unwrap_or(0));
-                }
-                Some(map)
-            }
-            AnalyzeMode::Uncached => None,
-        };
-        for (gi, group) in self.groups(Relation::Similar).iter().enumerate() {
+        // Each package's campaign label; the first world package with an
+        // id wins.
+        let mut campaign_of: HashMap<&PackageId, usize> =
+            HashMap::with_capacity(self.world.packages.len());
+        for p in &self.world.packages {
+            campaign_of
+                .entry(&p.id)
+                .or_insert_with(|| p.campaign.map(|c| c.index() + 1).unwrap_or(0));
+        }
+        for (gi, group) in self.graph.groups(Relation::Similar).iter().enumerate() {
             for &node in group {
                 let pkg_id = &self.graph.graph.node(node).package;
-                let truth = match &campaign_of {
-                    Some(map) => map.get(pkg_id).copied().unwrap_or(0),
-                    None => self
-                        .world
-                        .packages
-                        .iter()
-                        .find(|p| &p.id == pkg_id)
-                        .and_then(|p| p.campaign.map(|c| c.index() + 1))
-                        .unwrap_or(0),
-                };
-                labels_true.push(truth);
+                labels_true.push(campaign_of.get(pkg_id).copied().unwrap_or(0));
                 labels_sg.push(gi + 1);
             }
         }
@@ -1132,8 +989,8 @@ impl Repro {
         push("SG is the densest relation graph (Table II shape)", densest, String::new());
 
         // RQ3 — active periods.
-        let sg = self.active_periods(Relation::Similar);
-        let deg = self.active_periods(Relation::Dependency);
+        let sg = campaign::active_periods(&self.graph, &self.dataset, Relation::Similar);
+        let deg = campaign::active_periods(&self.graph, &self.dataset, Relation::Dependency);
         let mean =
             |v: &[SimDuration]| v.iter().map(|d| d.as_days_f64()).sum::<f64>() / v.len().max(1) as f64;
         push(
@@ -1142,7 +999,7 @@ impl Repro {
             format!("DeG {:.0}d vs SG {:.0}d", mean(&deg), mean(&sg)),
         );
         let member: PackageId = "npm/etc-crypto@1.0.0".parse().expect("valid");
-        let timeline = self.campaign_timeline(&member);
+        let timeline = campaign::campaign_timeline(&self.graph, &self.dataset, &member);
         push(
             "the Fig.-8 showcase campaign reconstructs with 15 packages",
             timeline.len() == 15,
@@ -1172,7 +1029,12 @@ impl Repro {
             dist.mean_cc_lines > 0.5 && dist.mean_cc_lines < 12.0,
             format!("mean {:.1} lines", dist.mean_cc_lines),
         );
-        let idn = self.idn_rows(10);
+        let idn = evolution::idn_ranking_indexed(
+            self.graph.analysis_index(&self.dataset),
+            &self.dataset,
+            &IndexedRegistry::new(&self.world),
+            10,
+        );
         push(
             "top IDN is a large trojan lineage (Table VIII)",
             idn.first().is_some_and(|r| r.idn > 1_000_000),
@@ -1234,15 +1096,6 @@ mod tests {
         assert_eq!(serial, parallel);
         // Oversubscribing beyond the id count must clamp, not panic.
         assert_eq!(r.run_all(&ids, 64), serial);
-    }
-
-    #[test]
-    fn uncached_mode_matches_indexed_sections() {
-        let indexed = repro();
-        let uncached = Repro::with_mode(5, 0.05, AnalyzeMode::Uncached);
-        for id in ["fig3", "fig9", "table2", "validation", "typosquat"] {
-            assert_eq!(indexed.run(id), uncached.run(id), "{id} diverged");
-        }
     }
 
     #[test]

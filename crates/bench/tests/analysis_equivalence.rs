@@ -1,14 +1,16 @@
-//! Byte-identity gate for the indexed analysis path (ISSUE 7).
+//! Byte-identity gate for the indexed analysis path.
 //!
-//! The serial [`AnalyzeMode::Uncached`] harness — which recomputes every
-//! component grouping, release sequence and sandbox verdict from scratch
-//! on each query — is the reference. The indexed mode, serial and fanned
-//! out over 7 worker threads, must reproduce every section of every
-//! experiment and extension **byte for byte**. Any divergence means an
-//! index is stale, a cache leaked state between sections, or the
-//! parallel assembly reordered output.
+//! The reference is one serial pass over every section on a fresh
+//! context. Each index is checked against a fresh recomputation in its
+//! own crate; this suite checks that the way the harness uses them does
+//! not leak into the output. The same sections must come out **byte for
+//! byte** when the ids run in reverse order on a fresh context (so each
+//! lazily built index is first built by a different section), when they
+//! fan out over 7 worker threads on a fresh context, and when they rerun
+//! on a warm one. Any divergence means an index is stale, a cache leaked
+//! state between sections, or the parallel assembly reordered output.
 
-use malgraph_bench::{AnalyzeMode, Repro, EXPERIMENTS, EXTENSIONS};
+use malgraph_bench::{Repro, EXPERIMENTS, EXTENSIONS};
 
 /// Small but structurally complete world: all relations are populated
 /// and every section renders non-trivial rows at this scale.
@@ -24,7 +26,7 @@ fn assert_sections_equal(reference: &[String], candidate: &[String], ids: &[&str
     for ((id, expected), got) in ids.iter().zip(reference).zip(candidate) {
         assert_eq!(
             got, expected,
-            "{label}: section `{id}` diverged from the uncached serial reference"
+            "{label}: section `{id}` diverged from the serial reference"
         );
     }
 }
@@ -33,23 +35,28 @@ fn assert_sections_equal(reference: &[String], candidate: &[String], ids: &[&str
 fn indexed_analysis_is_byte_identical_to_serial_reference() {
     let ids = all_ids();
 
-    // Reference pass: uncached, serial, fresh context.
-    let reference = Repro::with_mode(SEED, SCALE, AnalyzeMode::Uncached).run_all(&ids, 1);
+    // Reference pass: serial, fresh context.
+    let context = Repro::new(SEED, SCALE);
+    let reference = context.run_all(&ids, 1);
 
-    // Indexed serial, on a fresh context so every cache is built lazily
-    // by the queries themselves.
-    let indexed = Repro::with_mode(SEED, SCALE, AnalyzeMode::Indexed);
-    let serial = indexed.run_all(&ids, 1);
-    assert_sections_equal(&reference, &serial, &ids, "indexed/1-thread");
+    // Reversed order on a fresh context: the first touch of every shared
+    // index now comes from a different section.
+    let reversed_ids: Vec<&str> = ids.iter().rev().copied().collect();
+    let mut reversed = Repro::new(SEED, SCALE).run_all(&reversed_ids, 1);
+    reversed.reverse();
+    assert_sections_equal(&reference, &reversed, &ids, "reversed/1-thread");
 
-    // Indexed at 7 threads on another fresh context: first touches of the
-    // shared OnceLock-backed indexes now race, and sections are assembled
-    // from per-slot results rather than in execution order.
-    let parallel = Repro::with_mode(SEED, SCALE, AnalyzeMode::Indexed).run_all(&ids, 7);
-    assert_sections_equal(&reference, &parallel, &ids, "indexed/7-thread");
+    // 7 threads on another fresh context: first touches of the shared
+    // OnceLock-backed indexes now race, and sections are assembled from
+    // per-slot results rather than in execution order.
+    let parallel = Repro::new(SEED, SCALE).run_all(&ids, 7);
+    assert_sections_equal(&reference, &parallel, &ids, "7-thread");
 
-    // Re-running on the warm indexed context must also be stable: caches
-    // are immutable after first build, so hits equal the first answer.
-    let warm = indexed.run_all(&ids, 7);
-    assert_sections_equal(&reference, &warm, &ids, "indexed/warm-rerun");
+    // Re-running on the warm context must also be stable: caches are
+    // immutable after first build, so hits equal the first answer.
+    let warm = context.run_all(&ids, 7);
+    assert_sections_equal(&reference, &warm, &ids, "warm-rerun");
+
+    // Nothing here enabled obs, and building a context must not either.
+    assert!(!obs::enabled(), "Repro::new switched obs on");
 }

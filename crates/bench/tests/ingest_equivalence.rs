@@ -1,7 +1,7 @@
 //! Byte-identity gate for the incremental ingestion path (ISSUE 8).
 //!
-//! The oracle is a one-shot [`build`] over the union corpus, analysed by
-//! the serial [`AnalyzeMode::Uncached`] harness. A graph grown window by
+//! The oracle is a one-shot [`build`] over the union corpus, analysed
+//! serially on fresh indexes. A graph grown window by
 //! window through [`MalGraph::apply_delta`] must reproduce every section
 //! of every experiment and extension **byte for byte** — serial on a
 //! context whose Duplicated caches were *extended* across windows, and
@@ -74,12 +74,13 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     let union = union_dataset(&deltas);
     let options = BuildOptions::default();
 
-    // Oracle: one-shot build over the union, analysed uncached + serial.
+    // Oracle: one-shot build over the union, analysed serially on fresh
+    // indexes.
     let oracle = Repro::from_parts(
         world(),
         union.clone(),
         build(&union, &options),
-        AnalyzeMode::Uncached,
+        AnalyzeMode::Indexed,
     );
     let reference = oracle.run_all(&ids, 1);
 

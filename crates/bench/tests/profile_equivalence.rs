@@ -13,7 +13,7 @@
 //! One test function on purpose: the obs registry and its clock are
 //! process-global.
 
-use malgraph_bench::{AnalyzeMode, Repro, EXPERIMENTS, EXTENSIONS};
+use malgraph_bench::{Repro, EXPERIMENTS, EXTENSIONS};
 use std::sync::Arc;
 
 const SEED: u64 = 20226;
@@ -26,7 +26,7 @@ fn profiled_run(threads: usize) -> (String, Vec<obs::FoldedFrame>, Vec<String>) 
     let clock = Arc::new(obs::FakeClock::new());
     obs::enable_with_clock(clock as Arc<dyn obs::Clock>);
     obs::reset();
-    let repro = Repro::with_mode(SEED, SCALE, AnalyzeMode::Indexed);
+    let repro = Repro::new(SEED, SCALE);
     let ids: Vec<&str> = EXPERIMENTS.iter().chain(EXTENSIONS.iter()).copied().collect();
     let sections = repro.run_all(&ids, threads);
     let snapshot = obs::snapshot();

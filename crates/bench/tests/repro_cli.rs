@@ -13,7 +13,7 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn bad_ids_scales_and_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--scale", "0.01", "table99"], "unknown experiment id \"table99\""),
         (&["table2", "fig99"], "unknown experiment id \"fig99\""),
         (&["--scale", "0"], "--scale needs a float in (0,1]"),
@@ -21,6 +21,10 @@ fn bad_ids_scales_and_flags_are_usage_errors() {
         (&["--scale", "-0.5"], "--scale needs a float in (0,1]"),
         (&["--scale", "nan"], "--scale needs a float in (0,1]"),
         (&["--sede", "5"], "unknown flag --sede"),
+        (
+            &["--uncached", "--scale", "0.01", "table1"],
+            "unknown flag --uncached",
+        ),
     ];
     for (args, message) in cases {
         let out = repro(args);

@@ -11,8 +11,6 @@
 //!   k-means++-seeds only the new ones, which is what makes the grow-k
 //!   schedule cheap (each step refines instead of restarting);
 //! * [`auto_kmeans`] — the paper's grow-k-until-stable schedule;
-//! * [`serial`] — the original single-threaded implementation, kept as
-//!   the benchmark baseline and differential-test oracle;
 //! * [`metrics`] — silhouette score, adjusted Rand index and inertia, used
 //!   by the validation tests and the ablation benchmarks.
 //!
@@ -51,7 +49,6 @@
 mod engine;
 pub mod matrix;
 pub mod metrics;
-pub mod serial;
 
 pub use matrix::{PointMatrix, Points, QuantMatrix, SparsePoints};
 
@@ -627,21 +624,5 @@ mod tests {
         let res = kmeans_warm(&data, &prev, 2, &KMeansConfig::default(), &mut rng);
         assert!(res.inertia < 1e-9);
         assert_eq!(res.assignments.len(), 8);
-    }
-
-    /// The parallel engine against the retained seed implementation on
-    /// well-separated data: same partition, same inertia (the engines
-    /// use different but mathematically equal distance formulas, so the
-    /// comparison allows float slack).
-    #[test]
-    fn engine_matches_serial_reference_on_blobs() {
-        let data = blobs(&[(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)], 40, 0.8, 29);
-        let mut rng_a = StdRng::seed_from_u64(30);
-        let mut rng_b = StdRng::seed_from_u64(30);
-        let fast = kmeans(&data, 3, &KMeansConfig::default(), &mut rng_a);
-        let reference = serial::kmeans(&data, 3, &KMeansConfig::default(), &mut rng_b);
-        assert_eq!(fast.assignments, reference.assignments);
-        let rel = (fast.inertia - reference.inertia).abs() / reference.inertia.max(1e-12);
-        assert!(rel < 1e-3, "inertia drift: {} vs {}", fast.inertia, reference.inertia);
     }
 }

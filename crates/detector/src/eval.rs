@@ -8,7 +8,7 @@
 //! precision/recall for the static and dynamic detectors.
 
 use crate::cache::SandboxCache;
-use crate::dynamic::{expected_label, DynamicDetector};
+use crate::dynamic::expected_label;
 use crate::static_detector::StaticDetector;
 use minilang::gen::Behavior;
 use registry_sim::World;
@@ -115,75 +115,20 @@ impl fmt::Display for DetectionReport {
 
 /// Evaluates both detectors over every package in the world that carries
 /// code: malicious releases are positives; trojan pre-payload versions
-/// and dependency-attack fronts are the (hard) negatives.
+/// and dependency-attack fronts are the (hard) negatives. Runs
+/// [`evaluate_world_cached`] over a fresh [`SandboxCache`].
 pub fn evaluate_world(world: &World) -> DetectionReport {
-    let static_detector = StaticDetector::default();
-    let dynamic_detector = DynamicDetector::default();
-
-    let mut static_scores = PrScores {
-        tp: 0,
-        fp: 0,
-        fn_: 0,
-        tn: 0,
-    };
-    let mut dynamic_scores = static_scores.clone();
-    let mut static_recall: HashMap<Behavior, (usize, usize)> = HashMap::new();
-    let mut label_accuracy: HashMap<Behavior, (usize, usize)> = HashMap::new();
-    let mut skipped = 0usize;
-
-    for pkg in &world.packages {
-        let Ok(module) = minilang::parse(&pkg.source_text) else {
-            skipped += 1;
-            continue;
-        };
-        let truth_malicious = pkg.behavior.is_some();
-
-        let sv = static_detector.scan(&module, Some(pkg.id.name()));
-        match (truth_malicious, sv.malicious) {
-            (true, true) => static_scores.tp += 1,
-            (true, false) => static_scores.fn_ += 1,
-            (false, true) => static_scores.fp += 1,
-            (false, false) => static_scores.tn += 1,
-        }
-        let dv = dynamic_detector.analyze(&module);
-        match (truth_malicious, dv.malicious()) {
-            (true, true) => dynamic_scores.tp += 1,
-            (true, false) => dynamic_scores.fn_ += 1,
-            (false, true) => dynamic_scores.fp += 1,
-            (false, false) => dynamic_scores.tn += 1,
-        }
-
-        if let Some(behavior) = pkg.behavior {
-            let entry = static_recall.entry(behavior).or_default();
-            entry.1 += 1;
-            if sv.malicious {
-                entry.0 += 1;
-            }
-            let lentry = label_accuracy.entry(behavior).or_default();
-            lentry.1 += 1;
-            if dv.labels.contains(&expected_label(behavior)) {
-                lentry.0 += 1;
-            }
-        }
-    }
-
-    DetectionReport {
-        static_scores,
-        dynamic_scores,
-        static_recall_by_behavior: static_recall,
-        dynamic_label_accuracy: label_accuracy,
-        skipped_unavailable: skipped,
-    }
+    evaluate_world_cached(world, &mut SandboxCache::default())
 }
 
-/// [`evaluate_world`] through a [`SandboxCache`]: parses, lowers,
-/// sandboxes and gathers module-only rule hits for each *distinct* source
-/// text once.
+/// [`evaluate_world`] through a caller-held [`SandboxCache`]: parses,
+/// lowers, sandboxes and gathers module-only rule hits for each
+/// *distinct* source text once.
 /// Per package, only the name-dependent typosquat rule and the threshold
 /// decision re-run ([`rules::matched_rules`] guarantees the name rule
 /// sorts last, so the recomposed rule list is identical to a fresh
-/// scan's). Produces a report equal to [`evaluate_world`]'s and shares
-/// the cache with any caller that also sandboxes the collected archives.
+/// scan's). The cache can be shared with any caller that also sandboxes
+/// the collected archives.
 pub fn evaluate_world_cached(world: &World, cache: &mut SandboxCache) -> DetectionReport {
     let static_detector = StaticDetector::default();
 
@@ -251,7 +196,70 @@ pub fn evaluate_world_cached(world: &World, cache: &mut SandboxCache) -> Detecti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::DynamicDetector;
     use registry_sim::WorldConfig;
+
+    /// Both detectors run afresh on every package: the oracle the cached
+    /// evaluation is asserted against.
+    fn evaluate_world_reference(world: &World) -> DetectionReport {
+        let static_detector = StaticDetector::default();
+        let dynamic_detector = DynamicDetector::default();
+
+        let mut static_scores = PrScores {
+            tp: 0,
+            fp: 0,
+            fn_: 0,
+            tn: 0,
+        };
+        let mut dynamic_scores = static_scores.clone();
+        let mut static_recall: HashMap<Behavior, (usize, usize)> = HashMap::new();
+        let mut label_accuracy: HashMap<Behavior, (usize, usize)> = HashMap::new();
+        let mut skipped = 0usize;
+
+        for pkg in &world.packages {
+            let Ok(module) = minilang::parse(&pkg.source_text) else {
+                skipped += 1;
+                continue;
+            };
+            let truth_malicious = pkg.behavior.is_some();
+
+            let sv = static_detector.scan(&module, Some(pkg.id.name()));
+            match (truth_malicious, sv.malicious) {
+                (true, true) => static_scores.tp += 1,
+                (true, false) => static_scores.fn_ += 1,
+                (false, true) => static_scores.fp += 1,
+                (false, false) => static_scores.tn += 1,
+            }
+            let dv = dynamic_detector.analyze(&module);
+            match (truth_malicious, dv.malicious()) {
+                (true, true) => dynamic_scores.tp += 1,
+                (true, false) => dynamic_scores.fn_ += 1,
+                (false, true) => dynamic_scores.fp += 1,
+                (false, false) => dynamic_scores.tn += 1,
+            }
+
+            if let Some(behavior) = pkg.behavior {
+                let entry = static_recall.entry(behavior).or_default();
+                entry.1 += 1;
+                if sv.malicious {
+                    entry.0 += 1;
+                }
+                let lentry = label_accuracy.entry(behavior).or_default();
+                lentry.1 += 1;
+                if dv.labels.contains(&expected_label(behavior)) {
+                    lentry.0 += 1;
+                }
+            }
+        }
+
+        DetectionReport {
+            static_scores,
+            dynamic_scores,
+            static_recall_by_behavior: static_recall,
+            dynamic_label_accuracy: label_accuracy,
+            skipped_unavailable: skipped,
+        }
+    }
 
     #[test]
     fn detectors_validate_the_papers_second_finding() {
@@ -309,7 +317,7 @@ mod tests {
     #[test]
     fn cached_evaluation_matches_reference() {
         let world = World::generate(WorldConfig::small(77));
-        let reference = evaluate_world(&world);
+        let reference = evaluate_world_reference(&world);
         let mut cache = SandboxCache::default();
         let cached = evaluate_world_cached(&world, &mut cache);
         assert_eq!(cached, reference);

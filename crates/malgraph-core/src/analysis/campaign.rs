@@ -24,10 +24,8 @@ pub fn active_periods(
     )
 }
 
-/// [`active_periods`] over an explicit group list — the serial-reference
-/// path of the equivalence harness passes freshly computed components
-/// through here.
-pub fn active_periods_in(
+/// [`active_periods`] over an explicit group list.
+fn active_periods_in(
     groups: &[Vec<NodeId>],
     graph: &MalGraph,
     index: &AnalysisIndex,
@@ -134,25 +132,6 @@ pub fn campaign_timeline(
     timeline_entries(group, graph, dataset)
 }
 
-/// [`campaign_timeline`] over the raw adjacency lists — the
-/// serial-reference path of the equivalence harness ([`AdjacencyIndex`]'s
-/// BFS is asserted byte-identical to this one).
-///
-/// [`AdjacencyIndex`]: graphstore::index::AdjacencyIndex
-pub fn campaign_timeline_reference(
-    graph: &MalGraph,
-    dataset: &CollectedDataset,
-    member: &PackageId,
-) -> Vec<TimelineEntry> {
-    let Some(node) = graph.primary_node(member) else {
-        return Vec::new();
-    };
-    let group = graph
-        .graph
-        .reachable(node, |l| *l == Relation::Coexisting);
-    timeline_entries(group, graph, dataset)
-}
-
 fn timeline_entries(
     group: Vec<NodeId>,
     graph: &MalGraph,
@@ -185,6 +164,20 @@ mod tests {
         let dataset = collect(&world);
         let graph = build(&dataset, &BuildOptions::default());
         (graph, dataset)
+    }
+
+    /// [`campaign_timeline`] over the raw adjacency lists: the oracle
+    /// the cached CSR snapshot's BFS is asserted against.
+    fn campaign_timeline_reference(
+        graph: &MalGraph,
+        dataset: &CollectedDataset,
+        member: &PackageId,
+    ) -> Vec<TimelineEntry> {
+        let Some(node) = graph.primary_node(member) else {
+            return Vec::new();
+        };
+        let group = graph.graph.reachable(node, |l| *l == Relation::Coexisting);
+        timeline_entries(group, graph, dataset)
     }
 
     #[test]
@@ -269,6 +262,27 @@ mod tests {
             campaign_timeline(&graph, &dataset, &member),
             campaign_timeline_reference(&graph, &dataset, &member)
         );
+    }
+
+    /// The cached component index and the shared release-time table
+    /// against a fresh recomputation, for every relation.
+    #[test]
+    fn cached_groups_and_periods_match_fresh_recomputation() {
+        let (graph, dataset) = setup();
+        let index = AnalysisIndex::new(&dataset);
+        for relation in Relation::ALL {
+            let fresh = graph.graph.components(|l| *l == relation);
+            assert_eq!(
+                graph.groups(relation),
+                fresh.as_slice(),
+                "{relation:?} groups"
+            );
+            assert_eq!(
+                active_periods(&graph, &dataset, relation),
+                active_periods_in(&fresh, &graph, &index),
+                "{relation:?} active periods"
+            );
+        }
     }
 
     #[test]

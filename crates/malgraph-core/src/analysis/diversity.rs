@@ -64,34 +64,6 @@ fn census_for(graph: &MalGraph, relation: Relation, eco: Ecosystem) -> Diversity
     }
 }
 
-/// [`table7`] recomputed from the raw adjacency on every call — the
-/// serial-reference path of the equivalence harness (the pre-index code
-/// path, kept as the oracle the cached variant is asserted against).
-pub fn table7_reference(graph: &MalGraph) -> Vec<DiversityRow> {
-    let census_fresh = |relation: Relation, eco: Ecosystem| {
-        let comps: Vec<Vec<graphstore::NodeId>> = graph
-            .graph
-            .components(|l| *l == relation)
-            .into_iter()
-            .filter(|c| graph.graph.node(c[0]).ecosystem() == eco)
-            .collect();
-        let census = GroupCensus::from_components(&comps);
-        DiversityCell {
-            groups: census.group_count,
-            avg_size: census.avg_size,
-        }
-    };
-    Ecosystem::MAJOR
-        .iter()
-        .map(|&eco| DiversityRow {
-            ecosystem: eco,
-            sg: census_fresh(Relation::Similar, eco),
-            deg: census_fresh(Relation::Dependency, eco),
-            cg: census_fresh(Relation::Coexisting, eco),
-        })
-        .collect()
-}
-
 /// A Table II row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
@@ -116,20 +88,6 @@ pub fn table2(graph: &MalGraph) -> Vec<Table2Row> {
         .collect()
 }
 
-/// [`table2`] recomputed with degree scans over the raw adjacency — the
-/// serial-reference path of the equivalence harness.
-pub fn table2_reference(graph: &MalGraph) -> Vec<Table2Row> {
-    Relation::ALL
-        .into_iter()
-        .map(|relation| {
-            row_from_stats(
-                relation,
-                graphstore::stats::RelationStats::compute(&graph.graph, |l| *l == relation),
-            )
-        })
-        .collect()
-}
-
 fn row_from_stats(relation: Relation, stats: graphstore::stats::RelationStats) -> Table2Row {
     Table2Row {
         relation,
@@ -150,6 +108,47 @@ mod tests {
     fn graph() -> MalGraph {
         let world = World::generate(WorldConfig::small(61));
         build(&collect(&world), &BuildOptions::default())
+    }
+
+    /// [`table7`] recomputed from the raw adjacency: the oracle the
+    /// cached component index is asserted against.
+    fn table7_reference(graph: &MalGraph) -> Vec<DiversityRow> {
+        let census_fresh = |relation: Relation, eco: Ecosystem| {
+            let comps: Vec<Vec<graphstore::NodeId>> = graph
+                .graph
+                .components(|l| *l == relation)
+                .into_iter()
+                .filter(|c| graph.graph.node(c[0]).ecosystem() == eco)
+                .collect();
+            let census = GroupCensus::from_components(&comps);
+            DiversityCell {
+                groups: census.group_count,
+                avg_size: census.avg_size,
+            }
+        };
+        Ecosystem::MAJOR
+            .iter()
+            .map(|&eco| DiversityRow {
+                ecosystem: eco,
+                sg: census_fresh(Relation::Similar, eco),
+                deg: census_fresh(Relation::Dependency, eco),
+                cg: census_fresh(Relation::Coexisting, eco),
+            })
+            .collect()
+    }
+
+    /// [`table2`] recomputed with degree scans over the raw adjacency:
+    /// the oracle the cached stats table is asserted against.
+    fn table2_reference(graph: &MalGraph) -> Vec<Table2Row> {
+        Relation::ALL
+            .into_iter()
+            .map(|relation| {
+                row_from_stats(
+                    relation,
+                    graphstore::stats::RelationStats::compute(&graph.graph, |l| *l == relation),
+                )
+            })
+            .collect()
     }
 
     #[test]

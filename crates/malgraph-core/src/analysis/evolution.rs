@@ -59,27 +59,17 @@ pub fn detect_change(
 
 /// The similar-group release sequences: for every SG, its packages in
 /// release order (packages without registry metadata fall back to first
-/// disclosure).
-pub fn release_sequences<'d>(
-    graph: &MalGraph,
-    dataset: &'d CollectedDataset,
-) -> Vec<Vec<&'d CollectedPackage>> {
-    release_sequences_in(graph.groups(Relation::Similar), graph, dataset)
-}
-
-/// [`release_sequences`] over an explicit SG list — the serial-reference
-/// path of the equivalence harness passes freshly computed components
-/// through here. The memoized fast path is
+/// disclosure). The memoized fast path is
 /// [`AnalysisIndex::release_sequences`](crate::analysis::index::AnalysisIndex::release_sequences),
 /// which caches the sorted member positions across experiments.
-pub fn release_sequences_in<'d>(
-    groups: &[Vec<graphstore::NodeId>],
+pub fn release_sequences<'d>(
     graph: &MalGraph,
     dataset: &'d CollectedDataset,
 ) -> Vec<Vec<&'d CollectedPackage>> {
     let by_id: HashMap<&PackageId, &CollectedPackage> =
         dataset.packages.iter().map(|p| (&p.id, p)).collect();
-    groups
+    graph
+        .groups(Relation::Similar)
         .iter()
         .map(|group| {
             let mut members: Vec<&CollectedPackage> = group
@@ -449,6 +439,26 @@ mod tests {
             rows[0].ops.contains(ChangeOp::ChangeVersion),
             "trojan lineages re-release by version, ops = {}",
             rows[0].ops
+        );
+    }
+
+    /// The corpus and registry indexes against the per-name scans of
+    /// the plain `World` registry view.
+    #[test]
+    fn indexed_lineages_and_idn_match_registry_scans() {
+        let (world, dataset, _) = setup();
+        let index = crate::analysis::index::AnalysisIndex::new(&dataset);
+        let registry = crawler::IndexedRegistry::new(&world);
+        for top in [1, 10, usize::MAX] {
+            assert_eq!(
+                idn_ranking_indexed(&index, &dataset, &registry, top),
+                idn_ranking(&dataset, &world, top),
+                "top {top}"
+            );
+        }
+        assert_eq!(
+            lineage_download_series(&dataset, &registry),
+            lineage_download_series(&dataset, &world)
         );
     }
 
