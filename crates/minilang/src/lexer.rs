@@ -429,4 +429,73 @@ mod tests {
             toks("x = 1\ny = 2\n")
         );
     }
+
+    #[test]
+    fn non_ascii_text_in_a_string_survives_unescaping() {
+        assert_eq!(
+            toks("s = 'héllo\\t→ wörld'"),
+            vec![
+                Token::Ident("s".into()),
+                Token::Op("="),
+                Token::Str("héllo\t→ wörld".into()),
+                Token::Newline,
+                Token::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn non_ascii_outside_a_string_is_an_error_on_its_line() {
+        let err = lex("x = 1\ny = é\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.message, "unexpected character 'é'");
+    }
+
+    #[test]
+    fn backslash_at_the_end_of_a_string_line_dangles() {
+        let err = lex("x = 1\ns = 'abc\\\ny = 2\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.message, "dangling escape at end of line");
+    }
+
+    #[test]
+    fn unknown_non_ascii_escape_names_the_char() {
+        let err = lex("s = '\\é'").unwrap_err();
+        assert_eq!(err.message, "unknown escape \\é");
+    }
+
+    #[test]
+    fn hash_inside_a_string_is_not_a_comment() {
+        assert_eq!(
+            toks("s = 'a # b'  # c"),
+            vec![
+                Token::Ident("s".into()),
+                Token::Op("="),
+                Token::Str("a # b".into()),
+                Token::Newline,
+                Token::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn crlf_lexes_like_lf_with_blocks_strings_and_comments() {
+        let lf = "def f(a):\n    # c\n    s = 'x\\n' + a  # t\n\n    return s\ny = f(1)\n";
+        let crlf = lf.replace('\n', "\r\n");
+        assert_eq!(lex(&crlf).unwrap(), lex(lf).unwrap());
+    }
+
+    #[test]
+    fn int_then_attribute_is_not_a_float() {
+        assert_eq!(
+            toks("1.x"),
+            vec![
+                Token::Int(1),
+                Token::Op("."),
+                Token::Ident("x".into()),
+                Token::Newline,
+                Token::Eof
+            ]
+        );
+    }
 }
