@@ -68,8 +68,9 @@ cargo run --release -q -p malgraph-bench --bin ingest_bench -- --quick
 echo "== recovery_bench --quick"
 cargo run --release -q -p malgraph-bench --bin recovery_bench -- --quick
 
-# The perf-regression gate (PR 9): the quick benches above rewrote
-# BENCH_PR{6,8,10}_quick.json on this machine; diff each against its
+# The perf-regression gate (PR 9): the quick benches above wrote
+# target/perf_gate/BENCH_PR{6,8,10}_quick.json on this machine (never a
+# tracked file, so a CI run leaves the tree clean); diff each against its
 # checked-in baseline with `malgraph perf diff` and fail on regression.
 # Thresholds are deliberately generous (+50% relative AND +250 ms
 # absolute, both must be exceeded) — this gate catches real regressions,
@@ -81,10 +82,10 @@ echo "== perf_gate (malgraph perf diff vs baselines/)"
 cargo build --release -q --bin malgraph
 for bench in BENCH_PR6_quick BENCH_PR8_quick BENCH_PR10_quick; do
     if [[ "${MALGRAPH_PERF_ACCEPT:-}" == "1" ]]; then
-        cp "$bench.json" "baselines/$bench.json"
-        echo "perf_gate: accepted $bench.json as the new baseline"
+        cp "target/perf_gate/$bench.json" "baselines/$bench.json"
+        echo "perf_gate: accepted target/perf_gate/$bench.json as the new baseline"
     else
-        ./target/release/malgraph perf diff "baselines/$bench.json" "$bench.json" \
+        ./target/release/malgraph perf diff "baselines/$bench.json" "target/perf_gate/$bench.json" \
             --threshold 0.50 --floor-us 250000
     fi
 done

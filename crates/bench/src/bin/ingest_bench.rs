@@ -30,7 +30,7 @@
 //! ```
 //!
 //! `--quick` runs at scale 0.05 (the CI smoke configuration) and writes
-//! `BENCH_PR8_quick.json` instead.
+//! `target/perf_gate/BENCH_PR8_quick.json` instead.
 
 use crawler::{collect, partition_windows, union_dataset};
 use malgraph_core::{build, BuildOptions, IngestState, MalGraph, Relation};
@@ -155,9 +155,10 @@ fn main() {
                  component groups) before any time is reported.",
         "results": jsonio::Value::Array(rows),
     };
-    let path = if quick { "BENCH_PR8_quick.json" } else { "BENCH_PR8.json" };
-    std::fs::write(path, report.to_pretty() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
+    let path = malgraph_bench::report_path("BENCH_PR8", quick);
+    std::fs::write(&path, report.to_pretty() + "\n")
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
 }
 
 /// Panics unless the incremental graph matches the oracle bitwise —

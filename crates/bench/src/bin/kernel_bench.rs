@@ -24,7 +24,8 @@
 //! ```
 //!
 //! `--quick` runs only n = 1000 with a reduced iteration budget (the CI
-//! smoke configuration, well under a minute).
+//! smoke configuration, well under a minute) and writes
+//! `target/perf_gate/BENCH_PR6_quick.json` instead.
 
 use cluster::matrix::{dense_dot, sparse_dot_dense};
 use cluster::{kmeans_points, KMeansConfig, Kernel, KMeansResult, Points};
@@ -257,7 +258,8 @@ fn main() {
                    is reported",
         "results": jsonio::Value::Array(rows),
     };
-    let path = if quick { "BENCH_PR6_quick.json" } else { "BENCH_PR6.json" };
-    std::fs::write(path, report.to_pretty() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
+    let path = malgraph_bench::report_path("BENCH_PR6", quick);
+    std::fs::write(&path, report.to_pretty() + "\n")
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
 }

@@ -37,7 +37,7 @@
 //! ```
 //!
 //! `--quick` runs at scale 0.05 (the CI smoke configuration) and writes
-//! `BENCH_PR10_quick.json` instead.
+//! `target/perf_gate/BENCH_PR10_quick.json` instead.
 
 use crawler::{collect, partition_windows, union_dataset};
 use malgraph_core::{
@@ -194,9 +194,10 @@ fn main() {
                  edge-for-edge identical to the full rebuild (plus identical \
                  similarity diagnostics) before any time is reported.",
     };
-    let path = if quick { "BENCH_PR10_quick.json" } else { "BENCH_PR10.json" };
-    std::fs::write(path, report.to_pretty() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
+    let path = malgraph_bench::report_path("BENCH_PR10", quick);
+    std::fs::write(&path, report.to_pretty() + "\n")
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
     let _ = std::fs::remove_dir_all(&work);
 }
 

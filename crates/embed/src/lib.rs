@@ -33,11 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod features;
+mod features;
 pub mod sparse;
 pub mod vector;
 
-pub use features::extract_features;
 pub use sparse::SparseEmbedding;
 pub use vector::Embedding;
 
@@ -144,9 +143,6 @@ impl Embedder {
     /// deduplicated bucket list afterwards; the caller must call
     /// `buf.reset_touched()` once done with the scratch values.
     fn accumulate(&self, module: &Module, buf: &mut EmbedBuffer) -> f32 {
-        let features = extract_features(module);
-        obs::counter_add("embed.vectors", 1);
-        obs::counter_add("embed.features", features.len() as u64);
         if buf.scratch.len() != self.dim {
             assert!(
                 buf.scratch.iter().all(|&v| v == 0.0),
@@ -156,19 +152,16 @@ impl Embedder {
             buf.scratch.resize(self.dim, 0.0);
         }
         buf.touched.clear();
-        for feature in &features {
-            let h = fnv1a(feature.text.as_bytes());
-            let bucket = (h % self.dim as u64) as usize;
-            // Second, independent hash decides the sign, which keeps
-            // colliding features from always reinforcing each other.
-            let sign = if fnv1a_seeded(feature.text.as_bytes(), 0x9e3779b97f4a7c15) & 1 == 0 {
-                1.0
-            } else {
-                -1.0
-            };
-            buf.scratch[bucket] += sign * feature.weight;
-            buf.touched.push(bucket as u32);
-        }
+        let (scratch, touched) = (&mut buf.scratch, &mut buf.touched);
+        let mut features = 0u64;
+        features::for_each_feature(module, &mut buf.tokens, |hash, weight| {
+            let bucket = hash.bucket(self.dim);
+            scratch[bucket] += hash.sign() * weight;
+            touched.push(bucket as u32);
+            features += 1;
+        });
+        obs::counter_add("embed.vectors", 1);
+        obs::counter_add("embed.features", features);
         buf.touched.sort_unstable();
         buf.touched.dedup();
         // Ascending-index sum of squares: the same summation order the
@@ -196,12 +189,15 @@ fn values_norm(values: &[f32]) -> f32 {
 
 /// Reusable accumulation scratch for [`Embedder::embed_into`] /
 /// [`Embedder::embed_sparse_into`]: a dense bucket array (kept all-zero
-/// between calls, so reuse costs only the touched entries) plus the
-/// touched-bucket list.
+/// between calls, so reuse costs only the touched entries), the
+/// touched-bucket list, and the text of the module's token stream. A
+/// warm buffer embeds a module with no allocation beyond its renaming
+/// table and the result.
 #[derive(Debug, Default)]
 pub struct EmbedBuffer {
     scratch: Vec<f32>,
     touched: Vec<u32>,
+    tokens: features::TokenText,
 }
 
 impl EmbedBuffer {
@@ -225,20 +221,6 @@ impl Default for Embedder {
     fn default() -> Self {
         Embedder::paper()
     }
-}
-
-/// 64-bit FNV-1a hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_seeded(bytes, 0xcbf29ce484222325)
-}
-
-pub(crate) fn fnv1a_seeded(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 #[cfg(test)]

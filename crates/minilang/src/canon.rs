@@ -6,6 +6,11 @@
 //! to a positional name (`v0`, `v1`, …, `f0` for functions) while leaving
 //! imported module names and attribute names intact — those capture the
 //! *behaviour* (which APIs the code touches) and must survive.
+//!
+//! The rule is written once, as a [`RenameTable`] computed in one scan of
+//! a module. [`canonicalize`] rewrites a copy of the module through it;
+//! the embedder reads canonical names straight from it and never builds
+//! the canonical module.
 
 use crate::ast::{Expr, Module, Stmt};
 use std::collections::HashMap;
@@ -29,49 +34,79 @@ use std::collections::HashMap;
 /// # Ok::<(), minilang::ParseErr>(())
 /// ```
 pub fn canonicalize(module: &Module) -> Module {
-    let mut renamer = Renamer::default();
-    // Pre-scan so references before definition (forward function calls)
-    // rename consistently.
-    for stmt in &module.body {
-        renamer.scan_stmt(stmt);
-    }
-    Module::new(module.body.iter().map(|s| renamer.rewrite_stmt(s)).collect())
+    let names = RenameTable::of(module);
+    Module::new(module.body.iter().map(|s| names.rewrite_stmt(s)).collect())
 }
 
-#[derive(Default)]
-struct Renamer {
-    names: HashMap<String, String>,
+/// The renaming [`canonicalize`] applies to one module: each name the
+/// module binds, mapped to its canonical name.
+///
+/// Keys borrow the module. The map keeps the standard library's
+/// randomly keyed hasher, because the names come from untrusted code.
+///
+/// # Examples
+///
+/// ```
+/// use minilang::{parse, canon::RenameTable};
+///
+/// let module = parse("import os.path as p\nkey = p.join(x)\n")?;
+/// let names = RenameTable::of(&module);
+/// assert_eq!(names.canonical("p"), "m_os_path");
+/// assert_eq!(names.canonical("key"), "v0");
+/// assert_eq!(names.canonical("x"), "x"); // free names stay as written
+/// # Ok::<(), minilang::ParseErr>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct RenameTable<'m> {
+    names: HashMap<&'m str, String>,
     var_count: usize,
     fn_count: usize,
 }
 
-impl Renamer {
-    fn define_var(&mut self, name: &str) {
+impl<'m> RenameTable<'m> {
+    /// Scans `module` once. The whole module is scanned before any name
+    /// is read, so references before a definition (forward function
+    /// calls) rename consistently.
+    pub fn of(module: &'m Module) -> Self {
+        let mut table = RenameTable::default();
+        for stmt in &module.body {
+            table.scan_stmt(stmt);
+        }
+        table
+    }
+
+    /// The canonical spelling of `name`: its renaming if the module
+    /// binds it, else `name` as written.
+    pub fn canonical<'a>(&'a self, name: &'a str) -> &'a str {
+        self.names.get(name).map_or(name, String::as_str)
+    }
+
+    fn define_var(&mut self, name: &'m str) {
         if !self.names.contains_key(name) {
             let canon = format!("v{}", self.var_count);
             self.var_count += 1;
-            self.names.insert(name.to_owned(), canon);
+            self.names.insert(name, canon);
         }
     }
 
-    fn define_fn(&mut self, name: &str) {
+    fn define_fn(&mut self, name: &'m str) {
         if !self.names.contains_key(name) {
             let canon = format!("f{}", self.fn_count);
             self.fn_count += 1;
-            self.names.insert(name.to_owned(), canon);
+            self.names.insert(name, canon);
         }
     }
 
     fn rename(&self, name: &str) -> String {
-        self.names.get(name).cloned().unwrap_or_else(|| name.to_owned())
+        self.canonical(name).to_owned()
     }
 
-    fn scan_stmt(&mut self, stmt: &Stmt) {
+    fn scan_stmt(&mut self, stmt: &'m Stmt) {
         match stmt {
             Stmt::Import { module, alias } => {
-                let local = alias.clone().unwrap_or_else(|| {
-                    module.split('.').next().unwrap_or(module).to_owned()
-                });
+                let local = alias
+                    .as_deref()
+                    .unwrap_or_else(|| module.split('.').next().unwrap_or(module));
                 // Imported module handles keep their module identity: the
                 // canonical name is derived from the *module path*, not
                 // the alias, so aliasing does not defeat similarity.
@@ -83,7 +118,7 @@ impl Renamer {
                 name,
                 alias,
             } => {
-                let local = alias.clone().unwrap_or_else(|| name.clone());
+                let local = alias.as_deref().unwrap_or(name);
                 let canon = format!("m_{}_{}", module.replace('.', "_"), name);
                 self.names.insert(local, canon);
             }

@@ -2,11 +2,11 @@
 
 use std::fmt;
 
-/// A lexical token.
+/// A lexical token. Identifiers borrow the source.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'src> {
     /// Identifier or keyword (keywords are distinguished by the parser).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
@@ -25,7 +25,7 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "identifier {s:?}"),
@@ -43,9 +43,9 @@ impl fmt::Display for Token {
 
 /// A token plus the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedToken {
+pub struct SpannedToken<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// 1-based line number.
     pub line: usize,
 }
@@ -77,7 +77,7 @@ impl std::error::Error for LexError {}
 ///
 /// Returns [`LexError`] on tab indentation, inconsistent dedents,
 /// unterminated strings, or characters outside the language.
-pub fn lex(source: &str) -> Result<Vec<SpannedToken>, LexError> {
+pub fn lex(source: &str) -> Result<Vec<SpannedToken<'_>>, LexError> {
     let mut tokens = Vec::new();
     let mut indents: Vec<usize> = vec![0];
     let mut line_no = 0usize;
@@ -148,144 +148,139 @@ pub fn lex(source: &str) -> Result<Vec<SpannedToken>, LexError> {
     Ok(tokens)
 }
 
-fn lex_line(rest: &str, line: usize, tokens: &mut Vec<SpannedToken>) -> Result<(), LexError> {
-    let chars: Vec<char> = rest.chars().collect();
+/// Lexes the tokens of one line, past its indentation. Walks bytes: every
+/// token the language has is ASCII, and a UTF-8 continuation byte is never
+/// one, so the cursor always rests on a char boundary. A `char` is decoded
+/// only to name it in an error.
+fn lex_line<'src>(
+    rest: &'src str,
+    line: usize,
+    tokens: &mut Vec<SpannedToken<'src>>,
+) -> Result<(), LexError> {
+    let bytes = rest.as_bytes();
     let mut i = 0usize;
-    let push = |tokens: &mut Vec<SpannedToken>, token: Token| {
+    let push = |tokens: &mut Vec<SpannedToken<'src>>, token: Token<'src>| {
         tokens.push(SpannedToken { token, line });
     };
+    let error = |message: String| LexError { line, message };
+    let char_at = |i: usize| rest[i..].chars().next().expect("cursor is inside the line");
 
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' => {
+    while i < bytes.len() {
+        let b = bytes[i];
+        match b {
+            b' ' => {
                 i += 1;
             }
-            '#' => break, // trailing comment
-            '\'' | '"' => {
-                let quote = c;
+            b'#' => break, // trailing comment
+            b'\'' | b'"' => {
+                let quote = b;
                 i += 1;
+                // Copy the text between escapes segment by segment.
                 let mut value = String::new();
-                let mut closed = false;
-                while i < chars.len() {
-                    let ch = chars[i];
-                    if ch == '\\' {
-                        i += 1;
-                        let esc = *chars.get(i).ok_or_else(|| LexError {
-                            line,
-                            message: "dangling escape at end of line".into(),
-                        })?;
-                        value.push(match esc {
-                            'n' => '\n',
-                            't' => '\t',
-                            '\\' => '\\',
-                            '\'' => '\'',
-                            '"' => '"',
-                            other => {
-                                return Err(LexError {
-                                    line,
-                                    message: format!("unknown escape \\{other}"),
-                                })
-                            }
-                        });
-                        i += 1;
-                    } else if ch == quote {
-                        i += 1;
-                        closed = true;
-                        break;
-                    } else {
-                        value.push(ch);
-                        i += 1;
+                let mut segment = i;
+                loop {
+                    match bytes.get(i) {
+                        None => return Err(error("unterminated string literal".into())),
+                        Some(&c) if c == quote => {
+                            value.push_str(&rest[segment..i]);
+                            i += 1;
+                            break;
+                        }
+                        Some(b'\\') => {
+                            value.push_str(&rest[segment..i]);
+                            i += 1;
+                            let Some(&esc) = bytes.get(i) else {
+                                return Err(error("dangling escape at end of line".into()));
+                            };
+                            value.push(match esc {
+                                b'n' => '\n',
+                                b't' => '\t',
+                                b'\\' => '\\',
+                                b'\'' => '\'',
+                                b'"' => '"',
+                                _ => return Err(error(format!("unknown escape \\{}", char_at(i)))),
+                            });
+                            i += 1;
+                            segment = i;
+                        }
+                        Some(_) => i += 1,
                     }
-                }
-                if !closed {
-                    return Err(LexError {
-                        line,
-                        message: "unterminated string literal".into(),
-                    });
                 }
                 push(tokens, Token::Str(value));
             }
-            c if c.is_ascii_digit() => {
+            b'0'..=b'9' => {
                 let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
                 let mut is_float = false;
-                if i + 1 < chars.len() && chars[i] == '.' && chars[i + 1].is_ascii_digit() {
+                if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
                     is_float = true;
                     i += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
+                    while i < bytes.len() && bytes[i].is_ascii_digit() {
                         i += 1;
                     }
                 }
-                let text: String = chars[start..i].iter().collect();
+                let text = &rest[start..i];
                 if is_float {
-                    let v = text.parse().map_err(|_| LexError {
-                        line,
-                        message: format!("bad float literal {text:?}"),
-                    })?;
+                    let v = text
+                        .parse()
+                        .map_err(|_| error(format!("bad float literal {text:?}")))?;
                     push(tokens, Token::Float(v));
                 } else {
-                    let v = text.parse().map_err(|_| LexError {
-                        line,
-                        message: format!("integer literal out of range: {text}"),
-                    })?;
+                    let v = text
+                        .parse()
+                        .map_err(|_| error(format!("integer literal out of range: {text}")))?;
                     push(tokens, Token::Int(v));
                 }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            b if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                push(tokens, Token::Ident(chars[start..i].iter().collect()));
+                push(tokens, Token::Ident(&rest[start..i]));
             }
             _ => {
-                // Operators, longest first — matched on chars directly so
-                // no temporary strings are allocated per token.
-                let next = chars.get(i + 1).copied();
-                let two = match (c, next) {
-                    ('*', Some('*')) => Some("**"),
-                    ('=', Some('=')) => Some("=="),
-                    ('!', Some('=')) => Some("!="),
-                    ('<', Some('=')) => Some("<="),
-                    ('>', Some('=')) => Some(">="),
-                    ('-', Some('>')) => Some("->"),
+                // Operators, longest first.
+                let two = match (b, bytes.get(i + 1)) {
+                    (b'*', Some(b'*')) => Some("**"),
+                    (b'=', Some(b'=')) => Some("=="),
+                    (b'!', Some(b'=')) => Some("!="),
+                    (b'<', Some(b'=')) => Some("<="),
+                    (b'>', Some(b'=')) => Some(">="),
+                    (b'-', Some(b'>')) => Some("->"),
                     _ => None,
                 };
                 if let Some(op) = two {
                     push(tokens, Token::Op(op));
                     i += 2;
                 } else {
-                    let one = match c {
-                        '+' => Some("+"),
-                        '-' => Some("-"),
-                        '*' => Some("*"),
-                        '/' => Some("/"),
-                        '%' => Some("%"),
-                        '=' => Some("="),
-                        '<' => Some("<"),
-                        '>' => Some(">"),
-                        '(' => Some("("),
-                        ')' => Some(")"),
-                        '[' => Some("["),
-                        ']' => Some("]"),
-                        '{' => Some("{"),
-                        '}' => Some("}"),
-                        ':' => Some(":"),
-                        ',' => Some(","),
-                        '.' => Some("."),
+                    let one = match b {
+                        b'+' => Some("+"),
+                        b'-' => Some("-"),
+                        b'*' => Some("*"),
+                        b'/' => Some("/"),
+                        b'%' => Some("%"),
+                        b'=' => Some("="),
+                        b'<' => Some("<"),
+                        b'>' => Some(">"),
+                        b'(' => Some("("),
+                        b')' => Some(")"),
+                        b'[' => Some("["),
+                        b']' => Some("]"),
+                        b'{' => Some("{"),
+                        b'}' => Some("}"),
+                        b':' => Some(":"),
+                        b',' => Some(","),
+                        b'.' => Some("."),
                         _ => None,
                     };
                     if let Some(op) = one {
                         push(tokens, Token::Op(op));
                         i += 1;
                     } else {
-                        return Err(LexError {
-                            line,
-                            message: format!("unexpected character {c:?}"),
-                        });
+                        return Err(error(format!("unexpected character {:?}", char_at(i))));
                     }
                 }
             }
@@ -298,7 +293,7 @@ fn lex_line(rest: &str, line: usize, tokens: &mut Vec<SpannedToken>) -> Result<(
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.token).collect()
     }
 
@@ -307,7 +302,7 @@ mod tests {
         assert_eq!(
             toks("x = 1"),
             vec![
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Op("="),
                 Token::Int(1),
                 Token::Newline,
@@ -321,7 +316,7 @@ mod tests {
         assert_eq!(
             toks(r#"s = 'a\'b' "c\nd""#),
             vec![
-                Token::Ident("s".into()),
+                Token::Ident("s"),
                 Token::Op("="),
                 Token::Str("a'b".into()),
                 Token::Str("c\nd".into()),
@@ -341,7 +336,7 @@ mod tests {
         assert_eq!(
             toks("a = 3.25 + 7"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Op("="),
                 Token::Float(3.25),
                 Token::Op("+"),
@@ -386,7 +381,7 @@ mod tests {
         assert_eq!(
             ts,
             vec![
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Op("="),
                 Token::Int(1),
                 Token::Newline,
@@ -435,7 +430,7 @@ mod tests {
         assert_eq!(
             toks("s = 'héllo\\t→ wörld'"),
             vec![
-                Token::Ident("s".into()),
+                Token::Ident("s"),
                 Token::Op("="),
                 Token::Str("héllo\t→ wörld".into()),
                 Token::Newline,
@@ -469,7 +464,7 @@ mod tests {
         assert_eq!(
             toks("s = 'a # b'  # c"),
             vec![
-                Token::Ident("s".into()),
+                Token::Ident("s"),
                 Token::Op("="),
                 Token::Str("a # b".into()),
                 Token::Newline,
@@ -492,7 +487,7 @@ mod tests {
             vec![
                 Token::Int(1),
                 Token::Op("."),
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Newline,
                 Token::Eof
             ]

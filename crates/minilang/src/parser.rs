@@ -32,6 +32,14 @@ impl fmt::Display for ParseErr {
 
 impl std::error::Error for ParseErr {}
 
+fn syntax_err(line: usize, message: impl Into<String>) -> ParseErr {
+    ParseErr {
+        line,
+        message: message.into(),
+        kind: ParseErrKind::Syntax,
+    }
+}
+
 impl From<LexError> for ParseErr {
     fn from(err: LexError) -> Self {
         ParseErr {
@@ -82,15 +90,15 @@ pub fn parse(source: &str) -> Result<Module, ParseErr> {
     Ok(Module::new(body))
 }
 
-struct Parser {
-    tokens: Vec<SpannedToken>,
+struct Parser<'src> {
+    tokens: Vec<SpannedToken<'src>>,
     pos: usize,
     /// Nesting levels open at the cursor.
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> &Token<'src> {
         &self.tokens[self.pos].token
     }
 
@@ -98,7 +106,7 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
-    fn bump(&mut self) -> Token {
+    fn bump(&mut self) -> Token<'src> {
         // Take the token out of its slot instead of cloning it — the
         // cursor never moves backwards, so the slot is never re-read
         // (the final slot stays `Eof` either way).
@@ -110,11 +118,7 @@ impl Parser {
     }
 
     fn err(&self, message: impl Into<String>) -> ParseErr {
-        ParseErr {
-            line: self.line(),
-            message: message.into(),
-            kind: ParseErrKind::Syntax,
-        }
+        syntax_err(self.line(), message)
     }
 
     /// Opens a nesting level; the caller closes it with [`Self::leave`].
@@ -155,7 +159,7 @@ impl Parser {
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
         if let Token::Ident(name) = self.peek() {
-            if name == kw {
+            if *name == kw {
                 self.bump();
                 return true;
             }
@@ -164,18 +168,23 @@ impl Parser {
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Token::Ident(name) if name == kw)
+        matches!(self.peek(), Token::Ident(name) if *name == kw)
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseErr> {
-        match self.peek() {
-            Token::Ident(name) if !KEYWORDS.contains(&name.as_str()) => {
-                let name = name.clone();
+    /// An identifier that is not a keyword, borrowed from the source.
+    fn expect_name(&mut self) -> Result<&'src str, ParseErr> {
+        match *self.peek() {
+            Token::Ident(name) if !KEYWORDS.contains(&name) => {
                 self.bump();
                 Ok(name)
             }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+            ref other => Err(self.err(format!("expected identifier, found {other}"))),
         }
+    }
+
+    /// [`Self::expect_name`], copied once into the AST's `String`.
+    fn expect_ident(&mut self) -> Result<String, ParseErr> {
+        self.expect_name().map(str::to_owned)
     }
 
     fn parse_block_until_eof(&mut self) -> Result<Vec<Stmt>, ParseErr> {
@@ -313,7 +322,7 @@ impl Parser {
         while matches!(self.peek(), Token::Op(".")) {
             self.bump();
             name.push('.');
-            name.push_str(&self.expect_ident()?);
+            name.push_str(self.expect_name()?);
         }
         Ok(name)
     }
@@ -455,7 +464,7 @@ impl Parser {
                 Token::Op("<=") => BinOp::Le,
                 Token::Op(">") => BinOp::Gt,
                 Token::Op(">=") => BinOp::Ge,
-                Token::Ident(kw) if kw == "in" => BinOp::In,
+                Token::Ident("in") => BinOp::In,
                 _ => break,
             };
             self.enter()?;
@@ -602,44 +611,26 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseErr> {
-        match self.peek().clone() {
-            Token::Int(v) => {
-                self.bump();
-                Ok(Expr::Int(v))
+        // Take the token rather than clone it: an error ends the parse,
+        // so only its line has to be read before the cursor moves.
+        let line = self.line();
+        match self.bump() {
+            Token::Int(v) => Ok(Expr::Int(v)),
+            Token::Float(v) => Ok(Expr::Float(v)),
+            Token::Str(s) => Ok(Expr::Str(s)),
+            Token::Ident("True") => Ok(Expr::Bool(true)),
+            Token::Ident("False") => Ok(Expr::Bool(false)),
+            Token::Ident("None") => Ok(Expr::NoneLit),
+            Token::Ident(name) if KEYWORDS.contains(&name) => {
+                Err(syntax_err(line, format!("unexpected keyword {name:?}")))
             }
-            Token::Float(v) => {
-                self.bump();
-                Ok(Expr::Float(v))
-            }
-            Token::Str(s) => {
-                self.bump();
-                Ok(Expr::Str(s))
-            }
-            Token::Ident(name) => {
-                if name == "True" {
-                    self.bump();
-                    Ok(Expr::Bool(true))
-                } else if name == "False" {
-                    self.bump();
-                    Ok(Expr::Bool(false))
-                } else if name == "None" {
-                    self.bump();
-                    Ok(Expr::NoneLit)
-                } else if KEYWORDS.contains(&name.as_str()) {
-                    Err(self.err(format!("unexpected keyword {name:?}")))
-                } else {
-                    self.bump();
-                    Ok(Expr::Name(name))
-                }
-            }
+            Token::Ident(name) => Ok(Expr::Name(name.to_owned())),
             Token::Op("(") => {
-                self.bump();
                 let inner = self.parse_expr()?;
                 self.expect_op(")")?;
                 Ok(inner)
             }
             Token::Op("[") => {
-                self.bump();
                 let mut items = Vec::new();
                 if !matches!(self.peek(), Token::Op("]")) {
                     loop {
@@ -655,7 +646,6 @@ impl Parser {
                 Ok(Expr::List(items))
             }
             Token::Op("{") => {
-                self.bump();
                 let mut pairs = Vec::new();
                 if !matches!(self.peek(), Token::Op("}")) {
                     loop {
@@ -673,7 +663,7 @@ impl Parser {
                 self.expect_op("}")?;
                 Ok(Expr::Dict(pairs))
             }
-            other => Err(self.err(format!("unexpected {other}"))),
+            other => Err(syntax_err(line, format!("unexpected {other}"))),
         }
     }
 }
