@@ -9,13 +9,19 @@
 //! identifier renames and small edits attackers apply between release
 //! attempts.
 //!
-//! Features are extracted from the *canonicalized* AST (see
+//! Features are read from the AST under its canonical renaming (see
 //! [`minilang::canon`]): token n-grams of the canonical text, root-to-node
-//! AST *kind paths*, and the imported module set (weighted highest — which
-//! APIs the code touches is the strongest behavioural signal). Each
-//! feature is hashed into one of `dim` buckets with a signed hash (the
-//! classic hashing trick), and the vector is L2-normalized so cosine
-//! similarity is a dot product.
+//! AST *kind paths* with the attribute names along them, and the imported
+//! module set — which APIs the code touches is the strongest behavioural
+//! signal. Each feature is hashed into one of `dim` buckets with a signed
+//! hash (the classic hashing trick), and the vector is L2-normalized so
+//! cosine similarity is a dot product.
+//!
+//! A feature is never built as a string. Its text is fed to one two-lane
+//! FNV-1a state piece by piece, which gives the same bucket and sign as
+//! hashing the concatenated text, so a warm [`EmbedBuffer`] embeds a
+//! module with a few dozen allocations where a string per feature took
+//! thousands (see the `features` module and DESIGN.md §6j).
 //!
 //! # Examples
 //!
@@ -75,8 +81,9 @@ impl Embedder {
 
     /// Embeds a module.
     ///
-    /// The module is canonicalized first, so alpha-renamed programs embed
-    /// identically. Allocates a scratch buffer per call; batch callers
+    /// Names are read through the module's canonical renaming, so
+    /// alpha-renamed programs embed identically. Allocates a scratch
+    /// buffer per call; batch callers
     /// should reuse one [`EmbedBuffer`] via [`Embedder::embed_into`] or
     /// [`Embedder::embed_sparse_into`] instead.
     pub fn embed(&self, module: &Module) -> Embedding {
@@ -153,15 +160,14 @@ impl Embedder {
         }
         buf.touched.clear();
         let (scratch, touched) = (&mut buf.scratch, &mut buf.touched);
-        let mut features = 0u64;
         features::for_each_feature(module, &mut buf.tokens, |hash, weight| {
             let bucket = hash.bucket(self.dim);
             scratch[bucket] += hash.sign() * weight;
             touched.push(bucket as u32);
-            features += 1;
         });
         obs::counter_add("embed.vectors", 1);
-        obs::counter_add("embed.features", features);
+        // One touched entry per feature until the dedup below.
+        obs::counter_add("embed.features", buf.touched.len() as u64);
         buf.touched.sort_unstable();
         buf.touched.dedup();
         // Ascending-index sum of squares: the same summation order the

@@ -56,7 +56,7 @@ pub fn canonicalize(module: &Module) -> Module {
 /// assert_eq!(names.canonical("x"), "x"); // free names stay as written
 /// # Ok::<(), minilang::ParseErr>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RenameTable<'m> {
     names: HashMap<&'m str, String>,
     var_count: usize,
@@ -68,7 +68,11 @@ impl<'m> RenameTable<'m> {
     /// is read, so references before a definition (forward function
     /// calls) rename consistently.
     pub fn of(module: &'m Module) -> Self {
-        let mut table = RenameTable::default();
+        let mut table = RenameTable {
+            names: HashMap::new(),
+            var_count: 0,
+            fn_count: 0,
+        };
         for stmt in &module.body {
             table.scan_stmt(stmt);
         }

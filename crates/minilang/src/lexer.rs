@@ -1,4 +1,12 @@
 //! Indentation-sensitive lexer for PyLite.
+//!
+//! Tokens borrow the source: an identifier is a slice of it, and a number
+//! parses from its slice. Only a string literal owns its text, unescaped
+//! and copied once, segment by segment between escapes. A line is walked
+//! byte by byte; every token of the language is ASCII, so a `char` is
+//! decoded only for an escape or an error message. The parser copies each
+//! name into the AST once, so lexing a source costs one allocation per
+//! string literal plus the token list's growth.
 
 use std::fmt;
 

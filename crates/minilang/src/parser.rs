@@ -42,11 +42,7 @@ fn syntax_err(line: usize, message: impl Into<String>) -> ParseErr {
 
 impl From<LexError> for ParseErr {
     fn from(err: LexError) -> Self {
-        ParseErr {
-            line: err.line,
-            message: err.message,
-            kind: ParseErrKind::Syntax,
-        }
+        syntax_err(err.line, err.message)
     }
 }
 
