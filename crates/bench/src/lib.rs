@@ -14,18 +14,18 @@ pub use harness::{AnalyzeMode, Repro, StageTimings, EXPERIMENTS, EXTENSIONS};
 
 use std::path::PathBuf;
 
-/// The directory the bench binaries' `--quick` runs write to, relative to
-/// the working directory. `ci.sh`'s perf gate reads its snapshots here,
-/// so a CI run leaves the tracked records untouched.
-pub const PERF_GATE_DIR: &str = "target/perf_gate";
+/// The directory `--quick` runs write to, relative to the working
+/// directory. `ci.sh`'s perf gate reads its snapshots here, so a CI run
+/// leaves the tracked records untouched.
+const PERF_GATE_DIR: &str = "target/perf_gate";
 
 /// Where a bench binary writes its report `<name>.json`: the record in the
-/// working directory for a full run, or [`PERF_GATE_DIR`] (created if
+/// working directory for a full run, or `target/perf_gate/` (created if
 /// missing) for a `--quick` run, as `<name>_quick.json`.
 ///
 /// # Panics
 ///
-/// Panics if [`PERF_GATE_DIR`] cannot be created.
+/// Panics if `target/perf_gate/` cannot be created.
 pub fn report_path(name: &str, quick: bool) -> PathBuf {
     if !quick {
         return PathBuf::from(format!("{name}.json"));

@@ -233,11 +233,7 @@ impl TokenText {
 
 /// Emits every uni-, bi- and trigram of the token stream, each fed as
 /// `tn:` then its slice of the text.
-fn ngrams(
-    module: &Module,
-    tokens: &mut TokenText,
-    emit: &mut impl FnMut(FeatureHash, f32),
-) {
+fn ngrams(module: &Module, tokens: &mut TokenText, emit: &mut impl FnMut(FeatureHash, f32)) {
     let names = RenameTable::of(module);
     tokens.text.clear();
     tokens.spans.clear();
@@ -889,8 +885,7 @@ mod tests {
     #[test]
     fn ngram_counts_grow_with_program() {
         let small = streamed_hashes(&parse("x = 1\n").unwrap());
-        let large =
-            streamed_hashes(&parse("x = 1\ny = 2\nz = x + y\nw = z * 2\n").unwrap());
+        let large = streamed_hashes(&parse("x = 1\ny = 2\nz = x + y\nw = z * 2\n").unwrap());
         assert!(large.len() > small.len());
     }
 
