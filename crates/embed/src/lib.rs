@@ -83,9 +83,9 @@ impl Embedder {
     ///
     /// Names are read through the module's canonical renaming, so
     /// alpha-renamed programs embed identically. Allocates a scratch
-    /// buffer per call; batch callers
-    /// should reuse one [`EmbedBuffer`] via [`Embedder::embed_into`] or
-    /// [`Embedder::embed_sparse_into`] instead.
+    /// buffer per call; batch callers should reuse one [`EmbedBuffer`]
+    /// via [`Embedder::embed_into`] or [`Embedder::embed_sparse_into`]
+    /// instead.
     pub fn embed(&self, module: &Module) -> Embedding {
         let mut buf = EmbedBuffer::new();
         let mut values = Vec::new();

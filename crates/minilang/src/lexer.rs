@@ -4,9 +4,9 @@
 //! parses from its slice. Only a string literal owns its text, unescaped
 //! and copied once, segment by segment between escapes. A line is walked
 //! byte by byte; every token of the language is ASCII, so a `char` is
-//! decoded only for an escape or an error message. The parser copies each
-//! name into the AST once, so lexing a source costs one allocation per
-//! string literal plus the token list's growth.
+//! decoded only to name it in an error message. Besides the token list
+//! and the indentation stack, lexing allocates only string-literal text
+//! and error messages; the parser copies each name into the AST once.
 
 use std::fmt;
 
