@@ -68,7 +68,7 @@ cargo run --release -q -p malgraph-bench --bin ingest_bench -- --quick
 echo "== recovery_bench --quick"
 cargo run --release -q -p malgraph-bench --bin recovery_bench -- --quick
 
-# The perf-regression gate (PR 9): the quick benches above wrote
+# The perf-regression gate: the quick benches above wrote
 # target/perf_gate/BENCH_PR{6,8,10}_quick.json on this machine (never a
 # tracked file, so a CI run leaves the tree clean); diff each against its
 # checked-in baseline with `malgraph perf diff` and fail on regression.
