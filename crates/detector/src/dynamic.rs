@@ -93,9 +93,15 @@ impl DynamicDetector {
 
     /// Runs an already lowered module in the sandbox and labels the
     /// trace. A run a budget stopped bumps
-    /// `detector.sandbox_stops{reason=fuel|memory|depth}`.
+    /// `detector.sandbox_stops{reason=fuel|memory|depth}`; every run adds
+    /// its steps to `detector.sandbox_steps{kind=executed|skipped}`.
     pub fn analyze_program(&self, program: &Program) -> DynamicVerdict {
         let trace = execute(program, &self.config);
+        obs::counter_add(
+            "detector.sandbox_steps{kind=executed}",
+            trace.steps - trace.skipped_steps,
+        );
+        obs::counter_add("detector.sandbox_steps{kind=skipped}", trace.skipped_steps);
         let stop = match trace.outcome {
             Outcome::FuelExhausted => Some("detector.sandbox_stops{reason=fuel}"),
             Outcome::MemoryExhausted => Some("detector.sandbox_stops{reason=memory}"),

@@ -67,7 +67,8 @@ use crate::ingest::IngestState;
 use crate::similarity::SimilarityOutput;
 use crawler::{CollectedDataset, CorpusDelta, ExportFidelity};
 use jsonio::durable::{self, SealError};
-use oss_types::{CrashPlan, CrashSignal, Ecosystem, Sha256};
+use oss_types::{CrashPlan, CrashSignal, Ecosystem, PackageId, Sha256};
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -645,7 +646,9 @@ pub fn restore(snapshot: Snapshot, options: &BuildOptions) -> Result<(MalGraph, 
 /// * `recovery.replayed{stage=journal}` — one journaled delta replayed
 ///   beyond the resumed generation;
 /// * `recovery.discarded{stage=journal}` — a journal entry failed
-///   validation, ending replay at that window;
+///   validation or repeats a package id already ingested, ending replay
+///   at that window ([`run_checkpointed_ingest`] re-journals it from its
+///   plan);
 /// * `recovery.fallbacks{stage=rebuild}` — the ladder bottomed out with
 ///   nothing usable although checkpoint data existed.
 ///
@@ -684,16 +687,19 @@ pub fn recover(
     let mut journal_tail_corrupt = false;
     {
         let _stage = obs::span!("recover/journal");
+        let mut ingested = None;
         loop {
             match store.read_journal(state.windows_applied()) {
-                Ok(Some(delta)) => {
+                Ok(Some(delta)) if adds_only_new_ids(&delta, &mut ingested, &state) => {
                     graph.apply_delta(&delta, options, &mut state);
                     obs::counter_add("recovery.replayed{stage=journal}", 1);
                 }
                 Ok(None) => break,
-                Err(_) => {
-                    // Replay must stop at the first bad entry: windows
-                    // apply in order, so later entries are unreachable.
+                // Replay must stop at the first bad entry: windows apply
+                // in order, so later entries are unreachable. An entry
+                // repeating an ingested package id is bad too: the
+                // generation sealed after it would never read back.
+                _ => {
                     obs::counter_add("recovery.discarded{stage=journal}", 1);
                     journal_tail_corrupt = true;
                     break;
@@ -705,6 +711,24 @@ pub fn recover(
         obs::counter_add("recovery.fallbacks{stage=rebuild}", 1);
     }
     Ok((graph, state))
+}
+
+/// Whether `delta` repeats no package id of `state` or of the deltas
+/// checked before it; `seen` collects those ids on first use.
+fn adds_only_new_ids(
+    delta: &CorpusDelta,
+    seen: &mut Option<HashSet<PackageId>>,
+    state: &IngestState,
+) -> bool {
+    let seen = seen.get_or_insert_with(|| {
+        state
+            .dataset
+            .packages
+            .iter()
+            .map(|p| p.id.clone())
+            .collect()
+    });
+    delta.packages.iter().all(|p| seen.insert(p.id.clone()))
 }
 
 /// Generation retention / cadence of the checkpointed driver.
@@ -1009,6 +1033,66 @@ mod tests {
             assert_eq!(graph_signature(&recovered), graph_signature(&graph), "{pair}");
             let _ = std::fs::remove_dir_all(store.dir());
         }
+    }
+
+    #[test]
+    fn a_journal_window_repeating_an_ingested_id_is_rejournaled_from_the_plan() {
+        let _gate = obs_gate().write().unwrap_or_else(|e| e.into_inner());
+        let (deltas, options) = fixture();
+        let store = temp_store("repeated-id");
+        let run = || {
+            run_checkpointed_ingest(
+                &deltas,
+                &options,
+                &store,
+                &CrashPlan::none(),
+                &CheckpointOptions::default(),
+            )
+            .unwrap()
+        };
+        let (graph, _) = run();
+        // Reseal window 1 with window 0's first package appended, and drop
+        // the generations so recovery has to replay the journal.
+        let mut repeated = deltas[1].clone();
+        repeated.packages.push(deltas[0].packages[0].clone());
+        store.append_journal(&repeated).unwrap();
+        for windows in store.generations().unwrap() {
+            std::fs::remove_file(store.generation_path(windows)).unwrap();
+        }
+        obs::reset();
+        obs::enable();
+        let (resumed, state) = run();
+        let counts = obs::snapshot();
+        obs::reset();
+        let (_, again) = recover(&store, &options).unwrap();
+        let recount = obs::snapshot();
+        obs::disable();
+        let counter = |snap: &obs::Snapshot, name: &str| {
+            snap.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, v)| *v)
+        };
+        assert_eq!(counter(&counts, "recovery.replayed{stage=journal}"), 1);
+        assert_eq!(counter(&counts, "recovery.discarded{stage=journal}"), 1);
+        assert_eq!(graph_signature(&resumed), graph_signature(&graph));
+        assert_eq!(
+            state.dataset().packages,
+            deltas
+                .iter()
+                .flat_map(|d| d.packages.clone())
+                .collect::<Vec<_>>()
+        );
+        // The second run re-journaled window 1 and sealed a generation that
+        // reads back, so the next recovery resumes from it.
+        assert_eq!(
+            store.read_journal(1).unwrap().unwrap().packages,
+            deltas[1].packages
+        );
+        assert_eq!(counter(&recount, "recovery.resumed{stage=checkpoint}"), 1);
+        assert_eq!(counter(&recount, "recovery.discarded{stage=checkpoint}"), 0);
+        assert_eq!(again.windows_applied(), deltas.len());
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

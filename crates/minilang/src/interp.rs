@@ -23,6 +23,13 @@
 //!   [`Outcome::MemoryExhausted`];
 //! * [`MAX_CALL_DEPTH`] caps nested calls, so unbounded recursion ends in
 //!   [`Outcome::DepthExceeded`] instead of overflowing the native stack.
+//!
+//! A `while` loop whose state at an iteration header equals its state at
+//! an earlier header of the same execution repeats that stretch until a
+//! budget stops it. The interpreter then accounts for the whole
+//! repetitions the budgets allow by arithmetic, copies their effects,
+//! and executes only the last, partial one, so the [`Trace`] is the one
+//! plain execution would produce (see [`Machine::exec_while`]).
 
 use crate::ast::{BinOp, Module, UnaryOp};
 use crate::lower::{LExpr, LStmt, NameTable, Program, Span, Target, BUILTIN, CALL, GETITEM};
@@ -76,8 +83,13 @@ pub struct Trace {
     pub effects: Effects,
     /// How the run ended.
     pub outcome: Outcome,
-    /// Statements and expression nodes executed.
+    /// Steps accounted to the run: one per statement, expression node
+    /// and `while` iteration, the ones skipped by arithmetic included.
+    /// This is what the fuel budget counts.
     pub steps: u64,
+    /// The part of `steps` that a repeating `while` loop accounted for
+    /// without executing it; `steps - skipped_steps` were executed.
+    pub skipped_steps: u64,
     /// The uncaught error when `outcome` is [`Outcome::Error`].
     pub error: Option<RuntimeError>,
 }
@@ -302,51 +314,9 @@ pub fn run(module: &Module, config: &InterpConfig) -> Trace {
 /// [`Outcome::Error`] (or are caught by `try`/`except`, the way malicious
 /// install hooks silence failures).
 pub fn execute(program: &Program, config: &InterpConfig) -> Trace {
-    let mut m = Machine {
-        program,
-        fuel: config.fuel,
-        steps: 0,
-        depth: 0,
-        string_bytes: 0,
-        globals: vec![None; program.globals.len()],
-        locals: Vec::new(),
-        base: 0,
-        args: Vec::new(),
-        names: Names {
-            program: Rc::clone(&program.names),
-            extra: Vec::new(),
-        },
-        extra_ids: HashMap::new(),
-        joins: HashMap::new(),
-        site_joins: vec![(u32::MAX, 0); program.attr_sites as usize],
-        records: Vec::new(),
-        effect_args: Vec::new(),
-        fault: None,
-        mocks: Mocks::default(),
-    };
-    let outcome = match m.exec_block(program.body) {
-        Ok(_) => Outcome::Completed,
-        Err(Stop::Fuel) => Outcome::FuelExhausted,
-        Err(Stop::Memory) => Outcome::MemoryExhausted,
-        Err(Stop::Depth) => Outcome::DepthExceeded,
-        Err(Stop::Error) => Outcome::Error,
-    };
-    let error = match (outcome, m.fault.take()) {
-        (Outcome::Error, Some(fault)) => Some(RuntimeError {
-            message: fault.message(&m.names),
-        }),
-        _ => None,
-    };
-    Trace {
-        effects: Effects {
-            names: m.names,
-            records: m.records,
-            args: m.effect_args,
-        },
-        outcome,
-        steps: m.steps,
-        error,
-    }
+    let mut m = Machine::new(program, config);
+    let outcome = m.run();
+    m.into_trace(outcome)
 }
 
 enum Flow {
@@ -441,6 +411,80 @@ struct Machine<'p> {
     effect_args: Vec<Value>,
     fault: Option<Fault>,
     mocks: Mocks,
+    /// Steps accounted by arithmetic ([`Trace::skipped_steps`]).
+    skipped: u64,
+    /// Slot units loop checks have spent, never more than the steps
+    /// executed (see [`Machine::check_header`]).
+    check_work: u64,
+    /// Runs every loop iteration: the plain reference.
+    #[cfg(test)]
+    plain: bool,
+    /// Slots copied into loop snapshots.
+    #[cfg(test)]
+    copied_slots: u64,
+}
+
+impl<'p> Machine<'p> {
+    fn new(program: &'p Program, config: &InterpConfig) -> Self {
+        Machine {
+            program,
+            fuel: config.fuel,
+            steps: 0,
+            depth: 0,
+            string_bytes: 0,
+            globals: vec![None; program.globals.len()],
+            locals: Vec::new(),
+            base: 0,
+            args: Vec::new(),
+            names: Names {
+                program: Rc::clone(&program.names),
+                extra: Vec::new(),
+            },
+            extra_ids: HashMap::new(),
+            joins: HashMap::new(),
+            site_joins: vec![(u32::MAX, 0); program.attr_sites as usize],
+            records: Vec::new(),
+            effect_args: Vec::new(),
+            fault: None,
+            mocks: Mocks::default(),
+            skipped: 0,
+            check_work: 0,
+            #[cfg(test)]
+            plain: false,
+            #[cfg(test)]
+            copied_slots: 0,
+        }
+    }
+
+    fn run(&mut self) -> Outcome {
+        match self.exec_block(self.program.body) {
+            Ok(_) => Outcome::Completed,
+            Err(Stop::Fuel) => Outcome::FuelExhausted,
+            Err(Stop::Memory) => Outcome::MemoryExhausted,
+            Err(Stop::Depth) => Outcome::DepthExceeded,
+            Err(Stop::Error) => Outcome::Error,
+        }
+    }
+
+    fn into_trace(mut self, outcome: Outcome) -> Trace {
+        let error = match (outcome, self.fault.take()) {
+            (Outcome::Error, Some(fault)) => Some(RuntimeError {
+                message: fault.message(&self.names),
+            }),
+            _ => None,
+        };
+        Trace {
+            effects: Effects {
+                names: self.names,
+                records: self.records,
+                args: self.effect_args,
+            },
+            outcome,
+            steps: self.steps,
+            skipped_steps: self.skipped,
+            error,
+        }
+    }
 }
 
 impl Machine<'_> {
@@ -584,14 +628,7 @@ impl Machine<'_> {
                 return self.exec_block(branch);
             }
             LStmt::For { target, iter, body } => return self.exec_for(target, iter, body),
-            LStmt::While { cond, body } => {
-                while self.eval(cond)?.truthy() {
-                    self.burn()?;
-                    if let ret @ Flow::Return(_) = self.exec_block(body)? {
-                        return Ok(ret);
-                    }
-                }
-            }
+            LStmt::While { cond, body } => return self.exec_while(cond, body),
             LStmt::Try { body, handler } => {
                 let mark = self.args.len();
                 return match self.exec_block(body) {
@@ -659,6 +696,168 @@ impl Machine<'_> {
             }
         }
         Ok(Flow::Normal)
+    }
+
+    /// Runs a `while` loop. Its state at an iteration header is the
+    /// frame's slots (the globals, then the current call's locals), the
+    /// argument-stack length and the interned-name count. Values are
+    /// immutable, the name table only grows, and the join caches and
+    /// mocks memoise values that depend on nothing else, so execution
+    /// from a header is a function of that state. When a header's state
+    /// equals an earlier header's, every later stretch between them
+    /// repeats the last one step for step, byte for byte and effect for
+    /// effect, and neither returns nor raises: only a budget can end the
+    /// loop. [`Machine::skip`] accounts for the whole stretches the
+    /// budgets allow; the partial one after them executes and trips the
+    /// budget at the step plain execution would.
+    fn exec_while(&mut self, cond: u32, body: Span) -> Result<Flow, Stop> {
+        let mut watch = Watch {
+            saved: None,
+            left: 0,
+            span: 1,
+            #[cfg(not(test))]
+            done: false,
+            #[cfg(test)]
+            done: self.plain,
+        };
+        loop {
+            if !watch.done {
+                self.check_header(&mut watch);
+            }
+            if !self.eval(cond)?.truthy() {
+                return Ok(Flow::Normal);
+            }
+            self.burn()?;
+            if let ret @ Flow::Return(_) = self.exec_block(body)? {
+                return Ok(ret);
+            }
+        }
+    }
+
+    /// Checks the header `watch` is at against its saved header, by
+    /// Brent's cycle detection: the save moves to the current header
+    /// after 1, 2, 4, … failed checks, so a repetition of any period is
+    /// found. A check compares and may copy every slot, so it runs only
+    /// while all checks of the run, its own included, stay within one
+    /// slot per step executed: a loop that never repeats in a huge frame
+    /// pays at most that.
+    fn check_header(&mut self, watch: &mut Watch) {
+        let slots = self.globals.len() + self.locals.len() - self.base;
+        let cost = slots as u64;
+        let executed = self.steps - self.skipped;
+        if self.check_work + 2 * cost > executed {
+            return;
+        }
+        if let Some(saved) = &watch.saved {
+            // What is left after reserving a copy; deep values in the
+            // slots may use all of it.
+            let allowance = executed - self.check_work - cost;
+            let mut budget = allowance;
+            let repeats = self.repeats(saved, &mut budget);
+            self.check_work += allowance - budget;
+            if repeats {
+                self.skip(saved);
+                watch.done = true;
+                return;
+            }
+            watch.left -= 1;
+            if watch.left > 0 {
+                return;
+            }
+        }
+        let mut saved_slots = watch
+            .saved
+            .take()
+            .map_or_else(|| Vec::with_capacity(slots), |h| h.slots);
+        saved_slots.clear();
+        saved_slots.extend_from_slice(&self.globals);
+        saved_slots.extend_from_slice(&self.locals[self.base..]);
+        watch.saved = Some(Header {
+            slots: saved_slots,
+            steps: self.steps,
+            string_bytes: self.string_bytes,
+            records: self.records.len(),
+            effect_args: self.effect_args.len(),
+            args: self.args.len(),
+            names: self.names.len(),
+        });
+        self.check_work += cost;
+        #[cfg(test)]
+        {
+            self.copied_slots += cost;
+        }
+        watch.left = watch.span;
+        watch.span = watch.span.saturating_mul(2);
+    }
+
+    /// Whether the state at this header equals `saved`'s, spending a
+    /// unit of `budget` per value compared and per 32 string bytes. A
+    /// comparison the budget cannot finish counts as a change.
+    fn repeats(&self, saved: &Header, budget: &mut u64) -> bool {
+        if self.args.len() != saved.args || self.names.len() != saved.names {
+            return false;
+        }
+        let (globals, locals) = saved.slots.split_at(self.globals.len());
+        let same_slots = |now: &[Option<Value>], then: &[Option<Value>], budget: &mut u64| {
+            now.iter().zip(then).all(|pair| match pair {
+                (None, None) => true,
+                (Some(a), Some(b)) => same_value(a, b, MAX_COMPARE_DEPTH, budget),
+                _ => false,
+            })
+        };
+        same_slots(&self.globals, globals, budget)
+            && same_slots(&self.locals[self.base..], locals, budget)
+    }
+
+    /// Accounts for the repetitions of the stretch since `saved` that
+    /// the budgets allow in full: its steps and string bytes times the
+    /// count, and one copy of its effects per repetition.
+    fn skip(&mut self, saved: &Header) {
+        // At least the condition's step and the iteration's own.
+        let period = self.steps - saved.steps;
+        let bytes = self.string_bytes - saved.string_bytes;
+        // A header is reached only within both budgets.
+        let mut reps = (self.fuel - self.steps) / period;
+        if let Some(fit) = (MAX_STRING_BYTES - self.string_bytes).checked_div(bytes) {
+            reps = reps.min(u64::try_from(fit).expect("a byte count fits u64"));
+        }
+        if reps == 0 {
+            return;
+        }
+        let steps = reps.checked_mul(period).expect("within the fuel");
+        self.steps = self.steps.checked_add(steps).expect("within the fuel");
+        self.skipped += steps;
+        if bytes > 0 {
+            let reps = usize::try_from(reps).expect("bounded by MAX_STRING_BYTES");
+            self.string_bytes = reps
+                .checked_mul(bytes)
+                .and_then(|b| self.string_bytes.checked_add(b))
+                .expect("within MAX_STRING_BYTES");
+        }
+        let (records, args) = (
+            saved.records..self.records.len(),
+            saved.effect_args..self.effect_args.len(),
+        );
+        if records.is_empty() {
+            return;
+        }
+        // One stretch more: the partial one that trips the budget records
+        // a prefix of it.
+        if let Ok(stretches) = usize::try_from(reps + 1) {
+            self.records
+                .reserve(stretches.saturating_mul(records.len()));
+            self.effect_args
+                .reserve(stretches.saturating_mul(args.len()));
+        }
+        let mut shift = 0;
+        for _ in 0..reps {
+            shift += args.len();
+            for i in records.clone() {
+                let (api, end) = self.records[i];
+                self.records.push((api, end + shift));
+            }
+            self.effect_args.extend_from_within(args.clone());
+        }
     }
 
     fn eval(&mut self, expr: u32) -> Result<Value, Stop> {
@@ -935,6 +1134,86 @@ impl Machine<'_> {
     }
 }
 
+/// Loop detection over the headers of one `while` execution.
+struct Watch {
+    /// The header later ones are compared with; none before the first
+    /// check.
+    saved: Option<Header>,
+    /// Failed checks left before the save moves.
+    left: u32,
+    /// Failed checks the next save gets.
+    span: u32,
+    /// Set once the loop has skipped (or in the plain reference).
+    done: bool,
+}
+
+/// A saved loop header: the state a repeat compares, and the counters
+/// that measure the stretch since.
+struct Header {
+    /// The globals, then the current call's locals.
+    slots: Vec<Option<Value>>,
+    steps: u64,
+    string_bytes: usize,
+    records: usize,
+    effect_args: usize,
+    args: usize,
+    names: usize,
+}
+
+/// Container nesting a loop comparison follows; deeper values count as
+/// changed, which keeps the comparison off the native stack's limits.
+const MAX_COMPARE_DEPTH: u32 = 32;
+
+/// Exact equality of two runtime values: scalars and ids by value,
+/// floats by bits, strings by bytes, containers element by element.
+/// Spends a unit of `budget` per value and per 32 string bytes, and
+/// answers `false` when the budget or the depth runs out.
+fn same_value(a: &Value, b: &Value, depth: u32, budget: &mut u64) -> bool {
+    let Some(left) = budget.checked_sub(1) else {
+        return false;
+    };
+    *budget = left;
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Bool(x), Value::Bool(y)) => x == y,
+        (Value::NoneV, Value::NoneV) => true,
+        (Value::Func(x), Value::Func(y)) => x == y,
+        (Value::Module(x), Value::Module(y))
+        | (Value::ExternalFn(x), Value::ExternalFn(y))
+        | (Value::Opaque(x), Value::Opaque(y)) => x == y,
+        (Value::Str(x), Value::Str(y)) => {
+            if Rc::ptr_eq(x, y) {
+                return true;
+            }
+            let units = (x.len() / 32) as u64;
+            if x.len() != y.len() || *budget < units {
+                return false;
+            }
+            *budget -= units;
+            x == y
+        }
+        (Value::List(x), Value::List(y)) => {
+            Rc::ptr_eq(x, y)
+                || (depth > 0
+                    && x.len() == y.len()
+                    && x.iter()
+                        .zip(y.iter())
+                        .all(|(a, b)| same_value(a, b, depth - 1, budget)))
+        }
+        (Value::Dict(x), Value::Dict(y)) => {
+            Rc::ptr_eq(x, y)
+                || (depth > 0
+                    && x.len() == y.len()
+                    && x.iter().zip(y.iter()).all(|((ka, va), (kb, vb))| {
+                        same_value(ka, kb, depth - 1, budget)
+                            && same_value(va, vb, depth - 1, budget)
+                    }))
+        }
+        _ => false,
+    }
+}
+
 /// Mocked return values chosen so malicious code paths keep executing
 /// (conditions pass, loops iterate once or twice).
 #[derive(Clone, Copy)]
@@ -1207,5 +1486,187 @@ mod tests {
         let t = trace("x = 1\n");
         assert_eq!(t.outcome, Outcome::Completed);
         assert!(t.error.is_none());
+    }
+
+    /// Runs `src` with every loop iteration executed (`plain`) or with
+    /// repeating loops skipped, returning the trace and the slots the
+    /// loop snapshots copied.
+    fn execute_with(src: &str, fuel: u64, plain: bool) -> (Trace, u64) {
+        let program = Program::lower(&parse(src).unwrap());
+        let mut m = Machine::new(&program, &InterpConfig { fuel });
+        m.plain = plain;
+        let outcome = m.run();
+        let copied = m.copied_slots;
+        (m.into_trace(outcome), copied)
+    }
+
+    /// Everything a trace exposes except the skip count.
+    fn render(t: &Trace) -> String {
+        let mut out = format!(
+            "{:?} steps {} error {:?}\n",
+            t.outcome,
+            t.steps,
+            t.error.as_ref().map(|e| e.to_string())
+        );
+        for e in t.effects.iter() {
+            let _ = writeln!(out, "{} {:?}", e.api(), e.arg_previews());
+        }
+        let _ = write!(out, "apis {:?}", t.apis());
+        out
+    }
+
+    /// Asserts the skipping run of `src` at `fuel` equals the plain one,
+    /// and returns the skipping trace.
+    fn assert_exact(src: &str, fuel: u64) -> Trace {
+        let (plain, _) = execute_with(src, fuel, true);
+        let (fast, _) = execute_with(src, fuel, false);
+        assert_eq!(plain.skipped_steps, 0);
+        assert_eq!(render(&fast), render(&plain), "fuel {fuel}:\n{src}");
+        fast
+    }
+
+    #[test]
+    fn payload_loops_are_skipped_exactly() {
+        use crate::gen::{generate, Behavior};
+        use crate::printer::print_module;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(9);
+        for behavior in [Behavior::ReverseShell, Behavior::ClipboardHijack] {
+            let src = print_module(&generate(behavior, &mut rng));
+            let t = assert_exact(&src, 20_000);
+            assert_eq!(t.outcome, Outcome::FuelExhausted, "{behavior}");
+            assert!(
+                t.steps - t.skipped_steps < 200,
+                "{behavior}: executed {} of {} steps",
+                t.steps - t.skipped_steps,
+                t.steps
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_loop_at_huge_fuel_ends_at_once() {
+        let (t, _) = execute_with("while True:\n    pass\n", 1_000_000_000_000_000, false);
+        assert_eq!(t.outcome, Outcome::FuelExhausted);
+        assert_eq!(t.steps, 1_000_000_000_000_000);
+        assert!(t.effects.is_empty());
+        assert!(t.steps - t.skipped_steps < 100);
+    }
+
+    #[test]
+    fn a_repeating_concatenation_trips_the_byte_budget_at_the_plain_step() {
+        // Ten doublings first, so the plain run needs only ~4,000
+        // iterations of the second loop to cross the budget.
+        let src = "s = 'ab'\nq = 0\nwhile q < 10:\n    s = s + s\n    q = q + 1\nwhile True:\n    t = s + s\n";
+        let t = assert_exact(src, 1_000_000_000_000);
+        assert_eq!(t.outcome, Outcome::MemoryExhausted);
+        assert!(t.skipped_steps > 0);
+    }
+
+    #[test]
+    fn a_huge_frame_copies_at_most_a_slot_per_executed_step() {
+        // 10,002 global slots (`unused`, the names it reads, and `i`),
+        // then a counter loop whose state never repeats. At the default
+        // fuel no check fits the bound; at ten times it, some run.
+        let names: Vec<String> = (0..10_000).map(|i| format!("x{i}")).collect();
+        let src = format!(
+            "def unused():\n    return [{}]\n\ni = 0\nwhile True:\n    i = i + 1\n",
+            names.join(", ")
+        );
+        for fuel in [20_000, 200_000] {
+            let (plain, _) = execute_with(&src, fuel, true);
+            let (fast, copied) = execute_with(&src, fuel, false);
+            assert_eq!(render(&fast), render(&plain));
+            assert_eq!(fast.skipped_steps, 0);
+            assert!(
+                copied <= fast.steps,
+                "fuel {fuel}: copied {copied} slots in {} steps",
+                fast.steps
+            );
+            assert_eq!(copied > 0, fuel > 20_000, "fuel {fuel}");
+        }
+    }
+
+    mod loops {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Names every generated program starts with; `s` is 32 KiB, so
+        /// `t = s + s` reaches the byte budget within the fuel range.
+        const SETUP: &str = "import socket\nimport subprocess\nimport clipboard\nimport re\n\
+            s = 'ab'\nq = 0\nwhile q < 14:\n    s = s + s\n    q = q + 1\n\
+            b = True\ni = 0\nn = 0\ng = -0.0\nk = ''\nwallet = '1Hijack'\nsock = socket.socket()\n";
+
+        /// Loop-body statements: the two payload templates' mock calls, a
+        /// byte-budget concatenation, a toggle, a saturating and an
+        /// unbounded counter, a caught error, nested loops, floats,
+        /// containers, a growing string, a late raise and a late return.
+        const BODY: &[&str] = &[
+            "cmd = sock.recv(1024)",
+            "subprocess.run(cmd)",
+            "text = clipboard.paste()",
+            "if re.match('^1', text):\n    clipboard.copy(wallet)",
+            "t = s + s",
+            "b = not b",
+            "if i < 40:\n    i = i + 1",
+            "n = n + 1",
+            "try:\n    x = 1 / 0\nexcept:\n    pass",
+            "send(b, i)",
+            "j = 0\nwhile j < 3:\n    j = j + 1\n    probe(j)",
+            "while b:\n    b = not b\n    probe(b)",
+            "g = 0.0 - g",
+            "l = [i, b, g]",
+            "d = {'k': i, 'v': [s]}",
+            "k = k + 'x'",
+            "if n == 700:\n    raise n",
+            "if i == 40:\n    return i",
+        ];
+
+        const CONDS: &[&str] = &["True", "i < 50", "n < 100000", "b or True"];
+
+        fn indent(block: &str, by: &str) -> String {
+            block.lines().map(|l| format!("{by}{l}\n")).collect()
+        }
+
+        /// A loop over `body` at top level, or in a `def` called under
+        /// `try` (where `return` is allowed).
+        fn program(body: &[usize], cond: usize, in_def: bool) -> String {
+            let stmts: String = body
+                .iter()
+                .filter(|&&b| in_def || !BODY[b].contains("return"))
+                .map(|&b| indent(BODY[b], "    "))
+                .collect();
+            let stmts = if stmts.is_empty() {
+                "    pass\n".to_owned()
+            } else {
+                stmts
+            };
+            let looped = format!("while {}:\n{stmts}", CONDS[cond]);
+            if in_def {
+                format!(
+                    "{SETUP}def go():\n{}\ntry:\n    go()\nexcept:\n    pass\nafter(n, i)\n",
+                    indent(&looped, "    ")
+                )
+            } else {
+                format!("{SETUP}{looped}after(n, i)\n")
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn skipping_equals_plain_execution(
+                body in proptest::collection::vec(0..BODY.len(), 1..5),
+                cond in 0..CONDS.len(),
+                in_def in any::<bool>(),
+                fuel in 1u64..50_000,
+            ) {
+                let src = program(&body, cond, in_def);
+                let (plain, _) = execute_with(&src, fuel, true);
+                let (fast, _) = execute_with(&src, fuel, false);
+                prop_assert_eq!(plain.skipped_steps, 0);
+                prop_assert_eq!(render(&fast), render(&plain), "{}", src);
+            }
+        }
     }
 }
