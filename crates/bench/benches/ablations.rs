@@ -153,7 +153,9 @@ fn bench_dedup_strategies(c: &mut Criterion) {
     let artifacts: Vec<(String, String)> = (0..2000)
         .map(|i| {
             let name = format!("pkg-{}", i % 500); // 4 duplicates per name
-            let body: String = (0..200).map(|_| rng.gen_range(b'a'..=b'z') as char).collect();
+            let body: String = (0..200)
+                .map(|_| rng.gen_range(b'a'..=b'z') as char)
+                .collect();
             (name, body)
         })
         .collect();

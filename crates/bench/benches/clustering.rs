@@ -1,8 +1,8 @@
 //! Similarity-pipeline benchmarks: embedding and K-Means — the costly
 //! stages behind the SG construction (paper §III-A).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cluster::{kmeans, kmeans_warm, KMeansConfig};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use embed::Embedder;
 use minilang::gen::{generate, Behavior};
 use rand::rngs::StdRng;
@@ -21,12 +21,7 @@ fn bench_embedding(c: &mut Criterion) {
     for &dim in &[256usize, 1024, 3072] {
         let embedder = Embedder::new(dim);
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, _| {
-            b.iter(|| {
-                corpus
-                    .iter()
-                    .map(|m| embedder.embed(m))
-                    .collect::<Vec<_>>()
-            })
+            b.iter(|| corpus.iter().map(|m| embedder.embed(m)).collect::<Vec<_>>())
         });
     }
     group.finish();
@@ -125,5 +120,11 @@ fn bench_engines_5k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_embedding, bench_kmeans, bench_engines, bench_engines_5k);
+criterion_group!(
+    benches,
+    bench_embedding,
+    bench_kmeans,
+    bench_engines,
+    bench_engines_5k
+);
 criterion_main!(benches);

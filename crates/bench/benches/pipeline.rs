@@ -1,8 +1,8 @@
 //! End-to-end pipeline benchmarks: world generation, collection, and
 //! MALGRAPH construction — the stages behind every table and figure.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crawler::collect;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use malgraph_core::{build, BuildOptions};
 use registry_sim::{World, WorldConfig};
 
@@ -11,7 +11,15 @@ fn bench_world_generation(c: &mut Criterion) {
     group.sample_size(10);
     for scale in [0.02f64, 0.05] {
         group.bench_with_input(BenchmarkId::from_parameter(scale), &scale, |b, &scale| {
-            b.iter(|| World::generate(WorldConfig { seed: 1, ..WorldConfig::default() }.with_scale(scale)));
+            b.iter(|| {
+                World::generate(
+                    WorldConfig {
+                        seed: 1,
+                        ..WorldConfig::default()
+                    }
+                    .with_scale(scale),
+                )
+            });
         });
     }
     group.finish();

@@ -34,8 +34,7 @@ fn sparse_unit_rows(n: usize, seed: u64) -> Vec<(Vec<u32>, Vec<f32>)> {
                 }
             }
             let indices: Vec<u32> = (0..DIM as u32).filter(|&i| mask[i as usize]).collect();
-            let mut values: Vec<f32> =
-                (0..NNZ).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let mut values: Vec<f32> = (0..NNZ).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let norm = values.iter().map(|v| v * v).sum::<f32>().sqrt();
             values.iter_mut().for_each(|v| *v /= norm);
             (indices, values)
@@ -115,7 +114,10 @@ fn bench_assignment_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("assign_512x3072_k16");
     group.sample_size(10);
     for kernel in [Kernel::DenseScalar, Kernel::Tiled, Kernel::TiledQuantized] {
-        let config = KMeansConfig { kernel, ..config.clone() };
+        let config = KMeansConfig {
+            kernel,
+            ..config.clone()
+        };
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{kernel:?}")),
             &config,

@@ -78,7 +78,9 @@ fn main() {
         100.0 * last.packages.len() as f64 / union.packages.len().max(1) as f64,
     );
 
-    eprintln!("pass 1/2: full rebuild over the union (seed {SEED}, scale {scale}, best of {REPS})…");
+    eprintln!(
+        "pass 1/2: full rebuild over the union (seed {SEED}, scale {scale}, best of {REPS})…"
+    );
     let mut full_ms = f64::INFINITY;
     let mut oracle: Option<MalGraph> = None;
     for _ in 0..REPS {
@@ -184,8 +186,14 @@ fn assert_identical(incremental: &MalGraph, oracle: &MalGraph) {
         .zip(&oracle.similarity_diagnostics)
     {
         assert_eq!(eco_a, eco_b);
-        assert_eq!(out_a.pairs, out_b.pairs, "{eco_a:?} similarity pairs diverged");
-        assert_eq!(out_a.chosen_k, out_b.chosen_k, "{eco_a:?} chosen k diverged");
+        assert_eq!(
+            out_a.pairs, out_b.pairs,
+            "{eco_a:?} similarity pairs diverged"
+        );
+        assert_eq!(
+            out_a.chosen_k, out_b.chosen_k,
+            "{eco_a:?} chosen k diverged"
+        );
     }
     for relation in Relation::ALL {
         assert_eq!(

@@ -28,7 +28,7 @@
 //! `target/perf_gate/BENCH_PR6_quick.json` instead.
 
 use cluster::matrix::{dense_dot, sparse_dot_dense};
-use cluster::{kmeans_points, KMeansConfig, Kernel, KMeansResult, Points};
+use cluster::{kmeans_points, KMeansConfig, KMeansResult, Kernel, Points};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -209,7 +209,10 @@ fn main() {
             match &baseline {
                 None => baseline = Some((res.assignments.clone(), pairs.clone())),
                 Some((assignments, ref_pairs)) => {
-                    assert_eq!(assignments, &res.assignments, "{name}: assignments diverged");
+                    assert_eq!(
+                        assignments, &res.assignments,
+                        "{name}: assignments diverged"
+                    );
                     assert_eq!(ref_pairs, &pairs, "{name}: pair set diverged");
                 }
             }

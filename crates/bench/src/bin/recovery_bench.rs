@@ -84,7 +84,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("create bench dir");
 
-    eprintln!("pass 1/4: cold full rebuild over the union (seed {SEED}, scale {scale}, best of {REPS})…");
+    eprintln!(
+        "pass 1/4: cold full rebuild over the union (seed {SEED}, scale {scale}, best of {REPS})…"
+    );
     let mut full_ms = f64::INFINITY;
     let mut oracle: Option<MalGraph> = None;
     for _ in 0..REPS {
@@ -138,7 +140,9 @@ fn main() {
     let resume_ms = resume_pass(&sealed, "sealed");
     eprintln!("  resume (all durable)     {resume_ms:8.0} ms");
 
-    eprintln!("pass 3/4: resume after a crash that lost the final window (ingest/apply, best of {REPS})…");
+    eprintln!(
+        "pass 3/4: resume after a crash that lost the final window (ingest/apply, best of {REPS})…"
+    );
     let lost = stage("lost-window", "ingest/apply");
     let lost_ms = resume_pass(&lost, "lost");
     eprintln!("  resume (replay + reseal) {lost_ms:8.0} ms");
@@ -229,17 +233,31 @@ fn assert_identical(resumed: &MalGraph, oracle: &MalGraph) {
             .collect::<Vec<_>>()
     };
     assert_eq!(edges(resumed), edges(oracle), "edge lists diverged");
-    assert_eq!(resumed.similarity_diagnostics.len(), oracle.similarity_diagnostics.len());
+    assert_eq!(
+        resumed.similarity_diagnostics.len(),
+        oracle.similarity_diagnostics.len()
+    );
     for ((eco_a, out_a), (eco_b, out_b)) in resumed
         .similarity_diagnostics
         .iter()
         .zip(&oracle.similarity_diagnostics)
     {
         assert_eq!(eco_a, eco_b);
-        assert_eq!(out_a.pairs, out_b.pairs, "{eco_a:?} similarity pairs diverged");
-        assert_eq!(out_a.chosen_k, out_b.chosen_k, "{eco_a:?} chosen k diverged");
-        let bits = |t: &[(usize, f32)]| t.iter().map(|&(k, f)| (k, f.to_bits())).collect::<Vec<_>>();
-        assert_eq!(bits(&out_a.trace), bits(&out_b.trace), "{eco_a:?} trace bits diverged");
+        assert_eq!(
+            out_a.pairs, out_b.pairs,
+            "{eco_a:?} similarity pairs diverged"
+        );
+        assert_eq!(
+            out_a.chosen_k, out_b.chosen_k,
+            "{eco_a:?} chosen k diverged"
+        );
+        let bits =
+            |t: &[(usize, f32)]| t.iter().map(|&(k, f)| (k, f.to_bits())).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&out_a.trace),
+            bits(&out_b.trace),
+            "{eco_a:?} trace bits diverged"
+        );
     }
     for relation in Relation::ALL {
         assert_eq!(

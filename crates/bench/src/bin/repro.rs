@@ -52,7 +52,10 @@ fn main() {
                     .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
             }
             "--out" => {
-                out_path = Some(args.next().unwrap_or_else(|| usage_error("--out needs a path")));
+                out_path = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--out needs a path")),
+                );
             }
             "--check" => check = true,
             "--help" | "-h" => {
@@ -131,13 +134,21 @@ fn main() {
                 "[{}] {} {}",
                 if c.pass { "PASS" } else { "FAIL" },
                 c.name,
-                if c.detail.is_empty() { String::new() } else { format!("— {}", c.detail) }
+                if c.detail.is_empty() {
+                    String::new()
+                } else {
+                    format!("— {}", c.detail)
+                }
             );
             if !c.pass {
                 failed += 1;
             }
         }
-        println!("{} of {} checks passed", checks.len() - failed, checks.len());
+        println!(
+            "{} of {} checks passed",
+            checks.len() - failed,
+            checks.len()
+        );
         if failed > 0 {
             std::process::exit(1);
         }
@@ -241,7 +252,12 @@ fn bench_appendix(dir: &Path) -> String {
             u(&pr1, "dim"),
             u(&pr1, "k"),
             u(&pr1, "host_threads"),
-            "n", "serial ms", "parallel ms", "warm ms", "par x", "warm x"
+            "n",
+            "serial ms",
+            "parallel ms",
+            "warm ms",
+            "par x",
+            "warm x"
         ));
         for row in pr1.get("results").and_then(|v| v.as_array()).unwrap_or(&[]) {
             body.push_str(&format!(
@@ -266,7 +282,14 @@ fn bench_appendix(dir: &Path) -> String {
             u(&pr6, "nnz"),
             u(&pr6, "k"),
             f(&pr6, "threshold"),
-            "n", "dense ms", "tiled ms", "quant ms", "tiled x", "quant x", "screened", "rescored"
+            "n",
+            "dense ms",
+            "tiled ms",
+            "quant ms",
+            "tiled x",
+            "quant x",
+            "screened",
+            "rescored"
         ));
         for row in pr6.get("results").and_then(|v| v.as_array()).unwrap_or(&[]) {
             body.push_str(&format!(
@@ -292,7 +315,10 @@ fn bench_appendix(dir: &Path) -> String {
             u(&pr7, "seed"),
             f(&pr7, "scale"),
             u(&pr7, "host_threads"),
-            "section", "uncached ms", "indexed ms", "speedup"
+            "section",
+            "uncached ms",
+            "indexed ms",
+            "speedup"
         ));
         for row in pr7.get("results").and_then(|v| v.as_array()).unwrap_or(&[]) {
             body.push_str(&format!(
@@ -360,14 +386,22 @@ fn profile_appendix(snapshot: &obs::Snapshot) -> String {
          allocation churn (bytes requested, frees not subtracted) alongside.\n\n```text\n",
     );
     let mut by_self: Vec<&obs::FoldedFrame> = snapshot.folded.iter().collect();
-    by_self.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.stack.cmp(&b.stack)));
+    by_self.sort_by(|a, b| {
+        b.self_us
+            .cmp(&a.self_us)
+            .then_with(|| a.stack.cmp(&b.stack))
+    });
     let total_self: u64 = snapshot.folded.iter().map(|f| f.self_us).sum();
     md.push_str(&format!(
         "{:>10}  {:>5}  {:>10}  {:>9}  stack\n",
         "self µs", "%", "alloc", "allocs"
     ));
     for frame in by_self.iter().take(14) {
-        let pct = if total_self == 0 { 0.0 } else { frame.self_us as f64 * 100.0 / total_self as f64 };
+        let pct = if total_self == 0 {
+            0.0
+        } else {
+            frame.self_us as f64 * 100.0 / total_self as f64
+        };
         md.push_str(&format!(
             "{:>10}  {:>4.1}%  {:>10}  {:>9}  {}\n",
             frame.self_us,
@@ -382,7 +416,11 @@ fn profile_appendix(snapshot: &obs::Snapshot) -> String {
         md.push_str(&format!(
             "{:>10}  {:>4.1}%  {:>10}  {:>9}  … {} more frames\n",
             rest,
-            if total_self == 0 { 0.0 } else { rest as f64 * 100.0 / total_self as f64 },
+            if total_self == 0 {
+                0.0
+            } else {
+                rest as f64 * 100.0 / total_self as f64
+            },
             "",
             "",
             by_self.len() - 14

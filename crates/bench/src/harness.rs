@@ -220,7 +220,11 @@ impl Repro {
             "paper: 14,422 unavailable / 9,003 available across 10 sources \
              (B.K 3,928/1,025 · Mal-PyPI 0/2,915 · Phylum 6,669/642 · Socket 664/0 …)",
         );
-        let _ = writeln!(out, "{:<22} {:>12} {:>12}", "Data Source", "Unavail #", "Avail #");
+        let _ = writeln!(
+            out,
+            "{:<22} {:>12} {:>12}",
+            "Data Source", "Unavail #", "Avail #"
+        );
         let mut total_u = 0usize;
         let mut total_a = 0usize;
         for source in SourceId::ALL {
@@ -252,8 +256,7 @@ impl Repro {
             let bar = "#".repeat(1 + count * 40 / max);
             let _ = writeln!(out, "{year}-Q{quarter} {count:>6} {bar}");
         }
-        let summary =
-            malgraph_core::analysis::timeline::summarize(&buckets);
+        let summary = malgraph_core::analysis::timeline::summarize(&buckets);
         let _ = writeln!(
             out,
             "span {:?} → {:?}, peak {:?}, {:.0}% of releases in 2022+",
@@ -456,13 +459,25 @@ impl Repro {
             self.world.config.mirror_retention_days,
             fastest,
         );
-        let _ = writeln!(out, "released too early:     {:>6}", census.released_too_early);
-        let _ = writeln!(out, "persistence too short:  {:>6}", census.persistence_too_short);
+        let _ = writeln!(
+            out,
+            "released too early:     {:>6}",
+            census.released_too_early
+        );
+        let _ = writeln!(
+            out,
+            "persistence too short:  {:>6}",
+            census.persistence_too_short
+        );
         let _ = writeln!(out, "ecosystem has no mirror:{:>6}", census.no_mirrors);
         let _ = writeln!(out, "indeterminate:          {:>6}", census.unknown);
         // Mechanism sweep: shorter retention ⇒ more "released too early".
         let _ = writeln!(out, "\nretention sweep (small worlds, seed fixed):");
-        let _ = writeln!(out, "{:>10} {:>12} {:>12}", "retention", "available", "missing%");
+        let _ = writeln!(
+            out,
+            "{:>10} {:>12} {:>12}",
+            "retention", "available", "missing%"
+        );
         for retention in [120u64, 240, 400, 600, 900] {
             let config = WorldConfig {
                 seed: 9,
@@ -476,7 +491,11 @@ impl Repro {
                 .filter(|&&i| world.package(i).mirror_available)
                 .count();
             let missing_pct = 100.0 * (candidates.len() - avail) as f64 / candidates.len() as f64;
-            let _ = writeln!(out, "{:>9}d {:>12} {:>11.1}%", retention, avail, missing_pct);
+            let _ = writeln!(
+                out,
+                "{:>9}d {:>12} {:>11.1}%",
+                retention, avail, missing_pct
+            );
         }
         out
     }
@@ -514,7 +533,11 @@ impl Repro {
             "paper: {changing→release→detection→removal} repeats; removal is fast",
         );
         let stats = campaign::lifecycle_stats(&self.dataset);
-        let _ = writeln!(out, "packages with full life-cycle metadata: {}", stats.measured);
+        let _ = writeln!(
+            out,
+            "packages with full life-cycle metadata: {}",
+            stats.measured
+        );
         let _ = writeln!(
             out,
             "persistence (release→removal): median {:.1}h, p90 {:.1}h",
@@ -529,14 +552,18 @@ impl Repro {
         // group's first two attempts show {release → removal → changing →
         // re-release}.
         let sequences = self.release_sequences();
-        if let Some(seq) = sequences.iter().find(|s| {
-            s.len() >= 2 && s[0].meta.is_some_and(|m| m.removed.is_some())
-        }) {
+        if let Some(seq) = sequences
+            .iter()
+            .find(|s| s.len() >= 2 && s[0].meta.is_some_and(|m| m.removed.is_some()))
+        {
             let first = seq[0];
             let second = seq[1];
             let meta = first.meta.expect("checked");
-            let _ = writeln!(out, "
-example cycle:");
+            let _ = writeln!(
+                out,
+                "
+example cycle:"
+            );
             let _ = writeln!(out, "  release   {}  at {}", first.id, meta.released);
             if let Some(removed) = meta.removed {
                 let _ = writeln!(
@@ -620,7 +647,11 @@ example cycle:");
             "Fig. 9 — the active period of CG, DeG and SG groups",
             "paper: 80% SG within days · 80% CG within a year · DeG longest (≈3 years)",
         );
-        for relation in [Relation::Similar, Relation::Coexisting, Relation::Dependency] {
+        for relation in [
+            Relation::Similar,
+            Relation::Coexisting,
+            Relation::Dependency,
+        ] {
             let periods = campaign::active_periods(&self.graph, &self.dataset, relation);
             if periods.is_empty() {
                 let _ = writeln!(out, "{:<4} (no groups)", relation.group_label());
@@ -657,7 +688,11 @@ example cycle:");
             out.push_str("(no similar group in this corpus)\n");
             return out;
         };
-        let _ = writeln!(out, "{:<3} {:<40} {:<22} {:>9}", "i", "package", "op_i (detected)", "n_i");
+        let _ = writeln!(
+            out,
+            "{:<3} {:<40} {:<22} {:>9}",
+            "i", "package", "op_i (detected)", "n_i"
+        );
         for (i, pair) in std::iter::once(None)
             .chain(seq.windows(2).map(Some))
             .enumerate()
@@ -676,7 +711,14 @@ example cycle:");
                 .to_string(),
             };
             let downloads = pkg.meta.map(|m| m.downloads).unwrap_or(0);
-            let _ = writeln!(out, "{:<3} {:<40} {:<22} {:>9}", i, pkg.id.to_string(), ops, downloads);
+            let _ = writeln!(
+                out,
+                "{:<3} {:<40} {:<22} {:>9}",
+                i,
+                pkg.id.to_string(),
+                ops,
+                downloads
+            );
         }
         out
     }
@@ -692,7 +734,11 @@ example cycle:");
         // popular-package outliers the paper calls out.
         let mut series: Vec<Vec<u64>> = sequences
             .iter()
-            .map(|seq| seq.iter().filter_map(|p| p.meta.map(|m| m.downloads)).collect())
+            .map(|seq| {
+                seq.iter()
+                    .filter_map(|p| p.meta.map(|m| m.downloads))
+                    .collect()
+            })
             .collect();
         series.extend(evolution::lineage_download_series(
             &self.dataset,
@@ -726,7 +772,11 @@ example cycle:");
         for op in ChangeOp::ALL {
             let _ = writeln!(out, "{:<5} {:>6.2}%", op.label(), dist.pct_of(op));
         }
-        let _ = writeln!(out, "mean changed lines per CC: {:.2} (paper: 3.7)", dist.mean_cc_lines);
+        let _ = writeln!(
+            out,
+            "mean changed lines per CC: {:.2} (paper: 3.7)",
+            dist.mean_cc_lines
+        );
         out
     }
 
@@ -771,8 +821,11 @@ example cycle:");
         let mut cache = detector::SandboxCache::default();
         let report = detector::evaluate_world_cached(&self.world, &mut cache);
         let _ = writeln!(out, "{report}");
-        let _ = writeln!(out, "
-behaviour census over recovered archives:");
+        let _ = writeln!(
+            out,
+            "
+behaviour census over recovered archives:"
+        );
         // What an analyst running the sandbox over every recovered
         // archive of the *collected* corpus would see.
         let mut census: std::collections::BTreeMap<String, usize> = Default::default();
@@ -961,7 +1014,11 @@ impl Repro {
                 )
             })
             .all(|r| r.single_mr_pct == 0.0);
-        push("dataset dumps have 0% missing rate", dumps_clean, String::new());
+        push(
+            "dataset dumps have 0% missing rate",
+            dumps_clean,
+            String::new(),
+        );
 
         // RQ2 — diversity shape.
         let rows7 = diversity::table7(&self.graph);
@@ -986,13 +1043,18 @@ impl Repro {
             .map(|r| r.avg_out_degree)
             .unwrap_or(0.0);
         let densest = t2.iter().all(|r| r.avg_out_degree <= sg_deg);
-        push("SG is the densest relation graph (Table II shape)", densest, String::new());
+        push(
+            "SG is the densest relation graph (Table II shape)",
+            densest,
+            String::new(),
+        );
 
         // RQ3 — active periods.
         let sg = campaign::active_periods(&self.graph, &self.dataset, Relation::Similar);
         let deg = campaign::active_periods(&self.graph, &self.dataset, Relation::Dependency);
-        let mean =
-            |v: &[SimDuration]| v.iter().map(|d| d.as_days_f64()).sum::<f64>() / v.len().max(1) as f64;
+        let mean = |v: &[SimDuration]| {
+            v.iter().map(|d| d.as_days_f64()).sum::<f64>() / v.len().max(1) as f64
+        };
         push(
             "DeG campaigns far outlast SG campaigns (Fig. 9)",
             !deg.is_empty() && mean(&deg) > mean(&sg) * 3.0,
@@ -1108,6 +1170,10 @@ mod tests {
             .filter(|c| !c.pass)
             .map(|c| format!("{}: {}", c.name, c.detail))
             .collect();
-        assert!(failures.is_empty(), "failed checks:\n{}", failures.join("\n"));
+        assert!(
+            failures.is_empty(),
+            "failed checks:\n{}",
+            failures.join("\n")
+        );
     }
 }

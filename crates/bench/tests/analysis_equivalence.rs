@@ -18,7 +18,11 @@ const SEED: u64 = 5;
 const SCALE: f64 = 0.05;
 
 fn all_ids() -> Vec<&'static str> {
-    EXPERIMENTS.iter().chain(EXTENSIONS.iter()).copied().collect()
+    EXPERIMENTS
+        .iter()
+        .chain(EXTENSIONS.iter())
+        .copied()
+        .collect()
 }
 
 fn assert_sections_equal(reference: &[String], candidate: &[String], ids: &[&str], label: &str) {

@@ -52,7 +52,11 @@ fn fixture() -> Vec<CorpusDelta> {
 type DiagnosticsSignature = Vec<(String, Vec<(usize, usize)>, usize, Vec<(usize, u32)>)>;
 /// Everything the byte-identity contract covers: node table, edge list,
 /// similarity diagnostics.
-type GraphSignature = (Vec<String>, Vec<(usize, usize, String)>, DiagnosticsSignature);
+type GraphSignature = (
+    Vec<String>,
+    Vec<(usize, usize, String)>,
+    DiagnosticsSignature,
+);
 
 fn signature(graph: &MalGraph) -> GraphSignature {
     let nodes = graph.graph.nodes().map(|(_, n)| format!("{n:?}")).collect();
@@ -125,7 +129,10 @@ fn predict_counters(store: &CheckpointStore, corrupted_newest: bool) -> BTreeMap
         add("recovery.discarded{stage=checkpoint}", 1);
         add("recovery.fallbacks{stage=generation}", 1);
     }
-    add("recovery.resumed{stage=checkpoint}", !valid.is_empty() as u64);
+    add(
+        "recovery.resumed{stage=checkpoint}",
+        !valid.is_empty() as u64,
+    );
     add("recovery.replayed{stage=journal}", replayed);
     if base == 0 && journal_len == 0 && !generations.is_empty() {
         add("recovery.fallbacks{stage=rebuild}", 1);
@@ -176,9 +183,7 @@ fn crash_matrix_resumes_byte_identically_with_exact_counters() {
 
                 let mut corrupted_newest = false;
                 if corrupt_latest {
-                    if let Some(&newest) =
-                        store.generations().expect("list").last()
-                    {
+                    if let Some(&newest) = store.generations().expect("list").last() {
                         corrupted_newest = flip_bit(&dir.join(format!("gen-{newest:06}.json")));
                     }
                 }
@@ -245,7 +250,13 @@ fn fault_plan_seeded_crashes_resume_to_the_oracle() {
         let (point, occurrence) = crash.armed().expect("a non-empty point set arms a point");
         let dir = temp_dir(&format!("seeded-{case}"));
         let store = CheckpointStore::open(&dir).expect("open store");
-        match run_checkpointed_ingest(&deltas, &options, &store, &crash, &CheckpointOptions::default()) {
+        match run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &crash,
+            &CheckpointOptions::default(),
+        ) {
             Err(IngestRunError::Crashed(signal)) => {
                 assert_eq!(signal.point, point);
                 assert_eq!(signal.occurrence, occurrence);

@@ -44,7 +44,11 @@ fn deltas() -> Vec<CorpusDelta> {
 }
 
 fn all_ids() -> Vec<&'static str> {
-    EXPERIMENTS.iter().chain(EXTENSIONS.iter()).copied().collect()
+    EXPERIMENTS
+        .iter()
+        .chain(EXTENSIONS.iter())
+        .copied()
+        .collect()
 }
 
 fn counters() -> HashMap<String, u64> {
@@ -114,10 +118,22 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
         grew(&before, &after, "ingest.invalidated{cache=adjacency}"),
         3 * invalidating
     );
-    assert_eq!(grew(&before, &after, "ingest.invalidated{cache=stats}"), invalidating);
-    assert_eq!(grew(&before, &after, "ingest.invalidated{cache=analysis}"), invalidating);
-    assert_eq!(grew(&before, &after, "ingest.extended{cache=components}"), invalidating);
-    assert_eq!(grew(&before, &after, "ingest.extended{cache=adjacency}"), invalidating);
+    assert_eq!(
+        grew(&before, &after, "ingest.invalidated{cache=stats}"),
+        invalidating
+    );
+    assert_eq!(
+        grew(&before, &after, "ingest.invalidated{cache=analysis}"),
+        invalidating
+    );
+    assert_eq!(
+        grew(&before, &after, "ingest.extended{cache=components}"),
+        invalidating
+    );
+    assert_eq!(
+        grew(&before, &after, "ingest.extended{cache=adjacency}"),
+        invalidating
+    );
 
     // The ingested corpus is the union, byte for byte.
     assert_eq!(state.dataset().packages, union.packages);
@@ -125,7 +141,12 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
 
     // Serial pass over candidate A: its Duplicated component index and
     // CSR are the *extended* instances, everything else rebuilt lazily.
-    let ingested = Repro::from_parts(world(), state.dataset().clone(), graph, AnalyzeMode::Indexed);
+    let ingested = Repro::from_parts(
+        world(),
+        state.dataset().clone(),
+        graph,
+        AnalyzeMode::Indexed,
+    );
     let serial = ingested.run_all(&ids, 1);
     assert_sections_equal(&reference, &serial, &ids, "ingested/1-thread");
 
@@ -137,7 +158,12 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     for delta in &deltas {
         graph.apply_delta(delta, &options, &mut state);
     }
-    let cold = Repro::from_parts(world(), state.dataset().clone(), graph, AnalyzeMode::Indexed);
+    let cold = Repro::from_parts(
+        world(),
+        state.dataset().clone(),
+        graph,
+        AnalyzeMode::Indexed,
+    );
     let parallel = cold.run_all(&ids, 7);
     assert_sections_equal(&reference, &parallel, &ids, "ingested/7-thread");
 
@@ -173,7 +199,10 @@ fn sandbox_cache_entries_stay_valid_as_the_corpus_grows() {
         // than the archive census — re-released code hits old entries.
         assert!(cache.len() <= archives);
     }
-    assert!(archives > 0, "corpus has no recovered archives at this scale");
+    assert!(
+        archives > 0,
+        "corpus has no recovered archives at this scale"
+    );
     assert!(
         cache.len() < archives,
         "campaign re-releases should deduplicate ({} entries / {archives} archives)",

@@ -27,7 +27,11 @@ fn profiled_run(threads: usize) -> (String, Vec<obs::FoldedFrame>, Vec<String>) 
     obs::enable_with_clock(clock as Arc<dyn obs::Clock>);
     obs::reset();
     let repro = Repro::new(SEED, SCALE);
-    let ids: Vec<&str> = EXPERIMENTS.iter().chain(EXTENSIONS.iter()).copied().collect();
+    let ids: Vec<&str> = EXPERIMENTS
+        .iter()
+        .chain(EXTENSIONS.iter())
+        .copied()
+        .collect();
     let sections = repro.run_all(&ids, threads);
     let snapshot = obs::snapshot();
     obs::disable();
@@ -41,13 +45,15 @@ fn folded_profile_is_byte_identical_at_1_and_7_threads() {
 
     // The profile observed something real before we compare it.
     assert!(
-        frames_1.iter().any(|f| f.stack == "repro/build;build;build/similar"),
+        frames_1
+            .iter()
+            .any(|f| f.stack == "repro/build;build;build/similar"),
         "similarity stage missing from the folded profile"
     );
     assert!(
-        frames_1
-            .iter()
-            .any(|f| f.stack.starts_with("repro/build;build;build/similar;build/similar/ecosystem=")),
+        frames_1.iter().any(|f| f
+            .stack
+            .starts_with("repro/build;build;build/similar;build/similar/ecosystem=")),
         "per-ecosystem worker spans missing from the folded profile"
     );
     assert!(
@@ -55,7 +61,9 @@ fn folded_profile_is_byte_identical_at_1_and_7_threads() {
         "analysis sections missing from the folded profile"
     );
     assert!(
-        frames_1.iter().any(|f| f.stack.starts_with("analysis/index/")),
+        frames_1
+            .iter()
+            .any(|f| f.stack.starts_with("analysis/index/")),
         "lazy index spans missing from the folded profile"
     );
 
@@ -63,7 +71,16 @@ fn folded_profile_is_byte_identical_at_1_and_7_threads() {
     // stacks/counts (the export alone would hide count differences —
     // a fake clock that never advances weights every line 0), and
     // byte-identical section output while profiling.
-    assert_eq!(folded_1, folded_7, "folded export must not depend on thread count");
-    assert_eq!(frames_1, frames_7, "folded frames must not depend on thread count");
-    assert_eq!(sections_1, sections_7, "section reports must not depend on thread count");
+    assert_eq!(
+        folded_1, folded_7,
+        "folded export must not depend on thread count"
+    );
+    assert_eq!(
+        frames_1, frames_7,
+        "folded frames must not depend on thread count"
+    );
+    assert_eq!(
+        sections_1, sections_7,
+        "section reports must not depend on thread count"
+    );
 }

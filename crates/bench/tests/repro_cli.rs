@@ -14,7 +14,10 @@ fn repro(args: &[&str]) -> Output {
 #[test]
 fn bad_ids_scales_and_flags_are_usage_errors() {
     let cases: [(&[&str], &str); 8] = [
-        (&["--scale", "0.01", "table99"], "unknown experiment id \"table99\""),
+        (
+            &["--scale", "0.01", "table99"],
+            "unknown experiment id \"table99\"",
+        ),
         (&["table2", "fig99"], "unknown experiment id \"fig99\""),
         (&["--scale", "0"], "--scale needs a float in (0,1]"),
         (&["--scale", "2"], "--scale needs a float in (0,1]"),

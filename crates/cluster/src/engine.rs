@@ -322,7 +322,9 @@ fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
     let sparse = ctx.points.sparse();
     let dim = ctx.points.dim();
     let k = ctx.cmat.n();
-    let (pq, cq) = ctx.quant.expect("quant kernel dispatched with quant matrices");
+    let (pq, cq) = ctx
+        .quant
+        .expect("quant kernel dispatched with quant matrices");
     let mut pass = ChunkPass::empty(hi - lo, k, dim, ctx.with_sums);
     let mut lower = vec![0.0f64; k];
     for i in lo..hi {
@@ -351,8 +353,8 @@ fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
         // the tiled kernel's evaluation of the same candidate).
         pass.rescored += 1;
         let mut best = guess;
-        let mut best_d = ctx.pnorm[i] - 2.0 * sparse_dot_dense(si, sv, ctx.cmat.row(guess))
-            + ctx.cnorm[guess];
+        let mut best_d =
+            ctx.pnorm[i] - 2.0 * sparse_dot_dense(si, sv, ctx.cmat.row(guess)) + ctx.cnorm[guess];
         // Pass 3: ascending scan over the rest, pruning on the certified
         // window only. (The triangle bound is *not* used here: it bounds
         // the real distance, not the f32-computed one, which is only safe
@@ -370,8 +372,7 @@ fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
                 continue;
             }
             pass.rescored += 1;
-            let d = ctx.pnorm[i] - 2.0 * sparse_dot_dense(si, sv, ctx.cmat.row(c))
-                + ctx.cnorm[c];
+            let d = ctx.pnorm[i] - 2.0 * sparse_dot_dense(si, sv, ctx.cmat.row(c)) + ctx.cnorm[c];
             if d < best_d || (d == best_d && c < best) {
                 best_d = d;
                 best = c;
@@ -387,8 +388,16 @@ impl ChunkPass {
         ChunkPass {
             assign: Vec::with_capacity(len),
             dist: Vec::with_capacity(len),
-            sums: if with_sums { vec![0.0f32; k * dim] } else { Vec::new() },
-            counts: if with_sums { vec![0usize; k] } else { Vec::new() },
+            sums: if with_sums {
+                vec![0.0f32; k * dim]
+            } else {
+                Vec::new()
+            },
+            counts: if with_sums {
+                vec![0usize; k]
+            } else {
+                Vec::new()
+            },
             inertia: 0.0,
             tiles: 0,
             pruned_exact: 0,
@@ -548,7 +557,10 @@ pub(crate) fn lloyd(
                 continue;
             }
             let inv = 1.0 / counts[c] as f32;
-            let fresh: Vec<f32> = sums[c * dim..(c + 1) * dim].iter().map(|s| s * inv).collect();
+            let fresh: Vec<f32> = sums[c * dim..(c + 1) * dim]
+                .iter()
+                .map(|s| s * inv)
+                .collect();
             movement += distance_sq(&fresh, &centroids[c]);
             centroids[c] = fresh;
         }

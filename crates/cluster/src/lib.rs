@@ -452,7 +452,13 @@ mod tests {
     #[test]
     fn auto_k_finds_roughly_the_right_count() {
         let data = blobs(
-            &[(0.0, 0.0), (15.0, 0.0), (0.0, 15.0), (15.0, 15.0), (30.0, 30.0)],
+            &[
+                (0.0, 0.0),
+                (15.0, 0.0),
+                (0.0, 15.0),
+                (15.0, 15.0),
+                (30.0, 30.0),
+            ],
             25,
             0.8,
             14,
@@ -595,7 +601,13 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(25);
         let coarse = kmeans(&data, 2, &KMeansConfig::default(), &mut rng);
-        let fine = kmeans_warm(&data, &coarse.centroids, 2, &KMeansConfig::default(), &mut rng);
+        let fine = kmeans_warm(
+            &data,
+            &coarse.centroids,
+            2,
+            &KMeansConfig::default(),
+            &mut rng,
+        );
         assert_eq!(fine.k(), 4);
         assert!(
             fine.inertia < coarse.inertia / 2.0,

@@ -220,7 +220,8 @@ impl Points {
 
     /// The quantized companion, built on first use and cached.
     pub fn quant(&self) -> &QuantMatrix {
-        self.quant.get_or_init(|| QuantMatrix::from_matrix(&self.matrix))
+        self.quant
+            .get_or_init(|| QuantMatrix::from_matrix(&self.matrix))
     }
 
     /// Number of points.
@@ -472,10 +473,8 @@ mod tests {
     fn sparse_rows_build_matches_dense_build() {
         let rows = vec![vec![0.0f32, 2.0, 0.0, -1.0], vec![1.0, 0.0, 0.0, 0.0]];
         let dense = Points::from_dense_rows(&rows);
-        let sparse_inputs: Vec<(Vec<u32>, Vec<f32>)> = vec![
-            (vec![1, 3], vec![2.0, -1.0]),
-            (vec![0], vec![1.0]),
-        ];
+        let sparse_inputs: Vec<(Vec<u32>, Vec<f32>)> =
+            vec![(vec![1, 3], vec![2.0, -1.0]), (vec![0], vec![1.0])];
         let refs: Vec<(&[u32], &[f32])> = sparse_inputs
             .iter()
             .map(|(i, v)| (i.as_slice(), v.as_slice()))
@@ -502,7 +501,10 @@ mod tests {
         let (ai, av) = p.sparse().row(0);
         let (bi, bv) = p.sparse().row(1);
         assert_eq!(sparse_dot_dense(ai, av, &b).to_bits(), reference.to_bits());
-        assert_eq!(sparse_dot_sparse(ai, av, bi, bv).to_bits(), reference.to_bits());
+        assert_eq!(
+            sparse_dot_sparse(ai, av, bi, bv).to_bits(),
+            reference.to_bits()
+        );
     }
 
     #[test]

@@ -61,9 +61,7 @@ pub fn silhouette<P: AsRef<[f32]>>(data: &[P], assignments: &[usize], k: usize) 
             / (members[own].len() - 1) as f32;
         let b = (0..k)
             .filter(|&c| c != own && !members[c].is_empty())
-            .map(|c| {
-                members[c].iter().map(|&j| dist(i, j)).sum::<f32>() / members[c].len() as f32
-            })
+            .map(|c| members[c].iter().map(|&j| dist(i, j)).sum::<f32>() / members[c].len() as f32)
             .fold(f32::INFINITY, f32::min);
         if b.is_finite() {
             let s = (b - a) / a.max(b);

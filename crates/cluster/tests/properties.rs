@@ -9,10 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn arb_points() -> impl Strategy<Value = Vec<Vec<f32>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(-100.0f32..100.0, 2),
-        1..40,
-    )
+    proptest::collection::vec(proptest::collection::vec(-100.0f32..100.0, 2), 1..40)
 }
 
 /// Mostly-zero rows in a higher dimension: the shape the sparse kernels

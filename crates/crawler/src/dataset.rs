@@ -452,7 +452,12 @@ mod tests {
                 .iter()
                 .find(|p| p.id == pkg.id)
                 .expect("exists");
-            assert_eq!(pkg.signature, Some(truth.signature), "hash mismatch for {}", pkg.id);
+            assert_eq!(
+                pkg.signature,
+                Some(truth.signature),
+                "hash mismatch for {}",
+                pkg.id
+            );
         }
     }
 
@@ -519,6 +524,9 @@ mod tests {
             assert_eq!(a.mentions, b.mentions);
             assert_eq!(a.archive, b.archive);
         }
-        assert_eq!(serial.health, parallel.health, "telemetry is deterministic too");
+        assert_eq!(
+            serial.health, parallel.health,
+            "telemetry is deterministic too"
+        );
     }
 }

@@ -19,10 +19,10 @@
 //! without re-rendering or re-parsing the JSON text.
 
 use crate::dataset::{CollectedDataset, CollectedPackage, CollectedReport};
-use crate::windows::CorpusDelta;
 use crate::registry::RegistryMeta;
 use crate::sources::Archive;
 use crate::transport::{CollectionHealth, FetchHealth};
+use crate::windows::CorpusDelta;
 use oss_types::{PackageId, Sha256, SimTime, SourceId};
 use registry_sim::ReportCategory;
 use std::collections::HashSet;
@@ -214,7 +214,9 @@ fn read_packages(root: &jsonio::Value) -> Result<Vec<CollectedPackage>, ExportEr
 /// Reads one package entry of a manifest, re-verifying its signature
 /// against the archive when both are present.
 fn read_package(entry: &jsonio::Value) -> Result<CollectedPackage, ExportError> {
-    let raw_id = require(entry, "id")?.as_str().ok_or_else(|| bad_field("id"))?;
+    let raw_id = require(entry, "id")?
+        .as_str()
+        .ok_or_else(|| bad_field("id"))?;
     let id: PackageId = raw_id.parse().map_err(|e| ExportError {
         message: format!("bad package id {raw_id:?}: {e}"),
     })?;
@@ -344,7 +346,8 @@ pub fn dataset_from_value(root: &jsonio::Value) -> Result<CollectedDataset, Expo
             message: format!("unsupported format version {format_version}"),
         });
     }
-    let collect_time = read_time(require(root, "collect_time")?).ok_or_else(|| bad_field("collect_time"))?;
+    let collect_time =
+        read_time(require(root, "collect_time")?).ok_or_else(|| bad_field("collect_time"))?;
     let website_count = require(root, "website_count")?
         .as_u64()
         .ok_or_else(|| bad_field("website_count"))? as usize;
@@ -531,7 +534,9 @@ fn read_archive(value: &jsonio::Value) -> Result<Archive, ExportError> {
         .as_array()
         .ok_or_else(|| bad_field("archive.dependencies"))?
     {
-        let raw = dep.as_str().ok_or_else(|| bad_field("archive.dependencies"))?;
+        let raw = dep
+            .as_str()
+            .ok_or_else(|| bad_field("archive.dependencies"))?;
         dependencies.push(raw.parse().map_err(|_| bad_field("archive.dependencies"))?);
     }
     Ok(Archive {
@@ -594,8 +599,16 @@ mod tests {
         let json = export_json(&original, ExportFidelity::ManifestOnly).unwrap();
         let imported = import_json(&json).unwrap();
         assert!(imported.packages.iter().all(|p| p.archive.is_none()));
-        let with_sig = imported.packages.iter().filter(|p| p.signature.is_some()).count();
-        let orig_sig = original.packages.iter().filter(|p| p.signature.is_some()).count();
+        let with_sig = imported
+            .packages
+            .iter()
+            .filter(|p| p.signature.is_some())
+            .count();
+        let orig_sig = original
+            .packages
+            .iter()
+            .filter(|p| p.signature.is_some())
+            .count();
         assert_eq!(with_sig, orig_sig, "signatures are the published part");
     }
 
@@ -689,13 +702,17 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(faulty.health.is_some(), "fixture must exercise the health key");
+        assert!(
+            faulty.health.is_some(),
+            "fixture must exercise the health key"
+        );
         for dataset in [&clean, &faulty] {
             for fidelity in [ExportFidelity::Full, ExportFidelity::ManifestOnly] {
                 let first = export_json(dataset, fidelity).unwrap();
                 let reexported = export_json(&import_json(&first).unwrap(), fidelity).unwrap();
                 assert_eq!(
-                    first, reexported,
+                    first,
+                    reexported,
                     "re-export diverged (fidelity {fidelity:?}, health {})",
                     dataset.health.is_some()
                 );

@@ -118,13 +118,12 @@ pub fn tag_texts(html: &str, tag: &str) -> Vec<String> {
             Event::Open(name) if name == tag => {
                 depth += 1;
             }
-            Event::Close(name) if name == tag
-                && depth > 0 => {
-                    depth -= 1;
-                    if depth == 0 {
-                        out.push(std::mem::take(&mut current));
-                    }
+            Event::Close(name) if name == tag && depth > 0 => {
+                depth -= 1;
+                if depth == 0 {
+                    out.push(std::mem::take(&mut current));
                 }
+            }
             Event::Text(text) if depth > 0 => {
                 current.push_str(&text);
             }

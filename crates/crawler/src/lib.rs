@@ -52,7 +52,6 @@ pub mod windows;
 pub use dataset::{
     collect, collect_with, CollectOptions, CollectedDataset, CollectedPackage, CollectedReport,
 };
-pub use windows::{collect_windows, partition_windows, resume_windows, union_dataset, CorpusDelta};
 pub use export::{
     dataset_from_value, dataset_value, delta_from_value, delta_value, export_delta_json,
     export_json, import_delta_json, import_json, ExportFidelity,
@@ -60,3 +59,4 @@ pub use export::{
 pub use registry::{IndexedRegistry, RegistryMeta, RegistryView};
 pub use sources::{Archive, RawMention};
 pub use transport::{CollectionHealth, FetchHealth, FetchOutcome, Transport};
+pub use windows::{collect_windows, partition_windows, resume_windows, union_dataset, CorpusDelta};

@@ -125,9 +125,7 @@ impl RegistryView for IndexedRegistry<'_> {
             .map(|indices| {
                 indices
                     .iter()
-                    .map(|&i| {
-                        (self.world.packages[i as usize].id.clone(), self.meta_of(i))
-                    })
+                    .map(|&i| (self.world.packages[i as usize].id.clone(), self.meta_of(i)))
                     .collect()
             })
             .unwrap_or_default()
@@ -147,11 +145,14 @@ impl RegistryView for IndexedRegistry<'_> {
 
 impl RegistryView for World {
     fn metadata(&self, id: &PackageId) -> Option<RegistryMeta> {
-        self.packages.iter().find(|p| &p.id == id).map(|p| RegistryMeta {
-            released: p.released,
-            removed: p.removed,
-            downloads: p.downloads,
-        })
+        self.packages
+            .iter()
+            .find(|p| &p.id == id)
+            .map(|p| RegistryMeta {
+                released: p.released,
+                removed: p.removed,
+                downloads: p.downloads,
+            })
     }
 
     fn version_history(

@@ -165,10 +165,7 @@ pub enum FeedFormat {
 }
 
 /// Parses one source's rendered feed back into mentions.
-pub fn parse_feed(
-    source: SourceId,
-    documents: &[(FeedFormat, String)],
-) -> Vec<RawMention> {
+pub fn parse_feed(source: SourceId, documents: &[(FeedFormat, String)]) -> Vec<RawMention> {
     let mut out = Vec::new();
     for (format, body) in documents {
         match format {

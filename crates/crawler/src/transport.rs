@@ -70,7 +70,11 @@ impl Transport {
     /// A transport over `plan` with the given fault rates and retry
     /// schedule.
     pub fn new(plan: FaultPlan, faults: FaultConfig, retry: RetryPolicy) -> Transport {
-        Transport { plan, faults, retry }
+        Transport {
+            plan,
+            faults,
+            retry,
+        }
     }
 
     /// A transport that never fails (the legacy `collect` fast path).
@@ -139,8 +143,9 @@ impl Transport {
                 Some(error) => {
                     outcome.error = Some(error);
                     if error.is_transient() && attempt < self.retry.max_retries {
-                        outcome.backoff_ms =
-                            outcome.backoff_ms.saturating_add(self.retry.backoff_ms(attempt));
+                        outcome.backoff_ms = outcome
+                            .backoff_ms
+                            .saturating_add(self.retry.backoff_ms(attempt));
                         outcome.retries += 1;
                         attempt += 1;
                     } else {
@@ -293,11 +298,26 @@ impl CollectionHealth {
             return;
         }
         let absorb = |label: &str, health: &FetchHealth| {
-            obs::counter_add(&format!("crawler.attempts{{channel={label}}}"), health.attempts);
-            obs::counter_add(&format!("crawler.retries{{channel={label}}}"), health.retries);
-            obs::counter_add(&format!("crawler.recovered{{channel={label}}}"), health.recovered);
-            obs::counter_add(&format!("crawler.delivered{{channel={label}}}"), health.delivered);
-            obs::counter_add(&format!("crawler.dropped{{channel={label}}}"), health.dropped);
+            obs::counter_add(
+                &format!("crawler.attempts{{channel={label}}}"),
+                health.attempts,
+            );
+            obs::counter_add(
+                &format!("crawler.retries{{channel={label}}}"),
+                health.retries,
+            );
+            obs::counter_add(
+                &format!("crawler.recovered{{channel={label}}}"),
+                health.recovered,
+            );
+            obs::counter_add(
+                &format!("crawler.delivered{{channel={label}}}"),
+                health.delivered,
+            );
+            obs::counter_add(
+                &format!("crawler.dropped{{channel={label}}}"),
+                health.dropped,
+            );
         };
         for (source, health) in &self.sources {
             absorb(&format!("feed/{}", source.slug()), health);
@@ -342,7 +362,11 @@ mod tests {
 
     #[test]
     fn total_blackout_drops_everything_without_panicking() {
-        let t = Transport::new(plan(), FaultConfig::transient(1.0), RetryPolicy::with_retries(2));
+        let t = Transport::new(
+            plan(),
+            FaultConfig::transient(1.0),
+            RetryPolicy::with_retries(2),
+        );
         for doc in 0..50 {
             let o = t.fetch(7, doc);
             assert!(!o.delivered);
@@ -393,7 +417,11 @@ mod tests {
         for doc in 0..100 {
             assert_eq!(t.fetch(5, doc), t.fetch(5, doc));
         }
-        let other = Transport::new(FaultPlan::new(4321), FaultConfig::mixed(0.5), RetryPolicy::STANDARD);
+        let other = Transport::new(
+            FaultPlan::new(4321),
+            FaultConfig::mixed(0.5),
+            RetryPolicy::STANDARD,
+        );
         assert!(
             (0..100).any(|doc| t.fetch(5, doc) != other.fetch(5, doc)),
             "different plans must differ somewhere"

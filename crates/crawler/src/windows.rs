@@ -21,7 +21,9 @@
 //! rests on. Collection health is a whole-run aggregate and stays on
 //! the one-shot path; deltas do not carry it.
 
-use crate::dataset::{collect_with, CollectOptions, CollectedDataset, CollectedPackage, CollectedReport};
+use crate::dataset::{
+    collect_with, CollectOptions, CollectedDataset, CollectedPackage, CollectedReport,
+};
 use oss_types::SimTime;
 use registry_sim::{WindowPlan, World};
 
@@ -58,7 +60,11 @@ impl CorpusDelta {
 
     /// The window a collected package belongs to under `plan`: the one
     /// containing its earliest mention disclosure.
-    pub fn window_of_package(plan: &WindowPlan, package: &CollectedPackage, cutoff: SimTime) -> usize {
+    pub fn window_of_package(
+        plan: &WindowPlan,
+        package: &CollectedPackage,
+        cutoff: SimTime,
+    ) -> usize {
         let first = package
             .mentions
             .iter()
@@ -112,7 +118,11 @@ pub fn partition_windows(dataset: &CollectedDataset, plan: &WindowPlan) -> Vec<C
 
 /// Runs the resilient collector once and partitions the result over
 /// `plan` — the windowed entry point of the streaming ingestion path.
-pub fn collect_windows(world: &World, options: &CollectOptions, plan: &WindowPlan) -> Vec<CorpusDelta> {
+pub fn collect_windows(
+    world: &World,
+    options: &CollectOptions,
+    plan: &WindowPlan,
+) -> Vec<CorpusDelta> {
     let _span = obs::span!("collect/windows");
     let dataset = collect_with(world, options);
     partition_windows(&dataset, plan)
@@ -206,18 +216,17 @@ mod tests {
         assert_eq!(resume_windows(&deltas, 2).len(), deltas.len() - 2);
         assert_eq!(resume_windows(&deltas, 2)[0].window, 2);
         assert!(resume_windows(&deltas, deltas.len()).is_empty());
-        assert!(resume_windows(&deltas, deltas.len() + 5).is_empty(), "clamped, not a panic");
+        assert!(
+            resume_windows(&deltas, deltas.len() + 5).is_empty(),
+            "clamped, not a panic"
+        );
     }
 
     #[test]
     fn single_window_plan_reproduces_the_one_shot_corpus() {
         let world = World::generate(WorldConfig::small(11));
         let dataset = collect(&world);
-        let plan = WindowPlan::equal_span(
-            SimTime::from_minutes(0),
-            world.config.collect_time,
-            1,
-        );
+        let plan = WindowPlan::equal_span(SimTime::from_minutes(0), world.config.collect_time, 1);
         let deltas = partition_windows(&dataset, &plan);
         assert_eq!(deltas.len(), 1);
         let union = union_dataset(&deltas);

@@ -120,7 +120,11 @@ mod tests {
             ":::",
         ];
         for src in sources {
-            assert_eq!(cache.run(src).verdict, detector.analyze_source(src), "{src:?}");
+            assert_eq!(
+                cache.run(src).verdict,
+                detector.analyze_source(src),
+                "{src:?}"
+            );
             // Second hit returns the same memoised result.
             assert_eq!(cache.run(src).verdict, detector.analyze_source(src));
         }

@@ -218,9 +218,8 @@ mod tests {
 
     #[test]
     fn eval_and_base64_and_loop() {
-        let hits = rules_for(
-            "import base64\nd = base64.b64decode(x)\neval(d)\nwhile True:\n    pass\n",
-        );
+        let hits =
+            rules_for("import base64\nd = base64.b64decode(x)\neval(d)\nwhile True:\n    pass\n");
         assert!(hits.contains(&RuleId::EvalUsage));
         assert!(hits.contains(&RuleId::Base64Decode));
         assert!(hits.contains(&RuleId::UnboundedLoop));

@@ -848,7 +848,10 @@ mod tests {
     fn imports_are_extracted_with_high_weight() {
         let m = parse("import requests\nfrom os import getenv\n").unwrap();
         let feats = extract_features(&m);
-        let imports: Vec<_> = feats.iter().filter(|f| f.text.starts_with("imp:")).collect();
+        let imports: Vec<_> = feats
+            .iter()
+            .filter(|f| f.text.starts_with("imp:"))
+            .collect();
         assert_eq!(imports.len(), 2);
         assert!(imports.iter().all(|f| f.weight == W_IMPORT));
         assert!(imports.iter().any(|f| f.text == "imp:requests"));

@@ -48,7 +48,10 @@ impl SparseEmbedding {
             "indices must be strictly ascending"
         );
         if let Some(&last) = indices.last() {
-            assert!((last as usize) < dim, "index {last} out of range for dim {dim}");
+            assert!(
+                (last as usize) < dim,
+                "index {last} out of range for dim {dim}"
+            );
         }
         // `+ 0.0` canonicalizes the empty sum's `-0.0` (see
         // `vector::slice_norm`).

@@ -19,7 +19,11 @@ pub fn to_dot<N, L: Copy + Eq>(
     let mut out = String::from("graph malgraph {\n  node [shape=box, fontsize=10];\n");
     for (id, payload) in graph.nodes() {
         if keep(id) {
-            let _ = writeln!(out, "  {id} [label=\"{}\"];", escape(&node_label(id, payload)));
+            let _ = writeln!(
+                out,
+                "  {id} [label=\"{}\"];",
+                escape(&node_label(id, payload))
+            );
         }
     }
     // Merge (a→b, b→a) pairs: emit each undirected edge once (a < b), and

@@ -78,7 +78,10 @@ fn collect_components(
         std::collections::BTreeMap::new();
     for (i, &is_touched) in touched.iter().enumerate() {
         if is_touched {
-            by_root.entry(uf.find(i)).or_default().push(NodeId::from_index(i));
+            by_root
+                .entry(uf.find(i))
+                .or_default()
+                .push(NodeId::from_index(i));
         }
     }
     let components: Vec<Vec<NodeId>> = by_root.into_values().collect();
@@ -243,7 +246,8 @@ impl ComponentIndex {
     /// Members of `node`'s component (sorted ascending), `None` when the
     /// node is isolated under this label.
     pub fn component_members(&self, node: NodeId) -> Option<&[NodeId]> {
-        self.component_of(node).map(|g| self.components[g].as_slice())
+        self.component_of(node)
+            .map(|g| self.components[g].as_slice())
     }
 
     /// Nodes incident to at least one edge of the label.

@@ -38,9 +38,7 @@ use std::fmt;
 use std::hash::Hash;
 
 /// Identifier of a node within one [`PropertyGraph`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -157,10 +155,7 @@ impl<N, L> PropertyGraph<N, L> {
 
     /// Finds the first node whose payload satisfies `pred`.
     pub fn find_node(&self, pred: impl FnMut(&N) -> bool) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(pred)
-            .map(|i| NodeId(i as u32))
+        self.nodes.iter().position(pred).map(|i| NodeId(i as u32))
     }
 }
 
@@ -350,10 +345,7 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
             std::collections::BTreeMap::new();
         for (i, &is_touched) in touched.iter().enumerate() {
             if is_touched {
-                groups
-                    .entry(uf.find(i))
-                    .or_default()
-                    .push(NodeId(i as u32));
+                groups.entry(uf.find(i)).or_default().push(NodeId(i as u32));
             }
         }
         groups.into_values().collect()

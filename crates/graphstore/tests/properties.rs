@@ -22,9 +22,7 @@ fn build_graph(nodes: usize, edges: &[(usize, usize, u8)]) -> PropertyGraph<usiz
 fn bfs_components(g: &PropertyGraph<usize, u8>, label: u8) -> Vec<Vec<NodeId>> {
     let incident: std::collections::BTreeSet<NodeId> = g
         .node_ids()
-        .filter(|&n| {
-            g.out_degree_by(n, |l| *l == label) + g.in_degree_by(n, |l| *l == label) > 0
-        })
+        .filter(|&n| g.out_degree_by(n, |l| *l == label) + g.in_degree_by(n, |l| *l == label) > 0)
         .collect();
     let mut seen: std::collections::BTreeSet<NodeId> = Default::default();
     let mut out = Vec::new();

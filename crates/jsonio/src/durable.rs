@@ -58,7 +58,10 @@ impl fmt::Display for SealError {
             SealError::MissingHeader => write!(f, "missing envelope header"),
             SealError::MalformedHeader => write!(f, "malformed envelope header"),
             SealError::TagMismatch { expected, found } => {
-                write!(f, "envelope tag mismatch: expected {expected:?}, found {found:?}")
+                write!(
+                    f,
+                    "envelope tag mismatch: expected {expected:?}, found {found:?}"
+                )
             }
             SealError::Truncated { declared, actual } => write!(
                 f,
@@ -240,7 +243,10 @@ mod tests {
         ));
         assert_eq!(open_sealed("", "t/1"), Err(SealError::MissingHeader));
         assert_eq!(open_sealed("junk", "t/1"), Err(SealError::MissingHeader));
-        assert_eq!(open_sealed("junk\nbody", "t/1"), Err(SealError::MalformedHeader));
+        assert_eq!(
+            open_sealed("junk\nbody", "t/1"),
+            Err(SealError::MalformedHeader)
+        );
         assert_eq!(
             open_sealed("t/1 sha256= len=4\nbody", "t/1"),
             Err(SealError::MalformedHeader),
@@ -283,7 +289,10 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
-        assert!(!temp_sibling(&path).exists(), "temp sibling must be renamed away");
+        assert!(
+            !temp_sibling(&path).exists(),
+            "temp sibling must be renamed away"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

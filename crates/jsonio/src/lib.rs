@@ -434,9 +434,9 @@ impl<'a> Parser<'a> {
                         if !(0xDC00..0xE000).contains(&second) {
                             return Err(self.err("invalid low surrogate"));
                         }
-                        let combined =
-                            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                        char::from_u32(combined).ok_or_else(|| self.err("invalid surrogate pair"))?
+                        let combined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                        char::from_u32(combined)
+                            .ok_or_else(|| self.err("invalid surrogate pair"))?
                     } else {
                         return Err(self.err("lone high surrogate"));
                     }
@@ -630,7 +630,15 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        for bad in ["{", "{not json", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\q\""] {
+        for bad in [
+            "{",
+            "{not json",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"\\q\"",
+        ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
     }

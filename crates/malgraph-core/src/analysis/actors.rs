@@ -57,8 +57,10 @@ pub fn group_attributions(
     }
     let mut out = HashMap::new();
     for group in graph.groups(Relation::Coexisting) {
-        let mut members: Vec<&PackageId> =
-            group.iter().map(|&n| &graph.graph.node(n).package).collect();
+        let mut members: Vec<&PackageId> = group
+            .iter()
+            .map(|&n| &graph.graph.node(n).package)
+            .collect();
         members.sort();
         let key = (*members.first().expect("groups are non-empty")).clone();
         let mut handles: Vec<String> = members
@@ -85,8 +87,10 @@ pub fn attribution_summary(graph: &MalGraph, dataset: &CollectedDataset) -> Attr
     // Package coverage: corpus packages inside an attributed CG.
     let mut covered: HashSet<&PackageId> = HashSet::new();
     for group in graph.groups(Relation::Coexisting) {
-        let members: Vec<&PackageId> =
-            group.iter().map(|&n| &graph.graph.node(n).package).collect();
+        let members: Vec<&PackageId> = group
+            .iter()
+            .map(|&n| &graph.graph.node(n).package)
+            .collect();
         let mut sorted = members.clone();
         sorted.sort();
         let key = (*sorted.first().expect("non-empty")).clone();

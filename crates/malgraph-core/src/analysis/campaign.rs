@@ -17,11 +17,7 @@ pub fn active_periods(
     dataset: &CollectedDataset,
     relation: Relation,
 ) -> Vec<SimDuration> {
-    active_periods_in(
-        graph.groups(relation),
-        graph,
-        graph.analysis_index(dataset),
-    )
+    active_periods_in(graph.groups(relation), graph, graph.analysis_index(dataset))
 }
 
 /// [`active_periods`] over an explicit group list.
@@ -84,7 +80,10 @@ pub fn lifecycle_stats(dataset: &CollectedDataset) -> LifecycleStats {
         .packages
         .iter()
         .filter_map(|p| p.meta)
-        .filter_map(|m| m.removed.map(|r| (r - m.released).as_minutes() as f64 / 60.0))
+        .filter_map(|m| {
+            m.removed
+                .map(|r| (r - m.released).as_minutes() as f64 / 60.0)
+        })
         .collect();
     hours.sort_by(f64::total_cmp);
     let measured = hours.len();
@@ -187,9 +186,8 @@ mod tests {
         let deg = active_periods(&graph, &dataset, Relation::Dependency);
         assert!(!sg.is_empty());
         assert!(!deg.is_empty());
-        let mean = |v: &[SimDuration]| {
-            v.iter().map(|d| d.as_days_f64()).sum::<f64>() / v.len() as f64
-        };
+        let mean =
+            |v: &[SimDuration]| v.iter().map(|d| d.as_days_f64()).sum::<f64>() / v.len() as f64;
         assert!(
             mean(&deg) > mean(&sg),
             "Fig. 9: DeG ({:.0}d) must outlast SG ({:.0}d)",

@@ -211,8 +211,14 @@ mod tests {
                 assert!((implied - row.avg_out_degree).abs() < 1e-9);
             }
         }
-        let sg = rows.iter().find(|r| r.relation == Relation::Similar).unwrap();
-        let dg = rows.iter().find(|r| r.relation == Relation::Duplicated).unwrap();
+        let sg = rows
+            .iter()
+            .find(|r| r.relation == Relation::Similar)
+            .unwrap();
+        let dg = rows
+            .iter()
+            .find(|r| r.relation == Relation::Duplicated)
+            .unwrap();
         assert!(sg.nodes > 0, "similar graph must be populated");
         assert!(dg.nodes > 0, "duplicated graph must be populated");
         // Paper Table II shape: SG is by far the densest relation.

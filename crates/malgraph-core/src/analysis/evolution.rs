@@ -105,7 +105,10 @@ pub struct OpDistribution {
 impl OpDistribution {
     /// Percentage for one operation.
     pub fn pct_of(&self, op: ChangeOp) -> f64 {
-        let idx = ChangeOp::ALL.iter().position(|&o| o == op).expect("exhaustive");
+        let idx = ChangeOp::ALL
+            .iter()
+            .position(|&o| o == op)
+            .expect("exhaustive");
         self.pct[idx]
     }
 }
@@ -176,10 +179,7 @@ pub struct DownloadBox {
 /// Fig. 11: download quartiles by release order across the similar
 /// groups. `stride` keeps every `stride`-th order (the paper plots every
 /// tenth box).
-pub fn download_evolution(
-    sequences: &[Vec<&CollectedPackage>],
-    stride: usize,
-) -> Vec<DownloadBox> {
+pub fn download_evolution(sequences: &[Vec<&CollectedPackage>], stride: usize) -> Vec<DownloadBox> {
     let series: Vec<Vec<u64>> = sequences
         .iter()
         .map(|seq| {

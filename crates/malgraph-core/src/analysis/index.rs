@@ -118,11 +118,7 @@ impl AnalysisIndex {
         );
         self.sequence_positions(graph)
             .iter()
-            .map(|seq| {
-                seq.iter()
-                    .map(|&i| &dataset.packages[i as usize])
-                    .collect()
-            })
+            .map(|seq| seq.iter().map(|&i| &dataset.packages[i as usize]).collect())
             .collect()
     }
 

@@ -198,7 +198,11 @@ mod tests {
         let cdf = dg_size_cdf(&dataset(), Ecosystem::PyPI);
         assert!(!cdf.is_empty());
         assert_eq!(cdf[0].0, 1);
-        assert!(cdf[0].1 > 0.6, "most packages single-source, got {}", cdf[0].1);
+        assert!(
+            cdf[0].1 > 0.6,
+            "most packages single-source, got {}",
+            cdf[0].1
+        );
         for pair in cdf.windows(2) {
             assert!(pair[0].1 <= pair[1].1);
         }

@@ -34,8 +34,7 @@ pub fn update_frequency(dataset: &CollectedDataset) -> Vec<UpdateRow> {
                 .map(|&(_, t)| t)
                 .collect();
             times.sort_unstable();
-            let mut months: Vec<(i32, u32)> =
-                times.iter().map(|t| (t.year(), t.month())).collect();
+            let mut months: Vec<(i32, u32)> = times.iter().map(|t| (t.year(), t.month())).collect();
             months.dedup();
             let mut gaps: Vec<f64> = times
                 .windows(2)
@@ -244,7 +243,11 @@ mod tests {
             phylum.single_mr_pct
         );
         let socket = rows.iter().find(|r| r.source == SourceId::Socket).unwrap();
-        assert!(socket.single_mr_pct > 60.0, "Socket ~100%: {:.1}", socket.single_mr_pct);
+        assert!(
+            socket.single_mr_pct > 60.0,
+            "Socket ~100%: {:.1}",
+            socket.single_mr_pct
+        );
         assert!(
             (30.0..85.0).contains(&overall),
             "overall MR should sit near the paper's 64%, got {overall:.1}"

@@ -117,7 +117,10 @@ mod tests {
         assert!(first.0 <= 2019, "first release year {}", first.0);
         assert!(last.0 >= 2023, "last release year {}", last.0);
         let (peak_q, _) = summary.peak.expect("non-empty corpus");
-        assert!(peak_q.0 >= 2022, "Fig. 2 peaks in 2022–2023, got {peak_q:?}");
+        assert!(
+            peak_q.0 >= 2022,
+            "Fig. 2 peaks in 2022–2023, got {peak_q:?}"
+        );
         assert!(
             summary.recent_fraction > 0.5,
             "most releases are recent: {:.2}",

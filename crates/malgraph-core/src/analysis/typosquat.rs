@@ -54,9 +54,12 @@ pub fn typosquat_census(
     dataset: &CollectedDataset,
     ecosystem: Option<Ecosystem>,
 ) -> TyposquatCensus {
-    census_over(dataset.packages.iter().filter(|pkg| {
-        ecosystem.is_none_or(|eco| pkg.id.ecosystem() == eco)
-    }))
+    census_over(
+        dataset
+            .packages
+            .iter()
+            .filter(|pkg| ecosystem.is_none_or(|eco| pkg.id.ecosystem() == eco)),
+    )
 }
 
 /// [`typosquat_census`] over the index's per-ecosystem partition — the
@@ -69,12 +72,7 @@ pub fn typosquat_census_indexed(
 ) -> TyposquatCensus {
     match ecosystem {
         None => census_over(dataset.packages.iter()),
-        Some(eco) => census_over(
-            index
-                .packages_in(eco)
-                .iter()
-                .map(|&i| &dataset.packages[i]),
-        ),
+        Some(eco) => census_over(index.packages_in(eco).iter().map(|&i| &dataset.packages[i])),
     }
 }
 

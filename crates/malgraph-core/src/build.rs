@@ -15,7 +15,9 @@
 
 use crate::analysis::index::AnalysisIndex;
 use crate::node::{MalNode, Relation};
-use crate::similarity::{similar_pairs_cached, SimilarityCache, SimilarityConfig, SimilarityOutput};
+use crate::similarity::{
+    similar_pairs_cached, SimilarityCache, SimilarityConfig, SimilarityOutput,
+};
 use crawler::{CollectedDataset, CollectedPackage, CollectedReport};
 use graphstore::index::{AdjacencyIndex, ComponentIndex};
 use graphstore::{NodeId, PropertyGraph};
@@ -126,12 +128,17 @@ impl MalGraph {
                     if *r == Relation::Duplicated && carried.is_some() {
                         carried.take().expect("checked above")
                     } else {
-                        built.next().expect("one fresh index per remaining relation")
+                        built
+                            .next()
+                            .expect("one fresh index per remaining relation")
                     }
                 })
                 .collect();
             for index in &indexes {
-                obs::counter_add("analysis.indexed_components", index.components().len() as u64);
+                obs::counter_add(
+                    "analysis.indexed_components",
+                    index.components().len() as u64,
+                );
             }
             indexes
         });
@@ -289,7 +296,8 @@ impl MalGraph {
 
         // 4. Similar edges per ecosystem.
         let stage = obs::span!("build/similar");
-        let edges = self.emit_similar_edges(&dataset.packages, memos, &options.similarity, crash)?;
+        let edges =
+            self.emit_similar_edges(&dataset.packages, memos, &options.similarity, crash)?;
         obs::counter_add("build.edges_added{relation=similar}", edges);
         drop(stage);
         crash.fire("build/similar")?;
@@ -323,7 +331,8 @@ impl MalGraph {
                 _ => {
                     obs::counter_add("ingest.similarity_recomputed", 1);
                     let _span = obs::span!("build/similar/ecosystem={}", eco.display_name());
-                    let output = Arc::new(similar_pairs_cached(&entries, similarity, &mut memo.cache));
+                    let output =
+                        Arc::new(similar_pairs_cached(&entries, similarity, &mut memo.cache));
                     memo.entries_len = entries.len();
                     memo.output = Some(Arc::clone(&output));
                     // The publish boundary: the memo now holds an output
@@ -558,11 +567,7 @@ mod tests {
     fn every_package_has_exactly_one_primary_node() {
         let (_, dataset, graph) = built();
         assert_eq!(graph.package_count(), dataset.packages.len());
-        let primaries = graph
-            .graph
-            .nodes()
-            .filter(|(_, n)| n.primary)
-            .count();
+        let primaries = graph.graph.nodes().filter(|(_, n)| n.primary).count();
         assert_eq!(primaries, dataset.packages.len());
     }
 
@@ -601,7 +606,11 @@ mod tests {
         // Validate one edge against ground truth: the target of every
         // dependency edge is a dependency of the source.
         let mut checked = 0;
-        for edge in graph.graph.edges().filter(|e| e.label == Relation::Dependency) {
+        for edge in graph
+            .graph
+            .edges()
+            .filter(|e| e.label == Relation::Dependency)
+        {
             let from = graph.graph.node(edge.from);
             let to = graph.graph.node(edge.to);
             let truth = world
@@ -658,7 +667,11 @@ mod tests {
     fn coexisting_groups_come_from_reports() {
         let (_, dataset, graph) = built();
         let cg = graph.groups(Relation::Coexisting);
-        let multi_reports = dataset.reports.iter().filter(|r| r.packages.len() >= 2).count();
+        let multi_reports = dataset
+            .reports
+            .iter()
+            .filter(|r| r.packages.len() >= 2)
+            .count();
         assert!(!cg.is_empty());
         assert!(cg.len() <= multi_reports, "chained reports merge CGs");
     }
@@ -677,7 +690,10 @@ mod tests {
         // Duplicated graph must be non-trivial.
         let dg = graph.relation_stats(Relation::Duplicated);
         assert!(dg.nodes > 0);
-        assert!(dg.edges >= dg.nodes, "cliques have at least n edges (directed)");
+        assert!(
+            dg.edges >= dg.nodes,
+            "cliques have at least n edges (directed)"
+        );
     }
 
     #[test]

@@ -284,7 +284,9 @@ impl CheckpointStore {
     }
 
     fn journal_path(&self, window: usize) -> PathBuf {
-        self.dir.join("journal").join(format!("window-{window:06}.json"))
+        self.dir
+            .join("journal")
+            .join(format!("window-{window:06}.json"))
     }
 
     /// Reads the run stamp, if one has been written.
@@ -372,7 +374,11 @@ impl CheckpointStore {
         let mut found = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
-            if let Some(n) = entry.file_name().to_str().and_then(|n| numbered_file(n, "gen-")) {
+            if let Some(n) = entry
+                .file_name()
+                .to_str()
+                .and_then(|n| numbered_file(n, "gen-"))
+            {
                 found.push(n);
             }
         }
@@ -528,9 +534,9 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
         let mut pairs = Vec::new();
         if !encoded.is_empty() {
             for token in encoded.split(' ') {
-                let pair = token.split_once(',').and_then(|(a, b)| {
-                    Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?))
-                });
+                let pair = token
+                    .split_once(',')
+                    .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)));
                 match pair {
                     Some(p) => pairs.push(p),
                     None => return Err(bad("similarity.pairs")),
@@ -544,7 +550,10 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
             .ok_or_else(|| bad("similarity.trace"))?
         {
             let items = step.as_array().ok_or_else(|| bad("similarity.trace"))?;
-            match (items.first().and_then(|v| v.as_u64()), items.get(1).and_then(|v| v.as_u64())) {
+            match (
+                items.first().and_then(|v| v.as_u64()),
+                items.get(1).and_then(|v| v.as_u64()),
+            ) {
                 (Some(k), Some(bits)) if items.len() == 2 && bits <= u64::from(u32::MAX) => {
                     trace.push((k as usize, f32::from_bits(bits as u32)));
                 }
@@ -585,18 +594,25 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
 /// or holding a pair that is reflexive or names an entry past the end.
 /// That is a spliced or hand-edited snapshot; the recovery ladder
 /// treats it like any other corruption.
-pub fn restore(snapshot: Snapshot, options: &BuildOptions) -> Result<(MalGraph, IngestState), CheckpointError> {
+pub fn restore(
+    snapshot: Snapshot,
+    options: &BuildOptions,
+) -> Result<(MalGraph, IngestState), CheckpointError> {
     let _span = obs::span!("recover/restore");
     let mut state = IngestState::new();
     state.dataset = snapshot.dataset;
     state.windows = snapshot.windows_applied;
     let jobs = build::similarity_job_sizes(&state.dataset.packages);
-    let malformed = |what: String| CheckpointError::Malformed(format!("snapshot similarity {what}"));
+    let malformed =
+        |what: String| CheckpointError::Malformed(format!("snapshot similarity {what}"));
     // Consumed by-value so the corpus and the pair lists (hundreds of
     // megabytes at full scale) move instead of cloning.
     for (eco, entries_len, output) in snapshot.similarity {
         let Some(&(_, len)) = jobs.iter().find(|(job, _)| *job == eco) else {
-            return Err(malformed(format!("lists {}, which has no similarity job", eco.slug())));
+            return Err(malformed(format!(
+                "lists {}, which has no similarity job",
+                eco.slug()
+            )));
         };
         let memo = &mut state.eco[build::eco_slot(eco)];
         if memo.output.is_some() {
@@ -608,7 +624,11 @@ pub fn restore(snapshot: Snapshot, options: &BuildOptions) -> Result<(MalGraph, 
                 eco.slug()
             )));
         }
-        if let Some((a, b)) = output.pairs.iter().find(|&&(a, b)| a == b || a.max(b) >= len) {
+        if let Some((a, b)) = output
+            .pairs
+            .iter()
+            .find(|&&(a, b)| a == b || a.max(b) >= len)
+        {
             return Err(malformed(format!(
                 "for {} pairs {a} with {b} among {len} entries",
                 eco.slug()
@@ -617,7 +637,10 @@ pub fn restore(snapshot: Snapshot, options: &BuildOptions) -> Result<(MalGraph, 
         memo.entries_len = entries_len;
         memo.output = Some(Arc::new(output));
     }
-    if let Some((eco, _)) = jobs.iter().find(|(eco, _)| state.eco[build::eco_slot(*eco)].output.is_none()) {
+    if let Some((eco, _)) = jobs
+        .iter()
+        .find(|(eco, _)| state.eco[build::eco_slot(*eco)].output.is_none())
+    {
         return Err(malformed(format!("lacks an output for {}", eco.slug())));
     }
     let mut graph = MalGraph::empty();
@@ -670,7 +693,10 @@ pub fn recover(
     {
         let _stage = obs::span!("recover/checkpoint");
         for &windows in generations.iter().rev() {
-            match store.read_generation(windows).and_then(|s| restore(s, options)) {
+            match store
+                .read_generation(windows)
+                .and_then(|s| restore(s, options))
+            {
                 Ok(pair) => {
                     obs::counter_add("recovery.resumed{stage=checkpoint}", 1);
                     resumed = Some(pair);
@@ -768,20 +794,30 @@ pub fn run_checkpointed_ingest(
     checkpointing: &CheckpointOptions,
 ) -> Result<(MalGraph, IngestState), IngestRunError> {
     let _span = obs::span!("ingest/checkpointed");
-    crash.fire("collect/merge").map_err(IngestRunError::Crashed)?;
+    crash
+        .fire("collect/merge")
+        .map_err(IngestRunError::Crashed)?;
     let (mut graph, mut state) = recover(store, options).map_err(IngestRunError::Store)?;
     let every = checkpointing.every.max(1);
     let checkpoint = |state: &IngestState| -> Result<(), IngestRunError> {
-        crash.fire("checkpoint/write").map_err(IngestRunError::Crashed)?;
-        store.write_generation(state).map_err(IngestRunError::Store)?;
-        crash.fire("checkpoint/publish").map_err(IngestRunError::Crashed)?;
+        crash
+            .fire("checkpoint/write")
+            .map_err(IngestRunError::Crashed)?;
+        store
+            .write_generation(state)
+            .map_err(IngestRunError::Store)?;
+        crash
+            .fire("checkpoint/publish")
+            .map_err(IngestRunError::Crashed)?;
         store
             .prune_generations(checkpointing.keep.max(1))
             .map_err(IngestRunError::Store)
     };
     for delta in crawler::resume_windows(deltas, state.windows_applied()) {
         store.append_journal(delta).map_err(IngestRunError::Store)?;
-        crash.fire("ingest/journal").map_err(IngestRunError::Crashed)?;
+        crash
+            .fire("ingest/journal")
+            .map_err(IngestRunError::Crashed)?;
         graph
             .apply_delta_with(delta, options, &mut state, crash)
             .map_err(IngestRunError::Crashed)?;
@@ -827,7 +863,8 @@ mod tests {
     }
 
     fn temp_store(name: &str) -> CheckpointStore {
-        let dir = std::env::temp_dir().join(format!("malgraph-ckpt-{}-{}", name, std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("malgraph-ckpt-{}-{}", name, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointStore::open(&dir).unwrap()
     }
@@ -855,9 +892,14 @@ mod tests {
         let _gate = obs_gate().read().unwrap_or_else(|e| e.into_inner());
         let (deltas, options) = fixture();
         let store = temp_store("clean");
-        let (graph, state) =
-            run_checkpointed_ingest(&deltas, &options, &store, &CrashPlan::none(), &CheckpointOptions::default())
-                .unwrap();
+        let (graph, state) = run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &CrashPlan::none(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
         let oracle = build(&crawler::union_dataset(&deltas), &options);
         assert_eq!(graph_signature(&graph), graph_signature(&oracle));
         assert_eq!(state.windows_applied(), deltas.len());
@@ -875,9 +917,14 @@ mod tests {
         let _gate = obs_gate().read().unwrap_or_else(|e| e.into_inner());
         let (deltas, options) = fixture();
         let store = temp_store("roundtrip");
-        let (graph, state) =
-            run_checkpointed_ingest(&deltas, &options, &store, &CrashPlan::none(), &CheckpointOptions::default())
-                .unwrap();
+        let (graph, state) = run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &CrashPlan::none(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
         let snapshot = store.read_generation(deltas.len()).unwrap();
         assert_eq!(snapshot.windows_applied, deltas.len());
         assert_eq!(snapshot.dataset.packages, state.dataset().packages);
@@ -897,8 +944,10 @@ mod tests {
             assert_eq!(ea, eb);
             assert_eq!(oa.pairs, ob.pairs);
             assert_eq!(oa.chosen_k, ob.chosen_k);
-            let bits_a: Vec<(usize, u32)> = oa.trace.iter().map(|&(k, f)| (k, f.to_bits())).collect();
-            let bits_b: Vec<(usize, u32)> = ob.trace.iter().map(|&(k, f)| (k, f.to_bits())).collect();
+            let bits_a: Vec<(usize, u32)> =
+                oa.trace.iter().map(|&(k, f)| (k, f.to_bits())).collect();
+            let bits_b: Vec<(usize, u32)> =
+                ob.trace.iter().map(|&(k, f)| (k, f.to_bits())).collect();
             assert_eq!(bits_a, bits_b, "f32 traces must round-trip exactly");
         }
         let _ = std::fs::remove_dir_all(store.dir());
@@ -916,7 +965,10 @@ mod tests {
         assert_eq!(graph.graph.node_count(), 0);
         assert_eq!(state.windows_applied(), 0);
         assert!(
-            !snap.counters.iter().any(|(name, _)| name.starts_with("recovery.")),
+            !snap
+                .counters
+                .iter()
+                .any(|(name, _)| name.starts_with("recovery.")),
             "cold start must not count as recovery: {:?}",
             snap.counters
         );
@@ -928,9 +980,14 @@ mod tests {
         let _gate = obs_gate().read().unwrap_or_else(|e| e.into_inner());
         let (deltas, options) = fixture();
         let store = temp_store("bitflip");
-        let (graph, _) =
-            run_checkpointed_ingest(&deltas, &options, &store, &CrashPlan::none(), &CheckpointOptions::default())
-                .unwrap();
+        let (graph, _) = run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &CrashPlan::none(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
         // Flip one bit inside the body of the newest generation.
         let path = store.dir().join(format!("gen-{:06}.json", deltas.len()));
         let mut bytes = std::fs::read(&path).unwrap();
@@ -942,7 +999,11 @@ mod tests {
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
         let (recovered, state) = recover(&store, &options).unwrap();
-        assert_eq!(state.windows_applied(), deltas.len(), "journal replay catches up");
+        assert_eq!(
+            state.windows_applied(),
+            deltas.len(),
+            "journal replay catches up"
+        );
         assert_eq!(graph_signature(&recovered), graph_signature(&graph));
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -953,8 +1014,14 @@ mod tests {
         let (deltas, options) = fixture();
         let store = temp_store("protocol");
         let crash = CrashPlan::none();
-        run_checkpointed_ingest(&deltas, &options, &store, &crash, &CheckpointOptions::default())
-            .unwrap();
+        run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &crash,
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
         // An ecosystem's similarity is recomputed in each window that
         // grows its entry list (its available packages) to two or more.
         let mut recomputed = 0u32;
@@ -1014,7 +1081,10 @@ mod tests {
             reseal_with_first_pair(&store, deltas.len(), pair);
             let snapshot = store.read_generation(deltas.len()).unwrap();
             assert!(
-                matches!(restore(snapshot, &options), Err(CheckpointError::Malformed(_))),
+                matches!(
+                    restore(snapshot, &options),
+                    Err(CheckpointError::Malformed(_))
+                ),
                 "pair {pair} must be rejected"
             );
             obs::reset();
@@ -1023,14 +1093,21 @@ mod tests {
             let snap = obs::snapshot();
             obs::disable();
             let counter = |name: &str| {
-                snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+                snap.counters
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or(0, |(_, v)| *v)
             };
             assert_eq!(counter("recovery.discarded{stage=checkpoint}"), 1, "{pair}");
             assert_eq!(counter("recovery.fallbacks{stage=generation}"), 1, "{pair}");
             assert_eq!(counter("recovery.resumed{stage=checkpoint}"), 1, "{pair}");
             assert_eq!(counter("recovery.replayed{stage=journal}"), 1, "{pair}");
             assert_eq!(state.windows_applied(), deltas.len());
-            assert_eq!(graph_signature(&recovered), graph_signature(&graph), "{pair}");
+            assert_eq!(
+                graph_signature(&recovered),
+                graph_signature(&graph),
+                "{pair}"
+            );
             let _ = std::fs::remove_dir_all(store.dir());
         }
     }
@@ -1100,12 +1177,21 @@ mod tests {
         let _gate = obs_gate().read().unwrap_or_else(|e| e.into_inner());
         let (deltas, options) = fixture();
         let store = temp_store("listing");
-        run_checkpointed_ingest(&deltas, &options, &store, &CrashPlan::none(), &CheckpointOptions::default())
-            .unwrap();
+        run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &CrashPlan::none(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
         let mut twice = store.read_generation(deltas.len()).unwrap();
         let first = twice.similarity[0].clone();
         twice.similarity.push(first);
-        assert!(matches!(restore(twice, &options), Err(CheckpointError::Malformed(_))));
+        assert!(matches!(
+            restore(twice, &options),
+            Err(CheckpointError::Malformed(_))
+        ));
         // Leave the first listed ecosystem one available package: it
         // has no similarity job, yet the snapshot still lists it.
         let mut jobless = store.read_generation(deltas.len()).unwrap();
@@ -1119,7 +1205,10 @@ mod tests {
                 kept = true;
             }
         }
-        assert!(matches!(restore(jobless, &options), Err(CheckpointError::Malformed(_))));
+        assert!(matches!(
+            restore(jobless, &options),
+            Err(CheckpointError::Malformed(_))
+        ));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -269,7 +269,10 @@ mod tests {
         // caches match the oracle's.
         for relation in Relation::ALL {
             assert_eq!(graph.groups(relation), oracle.groups(relation));
-            assert_eq!(graph.relation_stats(relation), oracle.relation_stats(relation));
+            assert_eq!(
+                graph.relation_stats(relation),
+                oracle.relation_stats(relation)
+            );
         }
     }
 

@@ -307,7 +307,11 @@ fn embed_misses(
             continue;
         }
         let bucket = pending.entry(source_hash(code)).or_default();
-        match bucket.iter().copied().find(|&m| entries[misses[m]].1 == *code) {
+        match bucket
+            .iter()
+            .copied()
+            .find(|&m| entries[misses[m]].1 == *code)
+        {
             Some(m) => {
                 dup_of.push((i, m));
                 source_hits += 1;
@@ -380,7 +384,9 @@ fn run_schedule(points: &Points, config: &SimilarityConfig) -> (KMeansResult, Ve
     let mut trace = vec![(k, best.inertia)];
     let max_k = config.max_k.min(points.n());
     while k < max_k {
-        let next_k = (((k as f64) * config.growth) as usize).max(k + 1).min(max_k);
+        let next_k = (((k as f64) * config.growth) as usize)
+            .max(k + 1)
+            .min(max_k);
         let next = kmeans_warm_points(points, &best.centroids, next_k - k, &kconfig, &mut rng);
         trace.push((next_k, next.inertia));
         let improvement = if best.inertia <= f32::EPSILON {
@@ -408,7 +414,9 @@ fn lpt_buckets(clusters: &[Vec<usize>], threads: usize) -> Vec<Vec<usize>> {
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); threads];
     let mut loads: Vec<u64> = vec![0; threads];
     for c in order {
-        let w = (0..threads).min_by_key(|&w| loads[w]).expect("threads >= 1");
+        let w = (0..threads)
+            .min_by_key(|&w| loads[w])
+            .expect("threads >= 1");
         let size = clusters[c].len() as u64;
         loads[w] += size * size.saturating_sub(1) / 2;
         buckets[w].push(c);
@@ -620,7 +628,11 @@ pub fn similar_pairs_cached(
     let mut vid_of: Vec<u32> = Vec::with_capacity(entries.len());
     let mut failures = 0u64;
     for (i, (id, _)) in entries.iter().enumerate() {
-        match cache.embedded.get(id).expect("every entry was just memoised") {
+        match cache
+            .embedded
+            .get(id)
+            .expect("every entry was just memoised")
+        {
             Some(vid) => {
                 vectors.push(&cache.reps[*vid as usize]);
                 owners.push(i);
@@ -641,10 +653,7 @@ pub fn similar_pairs_cached(
     // One `Points` build per call: dense SoA matrix + CSR view + (lazy)
     // quantized companion, shared by every K-Means run of the schedule
     // and by the refinement screen.
-    let rows: Vec<(&[u32], &[f32])> = vectors
-        .iter()
-        .map(|v| (v.indices(), v.values()))
-        .collect();
+    let rows: Vec<(&[u32], &[f32])> = vectors.iter().map(|v| (v.indices(), v.values())).collect();
     let points = Points::from_sparse_rows(config.dim, &rows);
     let (best, trace) = run_schedule(&points, config);
     let clusters = best.clusters();
@@ -718,10 +727,8 @@ mod tests {
                 trace: Vec::new(),
             };
         }
-        let rows: Vec<(&[u32], &[f32])> = vectors
-            .iter()
-            .map(|v| (v.indices(), v.values()))
-            .collect();
+        let rows: Vec<(&[u32], &[f32])> =
+            vectors.iter().map(|v| (v.indices(), v.values())).collect();
         let points = Points::from_sparse_rows(config.dim, &rows);
         let (best, trace) = run_schedule(&points, config);
         let pairs = refine_pairs(&points, &best.clusters(), &owners, config);
@@ -782,8 +789,10 @@ mod tests {
     #[test]
     fn recovers_code_families() {
         let data = corpus(4, 8, 1);
-        let entries: Vec<(PackageId, &str)> =
-            data.iter().map(|(id, c)| (id.clone(), c.as_str())).collect();
+        let entries: Vec<(PackageId, &str)> = data
+            .iter()
+            .map(|(id, c)| (id.clone(), c.as_str()))
+            .collect();
         let out = similar_pairs(&entries, &SimilarityConfig::default());
         let comps = components(entries.len(), &out.pairs);
         // Family members must never be split across groups in a way that
@@ -814,7 +823,9 @@ mod tests {
         let out = similar_pairs(&entries, &SimilarityConfig::default());
         let broken_idx = entries.len() - 1;
         assert!(
-            out.pairs.iter().all(|&(a, b)| a != broken_idx && b != broken_idx),
+            out.pairs
+                .iter()
+                .all(|&(a, b)| a != broken_idx && b != broken_idx),
             "broken code must not join any group"
         );
     }
@@ -822,11 +833,15 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<(PackageId, &str)> = Vec::new();
-        assert!(similar_pairs(&empty, &SimilarityConfig::default()).pairs.is_empty());
+        assert!(similar_pairs(&empty, &SimilarityConfig::default())
+            .pairs
+            .is_empty());
         let one = corpus(1, 1, 3);
         let entries: Vec<(PackageId, &str)> =
             one.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
-        assert!(similar_pairs(&entries, &SimilarityConfig::default()).pairs.is_empty());
+        assert!(similar_pairs(&entries, &SimilarityConfig::default())
+            .pairs
+            .is_empty());
     }
 
     #[test]
@@ -874,10 +889,18 @@ mod tests {
     fn assert_outputs_identical(a: &SimilarityOutput, b: &SimilarityOutput, label: &str) {
         assert_eq!(a.pairs, b.pairs, "{label}: pairs diverged");
         assert_eq!(a.chosen_k, b.chosen_k, "{label}: chosen_k diverged");
-        assert_eq!(a.trace.len(), b.trace.len(), "{label}: trace length diverged");
+        assert_eq!(
+            a.trace.len(),
+            b.trace.len(),
+            "{label}: trace length diverged"
+        );
         for (x, y) in a.trace.iter().zip(&b.trace) {
             assert_eq!(x.0, y.0, "{label}: trace k diverged");
-            assert_eq!(x.1.to_bits(), y.1.to_bits(), "{label}: trace inertia bits diverged");
+            assert_eq!(
+                x.1.to_bits(),
+                y.1.to_bits(),
+                "{label}: trace inertia bits diverged"
+            );
         }
     }
 
@@ -893,11 +916,18 @@ mod tests {
         for config in configs() {
             let label = format!("{:?}/{}t", config.kernel, config.threads);
             let expected = reference(&entries, &config);
-            assert!(!expected.pairs.is_empty(), "{label}: corpus must yield pairs");
+            assert!(
+                !expected.pairs.is_empty(),
+                "{label}: corpus must yield pairs"
+            );
             let mut cache = SimilarityCache::new();
             let cold = similar_pairs_cached(&entries, &config, &mut cache);
             assert_outputs_identical(&expected, &cold, &format!("{label} cold"));
-            assert_eq!(cache.len(), entries.len(), "{label}: memo must cover all entries");
+            assert_eq!(
+                cache.len(),
+                entries.len(),
+                "{label}: memo must cover all entries"
+            );
             let warm = similar_pairs_cached(&entries, &config, &mut cache);
             assert_outputs_identical(&expected, &warm, &format!("{label} warm"));
         }

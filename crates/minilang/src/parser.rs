@@ -714,7 +714,11 @@ mod tests {
         let m = parse("x = a + b * c\n").unwrap();
         match &m.body[0] {
             Stmt::Assign { value, .. } => match value {
-                Expr::Binary { op: BinOp::Add, rhs, .. } => {
+                Expr::Binary {
+                    op: BinOp::Add,
+                    rhs,
+                    ..
+                } => {
                     assert!(matches!(rhs.as_ref(), Expr::Binary { op: BinOp::Mul, .. }));
                 }
                 other => panic!("unexpected {other:?}"),
@@ -728,7 +732,11 @@ mod tests {
         let m = parse("x = a ** b ** c\n").unwrap();
         match &m.body[0] {
             Stmt::Assign { value, .. } => match value {
-                Expr::Binary { op: BinOp::Pow, rhs, .. } => {
+                Expr::Binary {
+                    op: BinOp::Pow,
+                    rhs,
+                    ..
+                } => {
                     assert!(matches!(rhs.as_ref(), Expr::Binary { op: BinOp::Pow, .. }));
                 }
                 other => panic!("unexpected {other:?}"),
@@ -778,7 +786,10 @@ mod tests {
     fn list_and_dict_literals() {
         let m = parse("cfg = {'hosts': [1, 2], 'on': True, 'x': None}\n").unwrap();
         match &m.body[0] {
-            Stmt::Assign { value: Expr::Dict(pairs), .. } => assert_eq!(pairs.len(), 3),
+            Stmt::Assign {
+                value: Expr::Dict(pairs),
+                ..
+            } => assert_eq!(pairs.len(), 3),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -855,7 +866,11 @@ mod tests {
 
     #[test]
     fn the_deepest_accepted_source_parses_on_a_small_stack() {
-        let src = format!("x = {}1{}\n", "(".repeat(MAX_NESTING - 1), ")".repeat(MAX_NESTING - 1));
+        let src = format!(
+            "x = {}1{}\n",
+            "(".repeat(MAX_NESTING - 1),
+            ")".repeat(MAX_NESTING - 1)
+        );
         let parsed = std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(move || parse(&src).is_ok())

@@ -41,10 +41,7 @@ pub fn print_module(module: &Module) -> String {
 
 /// Renders a module and returns its lines, the unit of [`crate::diff`].
 pub fn print_lines(module: &Module) -> Vec<String> {
-    print_module(module)
-        .lines()
-        .map(str::to_owned)
-        .collect()
+    print_module(module).lines().map(str::to_owned).collect()
 }
 
 fn print_stmt(stmt: &Stmt, depth: usize, out: &mut String) {

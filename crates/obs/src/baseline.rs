@@ -85,7 +85,11 @@ pub struct Thresholds {
 
 impl Default for Thresholds {
     fn default() -> Self {
-        Thresholds { rel: 0.10, floor_us: 500.0, floor_count: 512.0 }
+        Thresholds {
+            rel: 0.10,
+            floor_us: 500.0,
+            floor_count: 512.0,
+        }
     }
 }
 
@@ -180,8 +184,13 @@ impl DiffReport {
             self.thresholds.floor_us,
             self.thresholds.floor_count
         );
-        let width =
-            self.entries.iter().map(|e| e.name.len()).max().unwrap_or(6).clamp(6, 72);
+        let width = self
+            .entries
+            .iter()
+            .map(|e| e.name.len())
+            .max()
+            .unwrap_or(6)
+            .clamp(6, 72);
         for entry in &self.entries {
             if !verbose && entry.verdict == Verdict::Ok {
                 continue;
@@ -207,7 +216,11 @@ impl DiffReport {
             );
         }
         let (reg, imp, add, rem) = self.tally();
-        let compared = self.entries.iter().filter(|e| e.base.is_some() && e.new.is_some()).count();
+        let compared = self
+            .entries
+            .iter()
+            .filter(|e| e.base.is_some() && e.new.is_some())
+            .count();
         let _ = writeln!(
             out,
             "{}: {compared} compared, {reg} regressed, {imp} improved, {add} added, {rem} removed",
@@ -224,9 +237,13 @@ fn classify_bench_field(name: &str) -> MetricKind {
     if leaf.ends_with("_us") {
         MetricKind::Time { us_per_unit: 1.0 }
     } else if leaf.ends_with("_ms") {
-        MetricKind::Time { us_per_unit: 1_000.0 }
+        MetricKind::Time {
+            us_per_unit: 1_000.0,
+        }
     } else if leaf.ends_with("_s") || leaf.ends_with("_sec") || leaf.ends_with("_secs") {
-        MetricKind::Time { us_per_unit: 1_000_000.0 }
+        MetricKind::Time {
+            us_per_unit: 1_000_000.0,
+        }
     } else {
         MetricKind::Info
     }
@@ -236,8 +253,11 @@ fn flatten_bench(prefix: &str, value: &Value, out: &mut Vec<(String, Metric)>) {
     match value {
         Value::Object(members) => {
             for (key, child) in members {
-                let path =
-                    if prefix.is_empty() { key.clone() } else { format!("{prefix}.{key}") };
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
                 flatten_bench(&path, child, out);
             }
         }
@@ -248,7 +268,13 @@ fn flatten_bench(prefix: &str, value: &Value, out: &mut Vec<(String, Metric)>) {
         }
         _ => {
             if let Some(v) = value.as_f64() {
-                out.push((prefix.to_string(), Metric { value: v, kind: classify_bench_field(prefix) }));
+                out.push((
+                    prefix.to_string(),
+                    Metric {
+                        value: v,
+                        kind: classify_bench_field(prefix),
+                    },
+                ));
             }
         }
     }
@@ -280,13 +306,15 @@ impl PerfProfile {
         };
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries.dedup_by(|a, b| a.0 == b.0);
-        Ok(PerfProfile { label: label.to_string(), entries })
+        Ok(PerfProfile {
+            label: label.to_string(),
+            entries,
+        })
     }
 
     /// Load a profile from disk; the path becomes the label.
     pub fn from_file(path: &std::path::Path) -> Result<PerfProfile, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_json_str(&path.display().to_string(), &text)
     }
 
@@ -295,23 +323,37 @@ impl PerfProfile {
         if let Some(counters) = root.get("counters").and_then(Value::as_object) {
             for (name, value) in counters {
                 if let Some(v) = value.as_f64() {
-                    entries.push((format!("counter/{name}"), Metric { value: v, kind: MetricKind::Count }));
+                    entries.push((
+                        format!("counter/{name}"),
+                        Metric {
+                            value: v,
+                            kind: MetricKind::Count,
+                        },
+                    ));
                 }
             }
         }
         if let Some(gauges) = root.get("gauges").and_then(Value::as_object) {
             for (name, value) in gauges {
                 if let Some(v) = value.as_f64() {
-                    entries.push((format!("gauge/{name}"), Metric { value: v, kind: MetricKind::Info }));
+                    entries.push((
+                        format!("gauge/{name}"),
+                        Metric {
+                            value: v,
+                            kind: MetricKind::Info,
+                        },
+                    ));
                 }
             }
         }
         if let Some(spans) = root.get("spans").and_then(Value::as_object) {
             let us = MetricKind::Time { us_per_unit: 1.0 };
             for (name, span) in spans {
-                for (field, kind) in
-                    [("total_us", us), ("self_us", us), ("alloc_bytes", MetricKind::Count)]
-                {
+                for (field, kind) in [
+                    ("total_us", us),
+                    ("self_us", us),
+                    ("alloc_bytes", MetricKind::Count),
+                ] {
                     if let Some(v) = span.get(field).and_then(Value::as_f64) {
                         entries.push((format!("span/{name}/{field}"), Metric { value: v, kind }));
                     }
@@ -408,24 +450,45 @@ mod tests {
     fn profile(label: &str, entries: &[(&str, f64, MetricKind)]) -> PerfProfile {
         let mut entries: Vec<(String, Metric)> = entries
             .iter()
-            .map(|(n, v, k)| (n.to_string(), Metric { value: *v, kind: *k }))
+            .map(|(n, v, k)| {
+                (
+                    n.to_string(),
+                    Metric {
+                        value: *v,
+                        kind: *k,
+                    },
+                )
+            })
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        PerfProfile { label: label.to_string(), entries }
+        PerfProfile {
+            label: label.to_string(),
+            entries,
+        }
     }
 
     fn one_verdict(base_v: f64, new_v: f64, kind: MetricKind, th: &Thresholds) -> Verdict {
-        let report =
-            diff(&profile("b", &[("m", base_v, kind)]), &profile("n", &[("m", new_v, kind)]), th);
+        let report = diff(
+            &profile("b", &[("m", base_v, kind)]),
+            &profile("n", &[("m", new_v, kind)]),
+            th,
+        );
         report.entries[0].verdict
     }
 
     #[test]
     fn growth_past_both_thresholds_regresses() {
         let th = Thresholds::default();
-        assert_eq!(one_verdict(100_000.0, 115_000.0, US, &th), Verdict::Regressed);
+        assert_eq!(
+            one_verdict(100_000.0, 115_000.0, US, &th),
+            Verdict::Regressed
+        );
         assert_eq!(one_verdict(100_000.0, 89_000.0, US, &th), Verdict::Improved);
-        assert_eq!(one_verdict(100_000.0, 105_000.0, US, &th), Verdict::Ok, "within rel");
+        assert_eq!(
+            one_verdict(100_000.0, 105_000.0, US, &th),
+            Verdict::Ok,
+            "within rel"
+        );
     }
 
     #[test]
@@ -434,11 +497,21 @@ mod tests {
         // +10.0% exactly: strict `>` must not fire.
         assert_eq!(one_verdict(100_000.0, 110_000.0, US, &th), Verdict::Ok);
         // One µs past the relative bound does fire (floor long cleared).
-        assert_eq!(one_verdict(100_000.0, 110_001.0, US, &th), Verdict::Regressed);
+        assert_eq!(
+            one_verdict(100_000.0, 110_001.0, US, &th),
+            Verdict::Regressed
+        );
         // Delta exactly equal to the floor must not fire either.
-        let th_tight = Thresholds { rel: 0.0, floor_us: 500.0, floor_count: 0.0 };
+        let th_tight = Thresholds {
+            rel: 0.0,
+            floor_us: 500.0,
+            floor_count: 0.0,
+        };
         assert_eq!(one_verdict(1_000.0, 1_500.0, US, &th_tight), Verdict::Ok);
-        assert_eq!(one_verdict(1_000.0, 1_501.0, US, &th_tight), Verdict::Regressed);
+        assert_eq!(
+            one_verdict(1_000.0, 1_501.0, US, &th_tight),
+            Verdict::Regressed
+        );
     }
 
     #[test]
@@ -457,12 +530,21 @@ mod tests {
         let new = profile("n", &[("brand_new", 9e9, US), ("old", 10.0, US)]);
         let report = diff(&base, &new, &th);
         assert!(!report.has_regressions());
-        let entry = report.entries.iter().find(|e| e.name == "brand_new").unwrap();
+        let entry = report
+            .entries
+            .iter()
+            .find(|e| e.name == "brand_new")
+            .unwrap();
         assert_eq!(entry.verdict, Verdict::Added);
         assert_eq!(entry.base, None);
         let reverse = diff(&new, &base, &th);
         assert_eq!(
-            reverse.entries.iter().find(|e| e.name == "brand_new").unwrap().verdict,
+            reverse
+                .entries
+                .iter()
+                .find(|e| e.name == "brand_new")
+                .unwrap()
+                .verdict,
             Verdict::Removed
         );
     }
@@ -477,8 +559,15 @@ mod tests {
     fn count_metrics_use_the_count_floor() {
         let th = Thresholds::default();
         let count = MetricKind::Count;
-        assert_eq!(one_verdict(100.0, 200.0, count, &th), Verdict::Ok, "under floor_count");
-        assert_eq!(one_verdict(10_000.0, 12_000.0, count, &th), Verdict::Regressed);
+        assert_eq!(
+            one_verdict(100.0, 200.0, count, &th),
+            Verdict::Ok,
+            "under floor_count"
+        );
+        assert_eq!(
+            one_verdict(10_000.0, 12_000.0, count, &th),
+            Verdict::Regressed
+        );
     }
 
     #[test]
@@ -501,17 +590,34 @@ mod tests {
         }"#;
         let p = PerfProfile::from_json_str("BENCH_X.json", text).unwrap();
         let kind = |name: &str| {
-            p.entries.iter().find(|(n, _)| n == name).map(|(_, m)| m.kind).unwrap()
+            p.entries
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, m)| m.kind)
+                .unwrap()
         };
-        assert_eq!(kind("full_build_ms"), MetricKind::Time { us_per_unit: 1_000.0 });
-        assert_eq!(kind("results[0].elapsed_us"), MetricKind::Time { us_per_unit: 1.0 });
+        assert_eq!(
+            kind("full_build_ms"),
+            MetricKind::Time {
+                us_per_unit: 1_000.0
+            }
+        );
+        assert_eq!(
+            kind("results[0].elapsed_us"),
+            MetricKind::Time { us_per_unit: 1.0 }
+        );
         assert_eq!(
             kind("results[0].wall_s"),
-            MetricKind::Time { us_per_unit: 1_000_000.0 }
+            MetricKind::Time {
+                us_per_unit: 1_000_000.0
+            }
         );
         assert_eq!(kind("config.n"), MetricKind::Info);
         assert_eq!(kind("config.speedup_vs_dense"), MetricKind::Info);
-        assert!(p.entries.iter().all(|(n, _)| n != "bench"), "strings are skipped");
+        assert!(
+            p.entries.iter().all(|(n, _)| n != "bench"),
+            "strings are skipped"
+        );
         let names: Vec<&str> = p.entries.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -539,14 +645,26 @@ mod tests {
         let p1 = PerfProfile::from_json_str("v1", v1).unwrap();
         let p2 = PerfProfile::from_json_str("v2", v2).unwrap();
         let get = |p: &PerfProfile, name: &str| {
-            p.entries.iter().find(|(n, _)| n == name).map(|(_, m)| m.clone())
+            p.entries
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, m)| m.clone())
         };
-        assert_eq!(get(&p1, "counter/build.nodes").unwrap().kind, MetricKind::Count);
+        assert_eq!(
+            get(&p1, "counter/build.nodes").unwrap().kind,
+            MetricKind::Count
+        );
         assert_eq!(get(&p1, "span/build/parse/total_us").unwrap().value, 900.0);
-        assert!(get(&p1, "span/build/parse/self_us").is_none(), "v1 has no self time");
+        assert!(
+            get(&p1, "span/build/parse/self_us").is_none(),
+            "v1 has no self time"
+        );
         assert_eq!(get(&p1, "gauge/load").unwrap().kind, MetricKind::Info);
         assert_eq!(get(&p2, "span/build/parse/self_us").unwrap().value, 400.0);
-        assert_eq!(get(&p2, "span/build/parse/alloc_bytes").unwrap().kind, MetricKind::Count);
+        assert_eq!(
+            get(&p2, "span/build/parse/alloc_bytes").unwrap().kind,
+            MetricKind::Count
+        );
         // Diffing v1 against v2 treats the new self/alloc fields as added.
         let report = diff(&p1, &p2, &Thresholds::default());
         assert!(!report.has_regressions());
@@ -569,7 +687,9 @@ mod tests {
         assert!(rendered.contains("full_build_ms"));
         assert!(rendered.contains("REGRESSED"));
         assert!(rendered.starts_with("perf diff: base -> slow"));
-        assert!(rendered.trim_end().ends_with("1 regressed, 0 improved, 0 added, 0 removed"));
+        assert!(rendered
+            .trim_end()
+            .ends_with("1 regressed, 0 improved, 0 added, 0 removed"));
         assert!(rendered.contains("FAIL"));
     }
 }

@@ -23,7 +23,9 @@ pub struct RealClock {
 impl RealClock {
     /// A clock whose epoch is "now".
     pub fn new() -> RealClock {
-        RealClock { epoch: Instant::now() }
+        RealClock {
+            epoch: Instant::now(),
+        }
     }
 }
 
@@ -47,7 +49,9 @@ pub struct FakeClock {
 impl FakeClock {
     /// A fake clock starting at zero microseconds.
     pub fn new() -> FakeClock {
-        FakeClock { now: AtomicU64::new(0) }
+        FakeClock {
+            now: AtomicU64::new(0),
+        }
     }
 
     /// Jump the clock to an absolute microsecond value.

@@ -193,7 +193,12 @@ impl Snapshot {
         out.push_str("},\n  \"gauges\": {");
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{}\": {}", escape_json(name), fmt_f64(*value));
+            let _ = write!(
+                out,
+                "{sep}    \"{}\": {}",
+                escape_json(name),
+                fmt_f64(*value)
+            );
         }
         if !self.gauges.is_empty() {
             out.push_str("\n  ");
@@ -201,8 +206,12 @@ impl Snapshot {
         out.push_str("},\n  \"histograms\": {");
         for (i, hist) in self.histograms.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let buckets =
-                hist.buckets.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+            let buckets = hist
+                .buckets
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(", ");
             let _ = write!(
                 out,
                 "{sep}    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{buckets}]}}",
@@ -233,7 +242,11 @@ impl Snapshot {
         if !self.spans.is_empty() {
             out.push_str("\n  ");
         }
-        let _ = write!(out, "}},\n  \"events_dropped\": {}\n}}\n", self.events_dropped);
+        let _ = write!(
+            out,
+            "}},\n  \"events_dropped\": {}\n}}\n",
+            self.events_dropped
+        );
         out
     }
 
@@ -283,13 +296,23 @@ impl Snapshot {
         }
         for hist in &self.histograms {
             let (family, labels) = prometheus_parts(&hist.name);
-            let inner = labels.strip_prefix('{').and_then(|s| s.strip_suffix('}')).unwrap_or("");
-            let prefix = if inner.is_empty() { String::new() } else { format!("{inner},") };
+            let inner = labels
+                .strip_prefix('{')
+                .and_then(|s| s.strip_suffix('}'))
+                .unwrap_or("");
+            let prefix = if inner.is_empty() {
+                String::new()
+            } else {
+                format!("{inner},")
+            };
             let _ = writeln!(out, "# TYPE {family} histogram");
             let mut cumulative = 0;
             for (bound, count) in BUCKET_BOUNDS.iter().zip(hist.buckets.iter()) {
                 cumulative += count;
-                let _ = writeln!(out, "{family}_bucket{{{prefix}le=\"{bound}\"}} {cumulative}");
+                let _ = writeln!(
+                    out,
+                    "{family}_bucket{{{prefix}le=\"{bound}\"}} {cumulative}"
+                );
             }
             let _ = writeln!(out, "{family}_bucket{{{prefix}le=\"+Inf\"}} {}", hist.count);
             let _ = writeln!(out, "{family}_sum{labels} {}", hist.sum);

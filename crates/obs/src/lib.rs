@@ -68,9 +68,9 @@ pub use clock::{Clock, FakeClock, RealClock};
 pub use export::{FoldedFrame, HistogramSnapshot, Snapshot, SpanAggregate, SpanEvent};
 pub use log::{log_at, log_enabled, log_level, set_log_level, Level};
 pub use registry::{
-    counter_add, current_context, detached, disable, enable, enable_with_clock, enabled,
-    gauge_set, histogram_record, now_micros, reset, snapshot, span_total_micros, ContextGuard,
-    Span, SpanContext, BUCKET_BOUNDS,
+    counter_add, current_context, detached, disable, enable, enable_with_clock, enabled, gauge_set,
+    histogram_record, now_micros, reset, snapshot, span_total_micros, ContextGuard, Span,
+    SpanContext, BUCKET_BOUNDS,
 };
 
 #[cfg(test)]
@@ -86,7 +86,9 @@ mod tests {
     /// The registry is global; tests that enable/reset it serialize here.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
+        LOCK.get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -163,7 +165,11 @@ mod tests {
         };
         let single = run(1);
         for threads in [2, 3, 8] {
-            assert_eq!(run(threads), single, "{threads} threads must merge identically");
+            assert_eq!(
+                run(threads),
+                single,
+                "{threads} threads must merge identically"
+            );
         }
     }
 
@@ -187,7 +193,11 @@ mod tests {
         assert_eq!(total, 45);
         assert_eq!(snap.spans.len(), 2);
         assert_eq!(snap.events.len(), 2);
-        let inner_event = snap.events.iter().find(|e| e.name == "stage/inner").unwrap();
+        let inner_event = snap
+            .events
+            .iter()
+            .find(|e| e.name == "stage/inner")
+            .unwrap();
         assert_eq!((inner_event.start_us, inner_event.dur_us), (60, 30));
         let outer_agg = snap.spans.iter().find(|s| s.name == "stage/outer").unwrap();
         assert_eq!((outer_agg.count, outer_agg.total_us), (1, 45));
@@ -269,7 +279,10 @@ mod tests {
         let inline = run(false);
         let threaded = run(true);
         assert_eq!(inline.0, "root 10\nroot;child 7\n");
-        assert_eq!(inline, threaded, "worker spans must fold under the captured parent");
+        assert_eq!(
+            inline, threaded,
+            "worker spans must fold under the captured parent"
+        );
     }
 
     #[test]
@@ -315,10 +328,16 @@ mod tests {
         alloc::disable_tracking();
         let snap = snapshot();
         disable();
-        assert!(b1 - b0 >= 1 << 16, "thread totals must see the 64 KiB block");
+        assert!(
+            b1 - b0 >= 1 << 16,
+            "thread totals must see the 64 KiB block"
+        );
         assert!(a1 > a0);
         let agg = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap();
-        assert!(agg("mem/inner").alloc_bytes >= 1 << 16, "inner owns the block");
+        assert!(
+            agg("mem/inner").alloc_bytes >= 1 << 16,
+            "inner owns the block"
+        );
         assert!(agg("mem/inner").allocs >= 1);
         assert!(
             agg("mem/outer").alloc_bytes < 1 << 16,
@@ -357,7 +376,11 @@ mod tests {
                         std::hint::black_box(vec![0u8; 64]);
                     }
                     let snap = snapshot();
-                    snap.spans.iter().filter(|s| s.name.starts_with("hist/")).map(|s| s.allocs).sum()
+                    snap.spans
+                        .iter()
+                        .filter(|s| s.name.starts_with("hist/"))
+                        .map(|s| s.allocs)
+                        .sum()
                 })
                 .collect()
         })
@@ -365,7 +388,10 @@ mod tests {
         .unwrap();
         alloc::disable_tracking();
         disable();
-        assert_eq!(passes[0], passes[1], "allocation calls of two identical passes");
+        assert_eq!(
+            passes[0], passes[1],
+            "allocation calls of two identical passes"
+        );
     }
 
     #[test]

@@ -71,7 +71,9 @@ impl FromStr for Level {
             "info" => Ok(Level::Info),
             "debug" => Ok(Level::Debug),
             "trace" => Ok(Level::Trace),
-            other => Err(format!("unknown log level `{other}` (use off|error|warn|info|debug|trace)")),
+            other => Err(format!(
+                "unknown log level `{other}` (use off|error|warn|info|debug|trace)"
+            )),
         }
     }
 }
@@ -95,7 +97,12 @@ pub fn log_enabled(level: Level) -> bool {
 /// Emit a formatted line to stderr with an elapsed-time/level prefix.
 /// Callers go through the level macros, which check [`log_enabled`] first.
 pub fn log_at(level: Level, args: fmt::Arguments<'_>) {
-    eprintln!("[{:>10.3}ms {:>5}] {}", crate::now_micros() as f64 / 1000.0, level.label(), args);
+    eprintln!(
+        "[{:>10.3}ms {:>5}] {}",
+        crate::now_micros() as f64 / 1000.0,
+        level.label(),
+        args
+    );
 }
 
 /// Log at [`Level::Error`].

@@ -178,7 +178,10 @@ struct GlobalState {
 fn global() -> &'static Mutex<GlobalState> {
     static GLOBAL: OnceLock<Mutex<GlobalState>> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        Mutex::new(GlobalState { agg: Aggregates::default(), gauges: HashMap::new() })
+        Mutex::new(GlobalState {
+            agg: Aggregates::default(),
+            gauges: HashMap::new(),
+        })
     })
 }
 
@@ -238,8 +241,8 @@ thread_local! {
 /// dropped during thread exit).
 fn with_shard(f: impl FnOnce(&mut Aggregates, u64)) {
     let mut f = Some(f);
-    let done =
-        SHARD.try_with(|handle| (f.take().unwrap())(&mut handle.shard.lock().unwrap(), handle.ordinal));
+    let done = SHARD
+        .try_with(|handle| (f.take().unwrap())(&mut handle.shard.lock().unwrap(), handle.ordinal));
     if done.is_err() {
         let mut tmp = Aggregates::default();
         (f.take().unwrap())(&mut tmp, 0);
@@ -324,7 +327,11 @@ pub fn gauge_set(name: &str, value: f64) {
     if !enabled() {
         return;
     }
-    global().lock().unwrap().gauges.insert(name.to_string(), value);
+    global()
+        .lock()
+        .unwrap()
+        .gauges
+        .insert(name.to_string(), value);
 }
 
 /// Record one observation in the named fixed-bucket histogram
@@ -435,7 +442,9 @@ impl SpanContext {
                 });
             })
             .is_ok();
-        ContextGuard { token: if pushed { token } else { 0 } }
+        ContextGuard {
+            token: if pushed { token } else { 0 },
+        }
     }
 }
 
@@ -452,10 +461,16 @@ pub fn detached() -> ContextGuard {
     let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
     let pushed = STACK
         .try_with(|stack| {
-            stack.borrow_mut().push(StackFrame { token, path: None, accum: Arc::default() });
+            stack.borrow_mut().push(StackFrame {
+                token,
+                path: None,
+                accum: Arc::default(),
+            });
         })
         .is_ok();
-    ContextGuard { token: if pushed { token } else { 0 } }
+    ContextGuard {
+        token: if pushed { token } else { 0 },
+    }
 }
 
 /// Stack guard returned by [`SpanContext::attach`] and [`detached`];
@@ -593,7 +608,12 @@ impl Span {
             folded.alloc_bytes += self_bytes;
             folded.allocs += self_allocs;
             if agg.events.len() < MAX_EVENTS {
-                agg.events.push(SpanEvent { name, thread: ordinal, start_us, dur_us });
+                agg.events.push(SpanEvent {
+                    name,
+                    thread: ordinal,
+                    start_us,
+                    dur_us,
+                });
             } else {
                 agg.events_dropped += 1;
             }
@@ -613,7 +633,14 @@ impl Drop for Span {
 /// attribute nested time, e.g. the similarity share of a build.
 pub fn span_total_micros(name: &str) -> u64 {
     sweep_shards();
-    global().lock().unwrap().agg.spans.get(name).map(|stat| stat.total_us).unwrap_or(0)
+    global()
+        .lock()
+        .unwrap()
+        .agg
+        .spans
+        .get(name)
+        .map(|stat| stat.total_us)
+        .unwrap_or(0)
 }
 
 /// A consistent copy of everything recorded so far, with deterministic
@@ -621,8 +648,12 @@ pub fn span_total_micros(name: &str) -> u64 {
 pub fn snapshot() -> Snapshot {
     sweep_shards();
     let state = global().lock().unwrap();
-    let mut counters: Vec<(String, u64)> =
-        state.agg.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    let mut counters: Vec<(String, u64)> = state
+        .agg
+        .counters
+        .iter()
+        .map(|(k, v)| (k.clone(), *v))
+        .collect();
     counters.sort();
     let mut gauges: Vec<(String, f64)> =
         state.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect();

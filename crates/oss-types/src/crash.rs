@@ -87,11 +87,15 @@ impl CrashPlan {
     pub fn parse(spec: &str) -> Result<CrashPlan, ParseError> {
         let (point, occurrence) = match spec.rsplit_once(':') {
             Some((point, n)) => {
-                let n: u32 = n
-                    .parse()
-                    .map_err(|_| ParseError::new("crash point", spec, "occurrence is not a number"))?;
+                let n: u32 = n.parse().map_err(|_| {
+                    ParseError::new("crash point", spec, "occurrence is not a number")
+                })?;
                 if n == 0 {
-                    return Err(ParseError::new("crash point", spec, "occurrence must be >= 1"));
+                    return Err(ParseError::new(
+                        "crash point",
+                        spec,
+                        "occurrence must be >= 1",
+                    ));
                 }
                 (point, n)
             }
@@ -204,7 +208,10 @@ mod tests {
     fn armed_plan_fires_exactly_once_at_its_occurrence() {
         let plan = CrashPlan::at("ingest/apply", 3);
         assert!(plan.fire("ingest/apply").is_ok());
-        assert!(plan.fire("build/nodes").is_ok(), "other points pass through");
+        assert!(
+            plan.fire("build/nodes").is_ok(),
+            "other points pass through"
+        );
         assert!(plan.fire("ingest/apply").is_ok());
         let signal = plan.fire("ingest/apply").unwrap_err();
         assert_eq!(signal.point, "ingest/apply");
@@ -215,8 +222,14 @@ mod tests {
 
     #[test]
     fn parse_accepts_point_and_point_n() {
-        assert_eq!(CrashPlan::parse("build/similar").unwrap().armed(), Some(("build/similar", 1)));
-        assert_eq!(CrashPlan::parse("ingest/apply:4").unwrap().armed(), Some(("ingest/apply", 4)));
+        assert_eq!(
+            CrashPlan::parse("build/similar").unwrap().armed(),
+            Some(("build/similar", 1))
+        );
+        assert_eq!(
+            CrashPlan::parse("ingest/apply:4").unwrap().armed(),
+            Some(("ingest/apply", 4))
+        );
         assert!(CrashPlan::parse("").is_err());
         assert!(CrashPlan::parse(":2").is_err());
         assert!(CrashPlan::parse("p:0").is_err());

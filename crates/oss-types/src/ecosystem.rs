@@ -106,10 +106,7 @@ impl Ecosystem {
     /// Whether this ecosystem has mirror registries in the study
     /// (5 NPM + 12 PyPI + 6 RubyGems mirrors; paper §II-C).
     pub fn has_mirrors(self) -> bool {
-        matches!(
-            self,
-            Ecosystem::Npm | Ecosystem::PyPI | Ecosystem::RubyGems
-        )
+        matches!(self, Ecosystem::Npm | Ecosystem::PyPI | Ecosystem::RubyGems)
     }
 
     /// Number of mirror registries the paper searched for this ecosystem.

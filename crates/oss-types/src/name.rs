@@ -43,7 +43,11 @@ impl PackageName {
             return Err(ParseError::new("package name", name, "empty"));
         }
         if name.len() > MAX_NAME_LEN {
-            return Err(ParseError::new("package name", name, "longer than 214 bytes"));
+            return Err(ParseError::new(
+                "package name",
+                name,
+                "longer than 214 bytes",
+            ));
         }
         let first = name.as_bytes()[0];
         if !first.is_ascii_lowercase() && !first.is_ascii_digit() {
@@ -53,10 +57,9 @@ impl PackageName {
                 "must start with a lowercase letter or digit",
             ));
         }
-        if !name
-            .bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'-' | b'_' | b'.'))
-        {
+        if !name.bytes().all(|b| {
+            b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'-' | b'_' | b'.')
+        }) {
             return Err(ParseError::new(
                 "package name",
                 name,
@@ -247,7 +250,10 @@ mod tests {
 
     #[test]
     fn levenshtein_is_symmetric() {
-        assert_eq!(levenshtein("pylibsql", "pylibfont"), levenshtein("pylibfont", "pylibsql"));
+        assert_eq!(
+            levenshtein("pylibsql", "pylibfont"),
+            levenshtein("pylibfont", "pylibsql")
+        );
     }
 
     #[test]
@@ -257,7 +263,10 @@ mod tests {
         let far: PackageName = "numpy".parse().unwrap();
         assert!(squat.is_typosquat_of(&legit));
         assert!(!far.is_typosquat_of(&legit));
-        assert!(!legit.is_typosquat_of(&legit), "identical name is not a squat");
+        assert!(
+            !legit.is_typosquat_of(&legit),
+            "identical name is not a squat"
+        );
     }
 
     #[test]

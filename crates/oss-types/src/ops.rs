@@ -75,9 +75,7 @@ impl fmt::Display for ChangeOp {
 /// assert_eq!(ops.len(), 2);
 /// assert_eq!(ops.to_string(), "(CN, CC)");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpSet(u8);
 
 impl OpSet {
@@ -125,7 +123,9 @@ impl OpSet {
             ChangeOp::ChangeCode,
             ChangeOp::ChangeVersion,
         ];
-        TABLE8_ORDER.into_iter().filter(move |op| self.contains(*op))
+        TABLE8_ORDER
+            .into_iter()
+            .filter(move |op| self.contains(*op))
     }
 
     /// Union of two sets.
@@ -184,9 +184,13 @@ mod tests {
 
     #[test]
     fn from_iterator_and_len() {
-        let set: OpSet = [ChangeOp::ChangeName, ChangeOp::ChangeCode, ChangeOp::ChangeName]
-            .into_iter()
-            .collect();
+        let set: OpSet = [
+            ChangeOp::ChangeName,
+            ChangeOp::ChangeCode,
+            ChangeOp::ChangeName,
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(set.len(), 2);
     }
 

@@ -142,10 +142,7 @@ impl FromStr for Version {
             if pre.is_empty() {
                 return Err(ParseError::new("version", s, "empty pre-release tag"));
             }
-            if !pre
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'.')
-            {
+            if !pre.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'.') {
                 return Err(ParseError::new("version", s, "invalid pre-release tag"));
             }
         }
@@ -267,7 +264,9 @@ mod tests {
 
     #[test]
     fn version_rejects_malformed() {
-        for v in ["", "1", "1.2", "1.2.3.4", "1..3", "01.2.3", "1.2.x", "1.2.3-"] {
+        for v in [
+            "", "1", "1.2", "1.2.3.4", "1..3", "01.2.3", "1.2.x", "1.2.3-",
+        ] {
             assert!(v.parse::<Version>().is_err(), "{v:?} should be rejected");
         }
     }
@@ -308,7 +307,13 @@ mod tests {
 
     #[test]
     fn package_id_rejects_malformed() {
-        for s in ["", "pypi/noversion", "name@1.0.0", "conda/x@1.0.0", "npm/Bad Name@1.0.0"] {
+        for s in [
+            "",
+            "pypi/noversion",
+            "name@1.0.0",
+            "conda/x@1.0.0",
+            "npm/Bad Name@1.0.0",
+        ] {
             assert!(s.parse::<PackageId>().is_err(), "{s:?} should be rejected");
         }
     }

@@ -18,9 +18,7 @@ const MINUTES_PER_HOUR: u64 = 60;
 const MINUTES_PER_DAY: u64 = 24 * MINUTES_PER_HOUR;
 
 /// A span of simulated time, stored as whole minutes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -102,9 +100,7 @@ impl fmt::Display for SimDuration {
 /// `SimTime` supports proper Gregorian-calendar conversion so that release
 /// timelines (paper Fig. 2, Fig. 8) can be bucketed by calendar month and
 /// printed as dates.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

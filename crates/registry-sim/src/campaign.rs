@@ -227,8 +227,18 @@ impl CampaignPlan {
             let removed = t + persistence;
             let dl = downloads::ordinary_downloads(persistence.as_minutes() as f64 / 60.0, rng);
             packages.push(build_package(
-                self, idx, attempt, name.clone(), version.clone(), &module,
-                description.clone(), deps.clone(), t, Some(removed), dl, ops,
+                self,
+                idx,
+                attempt,
+                name.clone(),
+                version.clone(),
+                &module,
+                description.clone(),
+                deps.clone(),
+                t,
+                Some(removed),
+                dl,
+                ops,
                 Some(self.behavior),
             ));
             t += gap_sample(self.mean_gap, rng);
@@ -256,9 +266,19 @@ impl CampaignPlan {
         let lib_persistence = sample_persistence(self.mean_persistence_hours * 20.0, rng);
         let lib_dl = downloads::ordinary_downloads(lib_persistence.as_hours() as f64, rng);
         packages.push(build_package(
-            self, idx, 0, lib_name.clone(), Version::default(), &lib_module,
-            describe(self.behavior, rng), legit_deps(rng), t,
-            Some(t + lib_persistence), lib_dl, OpSet::empty(), Some(self.behavior),
+            self,
+            idx,
+            0,
+            lib_name.clone(),
+            Version::default(),
+            &lib_module,
+            describe(self.behavior, rng),
+            legit_deps(rng),
+            t,
+            Some(t + lib_persistence),
+            lib_dl,
+            OpSet::empty(),
+            Some(self.behavior),
         ));
 
         // Front packages: benign code, the malicious library declared as
@@ -292,8 +312,18 @@ impl CampaignPlan {
             ops.insert(ChangeOp::ChangeDependency);
             ops.insert(ChangeOp::ChangeCode);
             packages.push(build_package(
-                self, idx, attempt, front_name, Version::default(), &front_module,
-                benign_description(rng), deps, t, Some(t + persistence), dl, ops,
+                self,
+                idx,
+                attempt,
+                front_name,
+                Version::default(),
+                &front_module,
+                benign_description(rng),
+                deps,
+                t,
+                Some(t + persistence),
+                dl,
+                ops,
                 None, // the front package itself carries no payload
             ));
         }
@@ -368,8 +398,18 @@ impl CampaignPlan {
             let dl = downloads::trojan_downloads(base_dl, attempt, rng);
             let _ = persistence;
             packages.push(build_package(
-                self, idx, attempt, name.clone(), version.clone(), &module,
-                description.clone(), deps.clone(), t, removed, dl, ops,
+                self,
+                idx,
+                attempt,
+                name.clone(),
+                version.clone(),
+                &module,
+                description.clone(),
+                deps.clone(),
+                t,
+                removed,
+                dl,
+                ops,
                 is_malicious.then_some(self.behavior),
             ));
             t += gap_sample(self.mean_gap, rng);
@@ -496,8 +536,24 @@ fn gap_sample(mean: SimDuration, rng: &mut impl Rng) -> SimDuration {
 }
 
 const DESCRIPTION_WORDS: [&str; 18] = [
-    "fast", "lightweight", "simple", "secure", "modern", "async", "utility", "helper", "client",
-    "wrapper", "parser", "toolkit", "logging", "http", "color", "config", "cache", "testing",
+    "fast",
+    "lightweight",
+    "simple",
+    "secure",
+    "modern",
+    "async",
+    "utility",
+    "helper",
+    "client",
+    "wrapper",
+    "parser",
+    "toolkit",
+    "logging",
+    "http",
+    "color",
+    "config",
+    "cache",
+    "testing",
 ];
 
 fn describe(behavior: Behavior, rng: &mut impl Rng) -> String {
@@ -577,7 +633,11 @@ mod tests {
         let m = materialize(&plan(CampaignKind::Similar, 8), 2);
         assert!(m.packages[0].ops_from_prev.is_empty());
         for pkg in &m.packages[1..] {
-            assert!(!pkg.ops_from_prev.is_empty(), "attempt {} has no ops", pkg.attempt);
+            assert!(
+                !pkg.ops_from_prev.is_empty(),
+                "attempt {} has no ops",
+                pkg.attempt
+            );
             assert!(
                 pkg.ops_from_prev.contains(ChangeOp::ChangeName)
                     || pkg.ops_from_prev.contains(ChangeOp::ChangeVersion),
@@ -603,7 +663,10 @@ mod tests {
             }
         }
         let frac = cn as f64 / total as f64;
-        assert!(frac > 0.93, "CN should dominate (Fig. 12 ≈98.9%), got {frac}");
+        assert!(
+            frac > 0.93,
+            "CN should dominate (Fig. 12 ≈98.9%), got {frac}"
+        );
     }
 
     #[test]
@@ -655,7 +718,11 @@ mod tests {
 
     #[test]
     fn generated_code_always_parses() {
-        for kind in [CampaignKind::Similar, CampaignKind::Dependency, CampaignKind::Trojan] {
+        for kind in [
+            CampaignKind::Similar,
+            CampaignKind::Dependency,
+            CampaignKind::Trojan,
+        ] {
             let m = materialize(&plan(kind, 5), 11);
             for pkg in &m.packages {
                 minilang::parse(&pkg.source_text)

@@ -80,7 +80,10 @@ mod tests {
             }
         }
         let frac = low as f64 / N as f64;
-        assert!(frac > 0.75, "Fig. 11: most attempts have 0–1 downloads, got {frac}");
+        assert!(
+            frac > 0.75,
+            "Fig. 11: most attempts have 0–1 downloads, got {frac}"
+        );
     }
 
     #[test]
@@ -111,7 +114,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let bases: Vec<u64> = (0..300).map(|_| trojan_base_downloads(&mut rng)).collect();
         assert!(bases.iter().any(|&b| b < 100_000));
-        assert!(bases.iter().any(|&b| b > 5_000_000), "need Table-VIII-scale outliers");
+        assert!(
+            bases.iter().any(|&b| b > 5_000_000),
+            "need Table-VIII-scale outliers"
+        );
     }
 
     #[test]

@@ -100,7 +100,11 @@ mod tests {
         assert_ne!(plan.roll(1, 2, 3), plan.roll(1, 2, 4), "attempt matters");
         assert_ne!(plan.roll(1, 2, 3), plan.roll(1, 3, 3), "document matters");
         assert_ne!(plan.roll(1, 2, 3), plan.roll(2, 2, 3), "channel matters");
-        assert_ne!(plan.roll(1, 2, 3), FaultPlan::new(8).roll(1, 2, 3), "seed matters");
+        assert_ne!(
+            plan.roll(1, 2, 3),
+            FaultPlan::new(8).roll(1, 2, 3),
+            "seed matters"
+        );
     }
 
     #[test]
@@ -135,7 +139,13 @@ mod tests {
         );
         // Different cases eventually arm different points.
         let drawn: std::collections::HashSet<String> = (0..64)
-            .map(|case| plan.crash_plan(case, &points).armed().unwrap().0.to_string())
+            .map(|case| {
+                plan.crash_plan(case, &points)
+                    .armed()
+                    .unwrap()
+                    .0
+                    .to_string()
+            })
             .collect();
         assert_eq!(drawn.len(), points.len());
     }

@@ -52,12 +52,7 @@ impl Mirror {
     }
 
     /// Whether the mirror still serves the package at `query_time`.
-    pub fn holds(
-        &self,
-        released: SimTime,
-        removed: Option<SimTime>,
-        query_time: SimTime,
-    ) -> bool {
+    pub fn holds(&self, released: SimTime, removed: Option<SimTime>, query_time: SimTime) -> bool {
         match self.capture_time(released, removed) {
             None => false,
             Some(captured) => {

@@ -13,15 +13,31 @@ use rand::Rng;
 
 /// Popular legitimate package names that typosquats target.
 pub const POPULAR_TARGETS: [&str; 20] = [
-    "requests", "numpy", "pandas", "django", "flask", "lodash", "express", "react", "axios",
-    "moment", "chalk", "commander", "webpack", "babel", "rails", "devise", "nokogiri", "rspec",
-    "urllib3", "setuptools",
+    "requests",
+    "numpy",
+    "pandas",
+    "django",
+    "flask",
+    "lodash",
+    "express",
+    "react",
+    "axios",
+    "moment",
+    "chalk",
+    "commander",
+    "webpack",
+    "babel",
+    "rails",
+    "devise",
+    "nokogiri",
+    "rspec",
+    "urllib3",
+    "setuptools",
 ];
 
 const THEMES: [&str; 24] = [
-    "color", "http", "log", "json", "crypto", "cloud", "web", "net", "data", "file", "sys",
-    "util", "core", "api", "auth", "cache", "db", "mail", "test", "time", "url", "xml", "yaml",
-    "zip",
+    "color", "http", "log", "json", "crypto", "cloud", "web", "net", "data", "file", "sys", "util",
+    "core", "api", "auth", "cache", "db", "mail", "test", "time", "url", "xml", "yaml", "zip",
 ];
 
 const AFFIXES: [&str; 16] = [
@@ -30,8 +46,22 @@ const AFFIXES: [&str; 16] = [
 ];
 
 const SCOPE_WORDS: [&str; 16] = [
-    "mall", "front", "babel", "directive", "remote", "layout", "hardware", "widget", "mobile",
-    "admin", "portal", "vendor", "legacy", "bridge", "proxy", "runtime",
+    "mall",
+    "front",
+    "babel",
+    "directive",
+    "remote",
+    "layout",
+    "hardware",
+    "widget",
+    "mobile",
+    "admin",
+    "portal",
+    "vendor",
+    "legacy",
+    "bridge",
+    "proxy",
+    "runtime",
 ];
 
 /// Generates package names for one campaign or as one-off loners.
@@ -185,9 +215,10 @@ mod tests {
         // Small edit distance relative to fresh names is the point of CN.
         let stem: String = first.as_str().chars().take(4).collect();
         assert!(
-            next.as_str().contains(&stem) || first.as_str().contains(
-                &next.as_str().chars().take(4).collect::<String>()
-            ),
+            next.as_str().contains(&stem)
+                || first
+                    .as_str()
+                    .contains(&next.as_str().chars().take(4).collect::<String>()),
             "sibling {next} lost the stem of {first}"
         );
     }

@@ -5,9 +5,7 @@ use minilang::Module;
 use oss_types::{ActorId, OpSet, PackageId, Sha256, SimTime};
 
 /// Index of a package within [`crate::world::World::packages`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PkgIdx(pub u32);
 
 impl PkgIdx {
@@ -18,9 +16,7 @@ impl PkgIdx {
 }
 
 /// Index of a campaign within [`crate::world::World::campaigns`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CampaignIdx(pub u32);
 
 impl CampaignIdx {

@@ -181,7 +181,10 @@ mod tests {
 
     #[test]
     fn categories_have_unique_display_names() {
-        let mut names: Vec<_> = ReportCategory::ALL.iter().map(|c| c.display_name()).collect();
+        let mut names: Vec<_> = ReportCategory::ALL
+            .iter()
+            .map(|c| c.display_name())
+            .collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 6);

@@ -129,14 +129,12 @@ mod tests {
 
     #[test]
     fn equal_span_bounds_are_even_and_cover_the_range() {
-        let plan = WindowPlan::equal_span(
-            SimTime::from_minutes(0),
-            SimTime::from_minutes(100),
-            4,
-        );
+        let plan = WindowPlan::equal_span(SimTime::from_minutes(0), SimTime::from_minutes(100), 4);
         assert_eq!(plan.window_count(), 4);
         assert_eq!(
-            (0..4).map(|i| plan.bound(i).as_minutes()).collect::<Vec<_>>(),
+            (0..4)
+                .map(|i| plan.bound(i).as_minutes())
+                .collect::<Vec<_>>(),
             vec![25, 50, 75, 100]
         );
         assert_eq!(plan.window_of(SimTime::from_minutes(1)), 0);

@@ -9,9 +9,7 @@ use crate::names::NameGenerator;
 use crate::package::{CampaignIdx, PkgIdx, SimPackage, UnavailCause};
 use crate::report::{ReportCategory, SecurityReport, Website};
 use minilang::gen::Behavior;
-use oss_types::{
-    ActorId, Ecosystem, PackageName, SimDuration, SimTime, SourceId,
-};
+use oss_types::{ActorId, Ecosystem, PackageName, SimDuration, SimTime, SourceId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -220,8 +218,7 @@ impl Builder {
                 // to mirrors, so generation compensates upward.
                 const AVAILABILITY_COMPENSATION: f64 = 2.2;
                 let total_pkgs =
-                    scaled(groups as f64 * mean_size * AVAILABILITY_COMPENSATION)
-                        .max(n_groups * 2);
+                    scaled(groups as f64 * mean_size * AVAILABILITY_COMPENSATION).max(n_groups * 2);
                 // Cap campaign output so mentions can cover every package.
                 let total_pkgs = total_pkgs.min(distinct_total / 2);
                 self.plan_similar_family(eco, n_groups, total_pkgs);
@@ -267,7 +264,11 @@ impl Builder {
         // Trojan campaigns → Fig. 11 outliers / Table VIII rows.
         let n_trojans = scaled(25.0).max(3);
         for i in 0..n_trojans {
-            let eco = if i % 2 == 0 { Ecosystem::Npm } else { Ecosystem::PyPI };
+            let eco = if i % 2 == 0 {
+                Ecosystem::Npm
+            } else {
+                Ecosystem::PyPI
+            };
             let actor = self.next_actor();
             // The flagship popular-package hijack starts early enough in
             // 2022 that its malicious versions land inside the corpus.
@@ -304,13 +305,21 @@ impl Builder {
         let mut sizes: Vec<usize> = Vec::with_capacity(n_groups);
         let mut remaining = total_pkgs;
         let flood = eco == Ecosystem::PyPI && total_pkgs >= 60;
-        let ordinary_groups = if flood { n_groups.saturating_sub(1) } else { n_groups };
+        let ordinary_groups = if flood {
+            n_groups.saturating_sub(1)
+        } else {
+            n_groups
+        };
         // Ordinary campaigns stay small (the paper's SG active periods are
         // days–weeks); the flood absorbs the PyPI remainder, which is what
         // drives PyPI's huge mean group size in Table VII.
         // The flood takes a fixed share of the ecosystem's SG packages so
         // its weight in the corpus is scale-independent.
-        let flood_size = if flood { (total_pkgs as f64 * 0.45) as usize } else { 0 };
+        let flood_size = if flood {
+            (total_pkgs as f64 * 0.45) as usize
+        } else {
+            0
+        };
         remaining = remaining.saturating_sub(flood_size);
         if ordinary_groups > 0 {
             let mean = (remaining as f64 / ordinary_groups as f64).clamp(2.0, 50.0);
@@ -367,7 +376,11 @@ impl Builder {
                 SimDuration::minutes(minutes as u64)
             };
             self.materialize_plan(CampaignPlan {
-                kind: if is_flood { CampaignKind::Flood } else { CampaignKind::Similar },
+                kind: if is_flood {
+                    CampaignKind::Flood
+                } else {
+                    CampaignKind::Similar
+                },
                 ecosystem: eco,
                 behavior,
                 actor,
@@ -418,12 +431,16 @@ impl Builder {
                 PackageName::new(NAMED[attempt - 10]).expect("paper names are valid")
             };
             if attempt > 0 && self.rng.gen_bool(0.4) {
-                let m = *minilang::gen::Mutation::ALL.choose(&mut self.rng).expect("non-empty");
+                let m = *minilang::gen::Mutation::ALL
+                    .choose(&mut self.rng)
+                    .expect("non-empty");
                 module = minilang::gen::mutate(&module, m, &mut self.rng);
             }
             let released = base + SimDuration::days(off) + SimDuration::hours(attempt as u64);
-            let persistence =
-                crate::campaign::sample_persistence(self.config.admin_detection_mean_hours, &mut self.rng);
+            let persistence = crate::campaign::sample_persistence(
+                self.config.admin_detection_mean_hours,
+                &mut self.rng,
+            );
             let mut ops = oss_types::OpSet::empty();
             if attempt > 0 {
                 ops.insert(oss_types::ChangeOp::ChangeName);
@@ -435,7 +452,8 @@ impl Builder {
             let deps = Vec::new();
             let signature =
                 crate::campaign::artifact_signature(&id, &description, &deps, &source_text);
-            let dl = crate::downloads::ordinary_downloads(persistence.as_hours() as f64, &mut self.rng);
+            let dl =
+                crate::downloads::ordinary_downloads(persistence.as_hours() as f64, &mut self.rng);
             pkg_indices.push(PkgIdx(self.packages.len() as u32 + packages.len() as u32));
             packages.push(SimPackage {
                 id,
@@ -630,9 +648,7 @@ impl Builder {
                 .expect("dataset candidates are removed packages");
             for &source in &block {
                 let lag_days = match source.publication_style() {
-                    oss_types::source::PublicationStyle::DatasetDump => {
-                        self.rng.gen_range(30..180)
-                    }
+                    oss_types::source::PublicationStyle::DatasetDump => self.rng.gen_range(30..180),
                     _ => self.rng.gen_range(0..7),
                 };
                 // Sources publish in batches at their documented cadence
@@ -737,7 +753,8 @@ impl Builder {
                     reports.push(SecurityReport {
                         id: report_id,
                         website: site,
-                        published: (last_removed + SimDuration::days(1)).min(self.config.collect_time),
+                        published: (last_removed + SimDuration::days(1))
+                            .min(self.config.collect_time),
                         title: format!(
                             "Sophisticated, highly-targeted attacks by {} continue to plague npm",
                             actor.handle()
@@ -1000,7 +1017,11 @@ mod tests {
         for r in &w.reports {
             assert!(!r.packages.is_empty());
             for p in &r.packages {
-                assert!(mentioned.contains(p), "report {} names unmentioned package", r.id);
+                assert!(
+                    mentioned.contains(p),
+                    "report {} names unmentioned package",
+                    r.id
+                );
             }
         }
     }
@@ -1054,6 +1075,9 @@ mod tests {
         }
         let singles = per_pkg.values().filter(|&&c| c == 1).count();
         let frac = singles as f64 / per_pkg.len() as f64;
-        assert!(frac > 0.6, "Fig. 4: most packages single-source, got {frac:.2}");
+        assert!(
+            frac > 0.6,
+            "Fig. 4: most packages single-source, got {frac:.2}"
+        );
     }
 }

@@ -31,7 +31,11 @@ fn main() {
             if deps.is_empty() {
                 println!("  library  {}  (the hidden payload)", node.package);
             } else {
-                println!("  front    {}  → depends on {}", node.package, deps.join(", "));
+                println!(
+                    "  front    {}  → depends on {}",
+                    node.package,
+                    deps.join(", ")
+                );
             }
         }
         // The paper's key observation: the front looks benign, so only

@@ -20,7 +20,11 @@ fn main() {
     println!(
         "evaluating detectors over {} packages ({} malicious)…\n",
         world.packages.len(),
-        world.packages.iter().filter(|p| p.behavior.is_some()).count()
+        world
+            .packages
+            .iter()
+            .filter(|p| p.behavior.is_some())
+            .count()
     );
 
     let report = evaluate_world(&world);
@@ -35,10 +39,7 @@ fn main() {
     println!("== case study: {}", sample.id);
     println!(
         "ground truth: {} campaign package",
-        sample
-            .behavior
-            .map(|b| b.label())
-            .unwrap_or("benign")
+        sample.behavior.map(|b| b.label()).unwrap_or("benign")
     );
     let module = parse(&sample.source_text).expect("generated code parses");
 

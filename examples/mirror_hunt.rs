@@ -29,7 +29,10 @@ fn main() {
     println!("corpus: {total} packages");
     println!("  shipped by source dumps : {from_dumps}");
     println!("  recovered from mirrors  : {from_mirrors}");
-    println!("  unavailable             : {missing} ({:.1}%)", 100.0 * missing as f64 / total as f64);
+    println!(
+        "  unavailable             : {missing} ({:.1}%)",
+        100.0 * missing as f64 / total as f64
+    );
 
     // Why the misses? (Fig. 5's two causes, measured from registry
     // metadata.)
@@ -38,11 +41,8 @@ fn main() {
         .fastest_interval(Ecosystem::PyPI)
         .map(|d| d.as_hours())
         .unwrap_or(6);
-    let census = quality::unavailability_census(
-        &corpus,
-        world.config.mirror_retention_days,
-        fastest,
-    );
+    let census =
+        quality::unavailability_census(&corpus, world.config.mirror_retention_days, fastest);
     println!("\nunavailability causes:");
     println!("  released too early    : {}", census.released_too_early);
     println!("  persistence too short : {}", census.persistence_too_short);

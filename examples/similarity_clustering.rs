@@ -7,10 +7,10 @@
 //! ```
 
 use malgraph::cluster::metrics::adjusted_rand_index;
+use malgraph::malgraph_core::similar_pairs;
 use malgraph::minilang::gen::{generate, mutate, Behavior, Mutation};
 use malgraph::minilang::printer::print_module;
 use malgraph::prelude::*;
-use malgraph::malgraph_core::similar_pairs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,7 +61,10 @@ fn main() {
         groups.entry(uf.find(i)).or_default().push(i);
     }
     let labels: Vec<usize> = (0..entries.len()).map(|i| uf.find(i)).collect();
-    println!("groups recovered: {}", groups.values().filter(|g| g.len() > 1).count());
+    println!(
+        "groups recovered: {}",
+        groups.values().filter(|g| g.len() > 1).count()
+    );
     for (root, members) in groups.iter().filter(|(_, g)| g.len() > 1) {
         let lineages: std::collections::BTreeSet<usize> =
             members.iter().map(|&i| truth[i]).collect();

@@ -259,9 +259,7 @@ fn parse_opts(cmd: Cmd, args: &[String]) -> CommonOpts {
                 opts.windows = windows;
             }
             "--verify" => opts.verify = true,
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(next_str(&mut it, "--checkpoint-dir"))
-            }
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(next_str(&mut it, "--checkpoint-dir")),
             "--crash-at" => opts.crash_at = Some(next_str(&mut it, "--crash-at")),
             "--metrics-out" => opts.metrics_out = Some(next_str(&mut it, "--metrics-out")),
             "--trace-out" => opts.trace_out = Some(next_str(&mut it, "--trace-out")),
@@ -290,8 +288,10 @@ fn parse_opts(cmd: Cmd, args: &[String]) -> CommonOpts {
             "--all" => opts.all = true,
             "--log-level" => {
                 let raw = next_str(&mut it, "--log-level");
-                opts.log_level =
-                    Some(raw.parse().unwrap_or_else(|e: String| die(&format!("--log-level: {e}"))));
+                opts.log_level = Some(
+                    raw.parse()
+                        .unwrap_or_else(|e: String| die(&format!("--log-level: {e}"))),
+                );
             }
             other => {
                 if opts.positional.len() >= cmd.max_positional() {
@@ -309,7 +309,9 @@ fn parse_opts(cmd: Cmd, args: &[String]) -> CommonOpts {
 }
 
 fn next_str(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| die(&format!("{flag} needs a value"))).clone()
+    it.next()
+        .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+        .clone()
 }
 
 fn next_parsed<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
@@ -399,7 +401,11 @@ fn cmd_world(args: &[String]) -> i32 {
         println!("  {:<11} {n}", kind.label());
     }
     println!("mentions : {}", world.mentions.len());
-    println!("reports  : {} across {} websites", world.reports.len(), world.websites.len());
+    println!(
+        "reports  : {} across {} websites",
+        world.reports.len(),
+        world.websites.len()
+    );
     println!("mirrors  : {}", world.mirrors.len());
     0
 }
@@ -617,7 +623,9 @@ fn cmd_ingest(args: &[String]) -> i32 {
         }
     } else {
         if opts.crash_at.is_some() {
-            die("--crash-at requires --checkpoint-dir (a crash without durability only loses work)");
+            die(
+                "--crash-at requires --checkpoint-dir (a crash without durability only loses work)",
+            );
         }
         let mut graph = MalGraph::empty();
         let mut state = IngestState::new();
@@ -803,7 +811,11 @@ fn cmd_stats(args: &[String]) -> i32 {
                     field("allocs")
                 );
             } else {
-                println!("{name:<44} {:>7} {:>12}", field("count"), fmt_micros(field("total_us")));
+                println!(
+                    "{name:<44} {:>7} {:>12}",
+                    field("count"),
+                    fmt_micros(field("total_us"))
+                );
             }
         }
     }
@@ -827,7 +839,10 @@ fn cmd_stats(args: &[String]) -> i32 {
     let histograms = section("histograms");
     if !histograms.is_empty() {
         println!("\n-- histograms");
-        println!("{:<44} {:>7} {:>10} {:>8} {:>8}", "histogram", "count", "sum", "min", "max");
+        println!(
+            "{:<44} {:>7} {:>10} {:>8} {:>8}",
+            "histogram", "count", "sum", "min", "max"
+        );
         for (name, entry) in &histograms {
             let field = |k: &str| entry.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
             println!(
@@ -840,7 +855,10 @@ fn cmd_stats(args: &[String]) -> i32 {
         }
     }
 
-    let dropped = value.get("events_dropped").and_then(|v| v.as_u64()).unwrap_or(0);
+    let dropped = value
+        .get("events_dropped")
+        .and_then(|v| v.as_u64())
+        .unwrap_or(0);
     if dropped > 0 {
         println!("\n(events dropped past the retention cap: {dropped})");
     }
@@ -853,7 +871,9 @@ fn cmd_perf(args: &[String]) -> i32 {
         die("perf requires: perf diff <base.json> <new.json>");
     };
     if action != "diff" {
-        die(&format!("unknown perf action {action:?} (expected \"diff\")"));
+        die(&format!(
+            "unknown perf action {action:?} (expected \"diff\")"
+        ));
     }
     let mut thresholds = obs::baseline::Thresholds::default();
     if let Some(rel) = opts.threshold {

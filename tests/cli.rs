@@ -38,14 +38,22 @@ fn collect_then_analyze_round_trips() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(corpus.exists());
 
     let out = bin()
         .args(["analyze", "--corpus", corpus.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("relation graphs"));
     assert!(text.contains("missing rate"));
@@ -65,7 +73,11 @@ fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
         .arg(&corpus)
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     // Append a copy of one available PyPI package record.
     let mut dataset = import_json(&std::fs::read_to_string(&corpus).unwrap()).unwrap();
     let copy = dataset
@@ -77,7 +89,11 @@ fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
     let id = copy.id.to_string();
     dataset.packages.push(copy);
     let repeated = dir.join("repeated.json");
-    std::fs::write(&repeated, export_json(&dataset, ExportFidelity::Full).unwrap()).unwrap();
+    std::fs::write(
+        &repeated,
+        export_json(&dataset, ExportFidelity::Full).unwrap(),
+    )
+    .unwrap();
 
     let out = bin()
         .args(["analyze", "--corpus"])
@@ -86,7 +102,10 @@ fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains(&format!("package {id} appears twice")), "{stderr}");
+    assert!(
+        stderr.contains(&format!("package {id} appears twice")),
+        "{stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -128,10 +147,16 @@ fn scan_survives_hostile_code_and_reports_deep_nesting() {
     let deep = format!("x = {}1{}\n", "(".repeat(50_000), ")".repeat(50_000));
     for (name, code) in [
         // Doubling a string reaches gigabytes well within the fuel.
-        ("doubling", "s = 'ab'\nwhile True:\n    s = s + s\n".to_owned()),
+        (
+            "doubling",
+            "s = 'ab'\nwhile True:\n    s = s + s\n".to_owned(),
+        ),
         // Unbounded recursion, with and without an argument.
         ("recursion", "def f():\n    f()\n\nf()\n".to_owned()),
-        ("recursion_arg", "def f(n):\n    return f(n)\n\nf(1)\n".to_owned()),
+        (
+            "recursion_arg",
+            "def f(n):\n    return f(n)\n\nf(1)\n".to_owned(),
+        ),
         ("nesting", deep),
     ] {
         let path = dir.join(format!("{name}.pyl"));
@@ -142,7 +167,10 @@ fn scan_survives_hostile_code_and_reports_deep_nesting() {
             .expect("binary runs");
         let text = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{name}: {text}");
-        assert!(text.contains("sandbox: labels=[\"clean\"]"), "{name}: {text}");
+        assert!(
+            text.contains("sandbox: labels=[\"clean\"]"),
+            "{name}: {text}"
+        );
         assert_eq!(
             text.contains("parse  : parse error at line 1: nesting deeper than 100 levels"),
             name == "nesting",
@@ -167,7 +195,11 @@ fn invalid_scale_values_are_rejected() {
             .args(["world", "--scale", scale])
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "--scale {scale} must be rejected");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--scale {scale} must be rejected"
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("--scale"), "{err}");
     }
@@ -198,14 +230,26 @@ fn threads_zero_is_rejected_with_usage_error() {
 #[test]
 fn flags_are_validated_per_subcommand() {
     for (args, flag) in [
-        (vec!["analyze", "--fault-rate", "0.5", "--corpus", "x.json"], "--fault-rate"),
-        (vec!["analyze", "--threads", "2", "--corpus", "x.json"], "--threads"),
+        (
+            vec!["analyze", "--fault-rate", "0.5", "--corpus", "x.json"],
+            "--fault-rate",
+        ),
+        (
+            vec!["analyze", "--threads", "2", "--corpus", "x.json"],
+            "--threads",
+        ),
         (vec!["scan", "--out", "x.json", "file.pyl"], "--out"),
         (vec!["world", "--metrics-out", "m.json"], "--metrics-out"),
         (vec!["world", "--profile-out", "p.folded"], "--profile-out"),
         (vec!["stats", "--seed", "5"], "--seed"),
-        (vec!["collect", "--threshold", "0.1", "--out", "x.json"], "--threshold"),
-        (vec!["perf", "--metrics-out", "m.json", "diff", "a", "b"], "--metrics-out"),
+        (
+            vec!["collect", "--threshold", "0.1", "--out", "x.json"],
+            "--threshold",
+        ),
+        (
+            vec!["perf", "--metrics-out", "m.json", "diff", "a", "b"],
+            "--metrics-out",
+        ),
     ] {
         let out = bin().args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?} must be rejected");
@@ -248,10 +292,17 @@ fn collect_writes_metrics_and_trace_files_and_stats_reads_them_back() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let metrics_json = std::fs::read_to_string(&metrics).expect("metrics file written");
-    assert!(metrics_json.contains("\"schema\": \"malgraph-obs/2\""), "{metrics_json}");
+    assert!(
+        metrics_json.contains("\"schema\": \"malgraph-obs/2\""),
+        "{metrics_json}"
+    );
     assert!(metrics_json.contains("crawler.attempts"), "{metrics_json}");
     assert!(metrics_json.contains("collect/feeds"), "{metrics_json}");
     let trace_json = std::fs::read_to_string(&trace).expect("trace file written");
@@ -262,7 +313,11 @@ fn collect_writes_metrics_and_trace_files_and_stats_reads_them_back() {
         .args(["stats", metrics.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("stages (span rollups)"), "{text}");
     assert!(text.contains("collect/feeds"), "{text}");
@@ -315,10 +370,20 @@ fn stats_sorts_rows_by_name_even_for_unsorted_input() {
         .args(["stats", snapshot.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    let pos = |needle: &str| text.find(needle).unwrap_or_else(|| panic!("{needle} missing: {text}"));
-    assert!(pos("alpha/stage") < pos("zeta/stage"), "spans must be name-sorted: {text}");
+    let pos = |needle: &str| {
+        text.find(needle)
+            .unwrap_or_else(|| panic!("{needle} missing: {text}"))
+    };
+    assert!(
+        pos("alpha/stage") < pos("zeta/stage"),
+        "spans must be name-sorted: {text}"
+    );
     assert!(
         pos("aa.first") < pos("mm.middle") && pos("mm.middle") < pos("zz.last"),
         "counters must be name-sorted: {text}"
@@ -347,20 +412,39 @@ fn perf_diff_passes_identical_and_catches_injected_regression() {
 
     // Identical snapshots diff clean and exit 0.
     let out = bin()
-        .args(["perf", "diff", base.to_str().unwrap(), base.to_str().unwrap()])
+        .args([
+            "perf",
+            "diff",
+            base.to_str().unwrap(),
+            base.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("0 regressed"), "{text}");
 
     // The injected regression fails the gate with exit 1 and names the
     // offending metric. The speedup drop is informational, not a failure.
     let out = bin()
-        .args(["perf", "diff", base.to_str().unwrap(), slow.to_str().unwrap()])
+        .args([
+            "perf",
+            "diff",
+            base.to_str().unwrap(),
+            slow.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "a 10.1% regression must fail the gate");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a 10.1% regression must fail the gate"
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("full_build_ms"), "{text}");
     assert!(text.contains("REGRESSED"), "{text}");
@@ -378,19 +462,34 @@ fn perf_diff_passes_identical_and_catches_injected_regression() {
         ])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 
     // Usage errors: missing paths, unknown action, unreadable file.
     let out = bin().args(["perf", "diff"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     let out = bin()
-        .args(["perf", "compare", base.to_str().unwrap(), slow.to_str().unwrap()])
+        .args([
+            "perf",
+            "compare",
+            base.to_str().unwrap(),
+            slow.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown perf action"));
     let out = bin()
-        .args(["perf", "diff", "/nonexistent/base.json", slow.to_str().unwrap()])
+        .args([
+            "perf",
+            "diff",
+            "/nonexistent/base.json",
+            slow.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
@@ -418,17 +517,34 @@ fn perf_diff_reads_real_metrics_snapshots() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // A real malgraph-obs/2 snapshot diffed against itself: clean pass.
     let out = bin()
-        .args(["perf", "diff", metrics.to_str().unwrap(), metrics.to_str().unwrap()])
+        .args([
+            "perf",
+            "diff",
+            metrics.to_str().unwrap(),
+            metrics.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("0 regressed"), "{text}");
-    assert!(!text.contains("0 compared"), "snapshot entries must load: {text}");
+    assert!(
+        !text.contains("0 compared"),
+        "snapshot entries must load: {text}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -453,13 +569,25 @@ fn profile_out_writes_folded_stacks_with_alloc_weights() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Folded self-time profile: `parent;child value` lines, nested
     // collect stages under the collect root.
     let folded = std::fs::read_to_string(&profile).expect("profile written");
-    assert!(folded.lines().any(|l| l.starts_with("collect ")), "{folded}");
-    assert!(folded.lines().any(|l| l.starts_with("collect;collect/feeds ")), "{folded}");
+    assert!(
+        folded.lines().any(|l| l.starts_with("collect ")),
+        "{folded}"
+    );
+    assert!(
+        folded
+            .lines()
+            .any(|l| l.starts_with("collect;collect/feeds ")),
+        "{folded}"
+    );
     assert!(
         folded
             .lines()
@@ -480,7 +608,10 @@ fn profile_out_writes_folded_stacks_with_alloc_weights() {
         .lines()
         .map(|l| l.rsplit_once(' ').unwrap().1.parse().unwrap())
         .collect();
-    assert!(weights.iter().any(|&w| w > 0), "alloc accounting recorded nothing: {alloc}");
+    assert!(
+        weights.iter().any(|&w| w > 0),
+        "alloc accounting recorded nothing: {alloc}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -507,7 +638,11 @@ fn faulty_collect_prints_the_health_table_and_round_trips() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("collection health"), "{text}");
     assert!(text.contains("report-corpus"), "{text}");
@@ -518,7 +653,11 @@ fn faulty_collect_prints_the_health_table_and_round_trips() {
         .args(["analyze", "--corpus", corpus.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Out-of-range fault rates die with usage errors.
     let out = bin()
@@ -560,17 +699,36 @@ fn checkpointed_ingest_crashes_then_resumes_byte_identically() {
 
     // Crash at the second delta apply: exit 3, durable state behind.
     let out = run(Some("ingest/apply:2"), false);
-    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("simulated crash"));
     assert!(ckpt.join("RUN.json").exists());
-    assert!(ckpt.join("gen-000001.json").exists(), "first window checkpointed");
-    assert!(ckpt.join("journal").join("window-000001.json").exists(), "second window journaled");
+    assert!(
+        ckpt.join("gen-000001.json").exists(),
+        "first window checkpointed"
+    );
+    assert!(
+        ckpt.join("journal").join("window-000001.json").exists(),
+        "second window journaled"
+    );
 
     // Resume: finishes the plan and verifies against the one-shot oracle.
     let out = run(None, true);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("resuming from checkpoint generation"), "{text}");
+    assert!(
+        text.contains("resuming from checkpoint generation"),
+        "{text}"
+    );
     assert!(text.contains("ingested 3 windows"), "{text}");
     assert!(
         text.contains("verify: incremental graph is identical"),
@@ -622,7 +780,11 @@ fn crash_at_flag_is_validated() {
             ])
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "--crash-at {spec} must be rejected");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--crash-at {spec} must be rejected"
+        );
     }
 }
 
@@ -635,10 +797,23 @@ fn stats_and_perf_diff_reject_empty_and_entryless_snapshots() {
     // panic or an empty table.
     let empty = dir.join("empty.json");
     std::fs::write(&empty, "").unwrap();
-    let out = bin().args(["stats", empty.to_str().unwrap()]).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stdout));
     let out = bin()
-        .args(["perf", "diff", empty.to_str().unwrap(), empty.to_str().unwrap()])
+        .args(["stats", empty.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let out = bin()
+        .args([
+            "perf",
+            "diff",
+            empty.to_str().unwrap(),
+            empty.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
@@ -648,10 +823,19 @@ fn stats_and_perf_diff_reject_empty_and_entryless_snapshots() {
     let hollow = dir.join("hollow.json");
     std::fs::write(&hollow, r#"{"schema": "malgraph-obs/2"}"#).unwrap();
     let out = bin()
-        .args(["perf", "diff", hollow.to_str().unwrap(), hollow.to_str().unwrap()])
+        .args([
+            "perf",
+            "diff",
+            hollow.to_str().unwrap(),
+            hollow.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "entry-less snapshots must not pass the gate");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "entry-less snapshots must not pass the gate"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("no metrics to compare"));
 
     std::fs::remove_dir_all(&dir).ok();

@@ -58,7 +58,10 @@ fn scale_changes_volume_not_structure() {
         );
         let corpus = collect(&world);
         let available = corpus.packages.iter().filter(|p| p.is_available()).count();
-        (corpus.packages.len(), available as f64 / corpus.packages.len() as f64)
+        (
+            corpus.packages.len(),
+            available as f64 / corpus.packages.len() as f64,
+        )
     };
     let (n_small, avail_small) = stats(0.03);
     let (n_large, avail_large) = stats(0.10);

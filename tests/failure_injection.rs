@@ -13,9 +13,9 @@ fn hostile_pages_never_panic_the_extractor() {
         "<",
         "<<<<>>>>",
         "<html><code>",
-        "<code>npm/x@1.0.0",                      // unterminated
+        "<code>npm/x@1.0.0",                       // unterminated
         "<title>malicious</title><code>💣</code>", // non-ascii id
-        &"<div>".repeat(10_000),                  // deep nesting
+        &"<div>".repeat(10_000),                   // deep nesting
         "plain text with no tags but the word malware and npm/ok@1.0.0",
     ];
     for page in hostile {
@@ -33,7 +33,11 @@ fn corrupt_feed_documents_are_skipped() {
         (FeedFormat::HtmlPage, "<html>".to_string()),
         (FeedFormat::SnsText, "\u{0}\u{1}\u{2}".to_string()),
     ];
-    for source in [SourceId::DataDog, SourceId::Phylum, SourceId::IndividualBlogs] {
+    for source in [
+        SourceId::DataDog,
+        SourceId::Phylum,
+        SourceId::IndividualBlogs,
+    ] {
         assert!(parse_feed(source, &docs).is_empty());
     }
 }
@@ -77,12 +81,7 @@ fn degenerate_similarity_configs_are_safe() {
             ..SimilarityConfig::default()
         },
     ] {
-        let graph = build(
-            &corpus,
-            &BuildOptions {
-                similarity: config,
-            },
-        );
+        let graph = build(&corpus, &BuildOptions { similarity: config });
         // Structure may be degenerate but must stay internally coherent.
         for group in graph.groups(Relation::Similar) {
             assert!(group.len() >= 2);
@@ -133,7 +132,9 @@ fn zero_fault_rate_reproduces_the_legacy_corpus() {
     );
     assert_eq!(resilient.packages, legacy.packages);
     assert_eq!(resilient.reports, legacy.reports);
-    let health = resilient.health.expect("resilient collector reports health");
+    let health = resilient
+        .health
+        .expect("resilient collector reports health");
     assert!(health.is_fault_free(), "no faults at rate 0");
 }
 
@@ -222,8 +223,16 @@ fn health_totals_reconcile_at_every_rate() {
         let total = health.total();
         // Accounting identities: every attempt is either the first try of
         // a document or a retry; every document is delivered or dropped.
-        assert_eq!(total.attempts, total.documents() + total.retries, "rate {rate}");
-        assert_eq!(total.documents(), total.delivered + total.dropped, "rate {rate}");
+        assert_eq!(
+            total.attempts,
+            total.documents() + total.retries,
+            "rate {rate}"
+        );
+        assert_eq!(
+            total.documents(),
+            total.delivered + total.dropped,
+            "rate {rate}"
+        );
         assert!(total.recovered <= total.delivered, "rate {rate}");
     }
 }

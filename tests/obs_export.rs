@@ -11,7 +11,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// The registry is process-global; exporters are tested one at a time.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default).lock().unwrap_or_else(|e| e.into_inner())
+    LOCK.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// Records a small, fully deterministic workload on a fake clock and
@@ -196,7 +198,10 @@ fn empty_snapshot_exports_are_well_formed() {
          \"histograms\": {},\n  \"spans\": {},\n  \"events_dropped\": 0\n}\n"
     );
     assert_eq!(snapshot.to_prometheus(), "");
-    assert_eq!(snapshot.to_chrome_trace(), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n");
+    assert_eq!(
+        snapshot.to_chrome_trace(),
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n"
+    );
     assert_eq!(snapshot.to_folded(), "");
     assert_eq!(snapshot.to_folded_alloc(), "");
 }

@@ -71,7 +71,10 @@ fn instrumented_runs_are_bitwise_identical_to_uninstrumented() {
 
         // The instrumented run actually recorded the pipeline.
         assert!(
-            snapshot.counters.iter().any(|(n, v)| n == "crawler.attempts" && *v > 0),
+            snapshot
+                .counters
+                .iter()
+                .any(|(n, v)| n == "crawler.attempts" && *v > 0),
             "no crawler.attempts counter in snapshot"
         );
         assert!(
@@ -82,11 +85,17 @@ fn instrumented_runs_are_bitwise_identical_to_uninstrumented() {
             "no similar-edge counter in snapshot"
         );
         assert!(
-            snapshot.spans.iter().any(|s| s.name == "collect" && s.total_us > 0),
+            snapshot
+                .spans
+                .iter()
+                .any(|s| s.name == "collect" && s.total_us > 0),
             "no collect span in snapshot"
         );
         assert!(
-            snapshot.spans.iter().any(|s| s.name.starts_with("build/similar/ecosystem=")),
+            snapshot
+                .spans
+                .iter()
+                .any(|s| s.name.starts_with("build/similar/ecosystem=")),
             "no per-ecosystem similarity span in snapshot"
         );
         // The profiling layer was live: self time is attributed, the
@@ -94,18 +103,23 @@ fn instrumented_runs_are_bitwise_identical_to_uninstrumented() {
         // span (also across the worker threads), and allocations are
         // charged through the counting allocator.
         assert!(
-            snapshot.spans.iter().any(|s| s.self_us > 0 && s.self_us <= s.total_us),
+            snapshot
+                .spans
+                .iter()
+                .any(|s| s.self_us > 0 && s.self_us <= s.total_us),
             "no self-time attribution in snapshot"
         );
         assert!(
-            snapshot
-                .folded
-                .iter()
-                .any(|f| f.stack.starts_with("build;build/similar;build/similar/ecosystem=")),
+            snapshot.folded.iter().any(|f| f
+                .stack
+                .starts_with("build;build/similar;build/similar/ecosystem=")),
             "worker-thread spans must fold under their spawning stage"
         );
         assert!(
-            snapshot.spans.iter().any(|s| s.alloc_bytes > 0 && s.allocs > 0),
+            snapshot
+                .spans
+                .iter()
+                .any(|s| s.alloc_bytes > 0 && s.allocs > 0),
             "no allocation accounting in snapshot"
         );
 

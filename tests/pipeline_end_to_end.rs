@@ -19,7 +19,11 @@ use malgraph::malgraph_core::{build, BuildOptions, MalGraph};
 fn mentions_survive_the_whole_pipeline() {
     let (world, corpus, graph) = setup();
     let collected: usize = corpus.packages.iter().map(|p| p.mentions.len()).sum();
-    assert_eq!(collected, world.mentions.len(), "no mention lost or invented");
+    assert_eq!(
+        collected,
+        world.mentions.len(),
+        "no mention lost or invented"
+    );
     assert_eq!(graph.graph.node_count(), world.mentions.len());
     assert_eq!(graph.package_count(), corpus.packages.len());
 }
@@ -31,7 +35,10 @@ fn finding1_overlap_is_low_and_academia_skewed() {
     use malgraph::oss_types::SourceCategory::{Academia, Industry};
     let aa = overlap::category_mean_overlap(&matrix, Academia, Academia);
     let ii = overlap::category_mean_overlap(&matrix, Industry, Industry);
-    assert!(aa > ii, "academia redundancy {aa:.1} must exceed industry {ii:.1}");
+    assert!(
+        aa > ii,
+        "academia redundancy {aa:.1} must exceed industry {ii:.1}"
+    );
     // Fig. 4: single-source packages dominate.
     let cdf = overlap::dg_size_cdf(&corpus, Ecosystem::PyPI);
     assert!(cdf[0].0 == 1 && cdf[0].1 > 0.6);
@@ -62,7 +69,10 @@ fn finding3_diversity_is_limited_and_pypi_floods() {
     let (_, _, graph) = setup();
     let rows = diversity::table7(&graph);
     let npm = rows.iter().find(|r| r.ecosystem == Ecosystem::Npm).unwrap();
-    let pypi = rows.iter().find(|r| r.ecosystem == Ecosystem::PyPI).unwrap();
+    let pypi = rows
+        .iter()
+        .find(|r| r.ecosystem == Ecosystem::PyPI)
+        .unwrap();
     assert!(npm.sg.groups >= 1 && pypi.sg.groups >= 1);
     // Table VII shape: PyPI groups much larger on average (the flood);
     // NPM has more DeG campaigns than anyone.
@@ -103,7 +113,11 @@ fn finding4_cn_dominates_and_trojans_top_idn() {
 
     let idn = evolution::idn_ranking(&corpus, &world, 10);
     assert!(!idn.is_empty());
-    assert!(idn[0].idn > 10_000, "trojan outliers dominate IDN: {}", idn[0].idn);
+    assert!(
+        idn[0].idn > 10_000,
+        "trojan outliers dominate IDN: {}",
+        idn[0].idn
+    );
     assert!(idn[0].ops.contains(ChangeOp::ChangeVersion));
 }
 
