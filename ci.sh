@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # Local CI gate: lint-clean and test-green across the whole workspace.
 #
-#   ./ci.sh            # clippy (deny warnings) + full test suite
+#   ./ci.sh            # fmt check + clippy (deny warnings) + full test suite
 #   ./ci.sh --release  # additionally checks the release build
 #
 # Keep this the single source of truth for "is the tree healthy" — the
 # same two commands the PR driver runs.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Formatting first: a misformatted line fails here, before the slower
+# lint and test steps. perfbench is a workspace of its own and is not
+# covered by `--all`.
+echo "== cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
