@@ -507,12 +507,15 @@ fn recovery_appendix(dir: &Path) -> String {
          and never worse than ~1.5× the rebuild when it did not — with the\n\
          byte-identity contract held in both cases, at every one of the eleven\n\
          crash points, at 1 and 7 threads (`crash_recovery` matrix).\n\n\
-         Encoding note: a generation snapshot carries millions of similar pairs\n\
-         at this scale. Storing them as nested JSON arrays (three heap nodes per\n\
-         pair, pretty-printed) made one generation write cost 61 s and its read\n\
-         18 s; the flat `\"a,b a,b …\"` per-ecosystem string encoding in a\n\
-         compact-rendered body brought the same write to ~3.9 s and the full\n\
-         restore to the 1.76 s above.\n",
+         Encoding note: the table above was measured with checkpoint format 1,\n\
+         which spelled out every similar pair, millions at this scale. Nested\n\
+         JSON arrays (three heap nodes per pair, pretty-printed) had made one\n\
+         generation write cost 61 s and its read 18 s; a flat `\"a,b a,b …\"`\n\
+         string per ecosystem in a compact body brought the write to ~3.9 s and\n\
+         the full restore to the 1.76 s above. Format 2 stores each ecosystem's\n\
+         class table instead: a cluster and a class id per package and one\n\
+         verdict matrix per cluster, so a generation no longer grows with the\n\
+         pairs it stands for (DESIGN §6k).\n",
     );
     md
 }

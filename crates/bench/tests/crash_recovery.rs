@@ -71,7 +71,7 @@ fn signature(graph: &MalGraph) -> GraphSignature {
         .map(|(eco, out)| {
             (
                 format!("{eco:?}"),
-                out.pairs.clone(),
+                out.pairs.iter().copied().collect(),
                 out.chosen_k,
                 out.trace.iter().map(|&(k, f)| (k, f.to_bits())).collect(),
             )

@@ -7,6 +7,10 @@ use std::fmt::Write as _;
 /// Renders the subgraph induced by `nodes` (or the whole graph if `None`)
 /// as a DOT document. Symmetric edge pairs are merged into one undirected
 /// DOT edge; `node_label` / `edge_label` control rendering.
+///
+/// Only the included nodes' rows are walked, in ascending node order, so
+/// rendering one group costs its own edges, not the whole graph's; the
+/// output is the whole-graph edge walk filtered to the group.
 pub fn to_dot<N, L: Copy + Eq>(
     graph: &PropertyGraph<N, L>,
     nodes: Option<&[NodeId]>,
@@ -15,40 +19,47 @@ pub fn to_dot<N, L: Copy + Eq>(
 ) -> String {
     let included: Option<HashSet<NodeId>> = nodes.map(|ns| ns.iter().copied().collect());
     let keep = |id: NodeId| included.as_ref().is_none_or(|set| set.contains(&id));
+    let order: Vec<NodeId> = match &included {
+        Some(set) => {
+            let mut order: Vec<NodeId> = set
+                .iter()
+                .copied()
+                .filter(|id| id.index() < graph.node_count())
+                .collect();
+            order.sort_unstable();
+            order
+        }
+        None => graph.node_ids().collect(),
+    };
 
     let mut out = String::from("graph malgraph {\n  node [shape=box, fontsize=10];\n");
-    for (id, payload) in graph.nodes() {
-        if keep(id) {
-            let _ = writeln!(
-                out,
-                "  {id} [label=\"{}\"];",
-                escape(&node_label(id, payload))
-            );
-        }
+    for &id in &order {
+        let _ = writeln!(
+            out,
+            "  {id} [label=\"{}\"];",
+            escape(&node_label(id, graph.node(id)))
+        );
     }
     // Merge (a→b, b→a) pairs: emit each undirected edge once (a < b), and
     // any asymmetric edge as a directed-style annotation.
     let mut emitted: HashSet<(NodeId, NodeId)> = HashSet::new();
-    for edge in graph.edges() {
-        if !keep(edge.from) || !keep(edge.to) {
-            continue;
-        }
-        let key = if edge.from <= edge.to {
-            (edge.from, edge.to)
-        } else {
-            (edge.to, edge.from)
-        };
-        if emitted.contains(&key) {
-            continue;
-        }
-        emitted.insert(key);
-        let _ = writeln!(
-            out,
-            "  {} -- {} [label=\"{}\"];",
-            key.0,
-            key.1,
-            escape(&edge_label(&edge.label))
-        );
+    let mut buf = Vec::new();
+    for &from in &order {
+        graph.walk_out(from, &mut |_| true, &mut buf, |to, label| {
+            if !keep(to) {
+                return;
+            }
+            let key = if from <= to { (from, to) } else { (to, from) };
+            if emitted.insert(key) {
+                let _ = writeln!(
+                    out,
+                    "  {} -- {} [label=\"{}\"];",
+                    key.0,
+                    key.1,
+                    escape(&edge_label(&label))
+                );
+            }
+        });
     }
     out.push_str("}\n");
     out

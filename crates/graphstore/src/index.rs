@@ -11,15 +11,14 @@
 //!   same union sequence and the same root-keyed collection, so cached
 //!   and fresh results are byte-identical), plus a node → component map
 //!   for O(1) membership queries and the Table-II node/edge counts.
-//!   [`ComponentIndex::build_many`] amortises one adjacency traversal
-//!   over every label of interest — on a graph whose similarity relation
-//!   alone carries tens of millions of directed edges, re-walking the
-//!   full edge list once per label is the dominant cost.
+//!   [`ComponentIndex::build_many`] amortises one edge walk over every
+//!   label of interest. A served relation's edges are replayed from its
+//!   neighbour function, in the same place and order as stored ones.
 //! * [`AdjacencyIndex`] — a CSR (compressed sparse row) snapshot of one
 //!   label's out-adjacency, for traversal queries. Kept separate from
-//!   [`ComponentIndex`] deliberately: materialising the CSR for a
-//!   multi-million-edge label costs hundreds of megabytes, while the
-//!   traversal queries only ever run over sparse labels.
+//!   [`ComponentIndex`] deliberately: a dense label's CSR would copy
+//!   every one of its edges, while the traversal queries only ever run
+//!   over sparse labels.
 //!
 //! Both indexes are snapshots: they do **not** observe later mutations
 //! of the graph on their own. A cache owner has two choices after the
@@ -129,8 +128,9 @@ impl ComponentIndex {
     /// Builds the index for the subgraph of edges whose label passes
     /// `filter`.
     ///
-    /// The union-find runs over the out-adjacency in node order — the
-    /// identical sequence [`PropertyGraph::components`] performs — and
+    /// The union-find runs over the out-rows in node order (served runs
+    /// included) — the identical sequence [`PropertyGraph::components`]
+    /// performs — and
     /// components are collected under the same root-keyed ordering, so
     /// [`ComponentIndex::components`] equals a fresh
     /// [`PropertyGraph::components`] call bit for bit.
@@ -139,36 +139,34 @@ impl ComponentIndex {
         mut filter: impl FnMut(&L) -> bool,
     ) -> ComponentIndex {
         let mut b = Builder::new(graph.node_count());
+        let mut buf = Vec::new();
         for id in graph.node_ids() {
-            for &(to, ref label) in graph.out_edges(id) {
-                if filter(label) {
-                    b.union(id.index(), to.index());
-                }
-            }
+            graph.walk_out(id, &mut filter, &mut buf, |to, _| {
+                b.union(id.index(), to.index())
+            });
         }
         b.finish()
     }
 
-    /// Builds one index per label in a single adjacency traversal.
+    /// Builds one index per label in a single edge walk.
     ///
     /// Each edge is dispatched to the accumulator of its label (edges
     /// whose label is not listed are skipped), so every label sees the
     /// exact union sequence a dedicated filtered [`ComponentIndex::build`]
     /// would perform — the results are element-for-element identical —
-    /// while the multi-million-entry edge lists are walked once instead
-    /// of once per label.
+    /// while the rows are walked once instead of once per label.
     pub fn build_many<N, L: Copy + Eq>(
         graph: &PropertyGraph<N, L>,
         labels: &[L],
     ) -> Vec<ComponentIndex> {
         let n = graph.node_count();
         let mut builders: Vec<Builder> = labels.iter().map(|_| Builder::new(n)).collect();
+        let mut buf = Vec::new();
         for id in graph.node_ids() {
-            for &(to, ref label) in graph.out_edges(id) {
-                if let Some(slot) = labels.iter().position(|l| l == label) {
-                    builders[slot].union(id.index(), to.index());
-                }
-            }
+            graph.walk_out(id, &mut |l| labels.contains(l), &mut buf, |to, label| {
+                let slot = labels.iter().position(|l| *l == label).expect("filtered");
+                builders[slot].union(id.index(), to.index());
+            });
         }
         builders.into_iter().map(Builder::finish).collect()
     }
@@ -202,19 +200,18 @@ impl ComponentIndex {
         );
         self.uf.grow(n);
         self.touched.resize(n, false);
+        let mut buf = Vec::new();
         for id in graph.node_ids().skip(from) {
-            for &(to, ref label) in graph.out_edges(id) {
-                if filter(label) {
-                    debug_assert!(
-                        to.index() >= from,
-                        "append-only contract violated: new label edge reaches old node"
-                    );
-                    self.uf.union(id.index(), to.index());
-                    self.touched[id.index()] = true;
-                    self.touched[to.index()] = true;
-                    self.edges += 1;
-                }
-            }
+            graph.walk_out(id, &mut filter, &mut buf, |to, _| {
+                debug_assert!(
+                    to.index() >= from,
+                    "append-only contract violated: new label edge reaches old node"
+                );
+                self.uf.union(id.index(), to.index());
+                self.touched[id.index()] = true;
+                self.touched[to.index()] = true;
+                self.edges += 1;
+            });
         }
         let (components, group_of, nodes) = collect_components(&mut self.uf, &self.touched);
         self.components = components;
@@ -300,12 +297,9 @@ impl AdjacencyIndex {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
         offsets.push(0u32);
+        let mut buf = Vec::new();
         for id in graph.node_ids() {
-            for &(to, ref label) in graph.out_edges(id) {
-                if filter(label) {
-                    targets.push(to);
-                }
-            }
+            graph.walk_out(id, &mut filter, &mut buf, |to, _| targets.push(to));
             offsets.push(u32::try_from(targets.len()).expect("graph too large"));
         }
         AdjacencyIndex { offsets, targets }
@@ -329,12 +323,9 @@ impl AdjacencyIndex {
             self.offsets.len() - 1,
             "extend must resume at the node count the snapshot was built at"
         );
+        let mut buf = Vec::new();
         for id in graph.node_ids().skip(from) {
-            for &(to, ref label) in graph.out_edges(id) {
-                if filter(label) {
-                    self.targets.push(to);
-                }
-            }
+            graph.walk_out(id, &mut filter, &mut buf, |to, _| self.targets.push(to));
             self.offsets
                 .push(u32::try_from(self.targets.len()).expect("graph too large"));
         }

@@ -9,6 +9,10 @@
 //!   edges carry a label `L` (MALGRAPH uses its four relation types);
 //! * [`PropertyGraph::components`] — connected components restricted to a
 //!   label subset, computed with a union-find ([`unionfind`]);
+//! * [`PropertyGraph::serve`] — one symmetric label answered by a
+//!   [`ServedRelation`] instead of stored rows (MALGRAPH's similar
+//!   relation: millions of edges that copy a few hundred facts); every
+//!   edge-walking method sees its edges where stored ones would sit;
 //! * [`stats`] — node/edge counts and degree averages (paper Table II);
 //! * [`dot`] — Graphviz export for Fig.-3-style group renderings.
 //!
@@ -36,6 +40,7 @@ pub mod unionfind;
 
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Identifier of a node within one [`PropertyGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,19 +76,60 @@ pub struct Edge<L> {
     pub label: L,
 }
 
+/// A symmetric, irreflexive relation that a [`PropertyGraph`] answers
+/// from a neighbour function instead of adjacency rows
+/// ([`PropertyGraph::serve`]).
+///
+/// The contract: `b` is a neighbour of `a` exactly when `a` is a
+/// neighbour of `b`, and no node is its own neighbour; `neighbours`
+/// lists each neighbour once, in the order the node's rows carry them;
+/// `degree` is the number `neighbours` lists, and `contains` agrees
+/// with it. A node the relation does not know has no neighbours.
+pub trait ServedRelation: fmt::Debug + Send + Sync {
+    /// Appends the neighbours of `node` to `out`, in row order.
+    fn neighbours(&self, node: NodeId, out: &mut Vec<NodeId>);
+    /// The number of neighbours of `node`.
+    fn degree(&self, node: NodeId) -> usize;
+    /// Whether `b` is a neighbour of `a`.
+    fn contains(&self, a: NodeId, b: NodeId) -> bool;
+}
+
+/// The served label of a graph, and where its run sits in each row.
+#[derive(Debug, Clone)]
+struct Served<L> {
+    label: L,
+    relation: Arc<dyn ServedRelation>,
+    /// Per node known when the relation was attached: the length of its
+    /// stored out-row then, which is where the served run sits.
+    out_at: Vec<u32>,
+    /// The same for the in-rows.
+    in_at: Vec<u32>,
+    /// Directed edges the relation serves: the sum of its degrees.
+    edges: usize,
+}
+
 /// A directed multigraph with node payloads and labeled edges.
 ///
 /// Symmetric relations (duplicated / similar / co-existing in MALGRAPH)
-/// are stored as a pair of directed edges via
-/// [`PropertyGraph::add_undirected_edge`]; the paper's Table II counts
-/// degrees the same way (average in-degree equals average out-degree for
-/// every relation graph).
+/// are a pair of directed edges each: stored via
+/// [`PropertyGraph::add_undirected_edge`], or served by a
+/// [`ServedRelation`]; the paper's Table II counts degrees the same way
+/// (average in-degree equals average out-degree for every relation
+/// graph).
+///
+/// A node's out-row is its stored out-edges in insertion order, with the
+/// served run (if a relation is served) spliced in where the stored row
+/// ended when the relation was attached. Every method that walks edges
+/// walks these full rows; only [`PropertyGraph::out_edges`] and
+/// [`PropertyGraph::in_edges`] return the stored edges alone.
 #[derive(Debug, Clone)]
 pub struct PropertyGraph<N, L> {
     nodes: Vec<N>,
     out_adj: Vec<Vec<(NodeId, L)>>,
     in_adj: Vec<Vec<(NodeId, L)>>,
+    /// Stored directed edges.
     edge_count: usize,
+    served: Option<Served<L>>,
 }
 
 impl<N, L> Default for PropertyGraph<N, L> {
@@ -100,6 +146,7 @@ impl<N, L> PropertyGraph<N, L> {
             out_adj: Vec::new(),
             in_adj: Vec::new(),
             edge_count: 0,
+            served: None,
         }
     }
 
@@ -117,9 +164,9 @@ impl<N, L> PropertyGraph<N, L> {
         self.nodes.len()
     }
 
-    /// Number of directed edges.
+    /// Number of directed edges, served ones included.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edge_count + self.served.as_ref().map_or(0, |s| s.edges)
     }
 
     /// Payload of `id`.
@@ -185,71 +232,36 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         self.add_edge(b, a, label);
     }
 
-    /// Appends a batch of symmetric relations — the resulting adjacency
-    /// lists are element-for-element identical to calling
-    /// [`PropertyGraph::add_undirected_edge`] on each pair in order.
-    ///
-    /// Bulk loads (millions of similar pairs scattered across tens of
-    /// thousands of adjacency rows) are dominated not by the element
-    /// stores but by the per-push `Vec` length/capacity bookkeeping:
-    /// four row headers per pair, far too many to stay cache-resident.
-    /// This path counts each node's added degree first, writes the new
-    /// entries through dense insertion cursors into one staging buffer,
-    /// and then extends each touched row once. A node's appended
-    /// `(peer, label)` sequence is the same for its out- and in-rows —
-    /// each pair `(a, b)` appends `(b, label)` to both rows of `a` and
-    /// `(a, label)` to both rows of `b` — so one staging run serves
-    /// both tables.
+    /// Serves `label`'s edges from `relation` instead of storing them.
+    /// In each node's out- and in-row, the served run sits after the
+    /// edges stored so far and before any stored later; nodes added later
+    /// have no run.
     ///
     /// # Panics
     ///
-    /// Panics if any endpoint is unknown or any `a == b`; every pair is
-    /// validated before the first write, so a panicking call leaves the
-    /// graph untouched.
-    pub fn add_undirected_edges<I>(&mut self, pairs: I, label: L)
-    where
-        I: Iterator<Item = (NodeId, NodeId)> + Clone,
-    {
-        let n = self.nodes.len();
-        let mut added: Vec<u32> = vec![0; n];
-        let mut pair_count = 0usize;
-        for (a, b) in pairs.clone() {
-            assert_ne!(a, b, "relations are irreflexive");
-            assert!(a.index() < n, "unknown source node");
-            assert!(b.index() < n, "unknown target node");
-            added[a.index()] += 1;
-            added[b.index()] += 1;
-            pair_count += 1;
-        }
-        let mut cursors: Vec<usize> = Vec::with_capacity(n);
-        let mut total = 0usize;
-        for &d in &added {
-            cursors.push(total);
-            total += d as usize;
-        }
-        let offsets = cursors.clone();
-        let mut staging: Vec<(NodeId, L)> = vec![(NodeId(0), label); total];
-        for (a, b) in pairs {
-            staging[cursors[a.index()]] = (b, label);
-            cursors[a.index()] += 1;
-            staging[cursors[b.index()]] = (a, label);
-            cursors[b.index()] += 1;
-        }
-        for x in 0..n {
-            let d = added[x] as usize;
-            if d > 0 {
-                let run = &staging[offsets[x]..offsets[x] + d];
-                self.out_adj[x].extend_from_slice(run);
-                self.in_adj[x].extend_from_slice(run);
-            }
-        }
-        self.edge_count += 2 * pair_count;
+    /// Panics if a relation is already served: one graph serves one
+    /// relation until [`PropertyGraph::clear_edges`] detaches it.
+    pub fn serve(&mut self, label: L, relation: Arc<dyn ServedRelation>) {
+        assert!(self.served.is_none(), "a graph serves one relation");
+        let at = |rows: &[Vec<(NodeId, L)>]| -> Vec<u32> {
+            rows.iter()
+                .map(|row| u32::try_from(row.len()).expect("graph too large"))
+                .collect()
+        };
+        let edges = self.node_ids().map(|id| relation.degree(id)).sum();
+        self.served = Some(Served {
+            label,
+            out_at: at(&self.out_adj),
+            in_at: at(&self.in_adj),
+            relation,
+            edges,
+        });
     }
 
-    /// Removes every edge while keeping all nodes (and the adjacency
-    /// lists' allocations, so re-adding a similar edge set does not
-    /// reallocate). The incremental ingestion path uses this to re-emit
-    /// the edge stages over a grown corpus without rebuilding nodes.
+    /// Removes every edge, stored or served, while keeping all nodes (and
+    /// the adjacency lists' allocations). The incremental ingestion path
+    /// uses this to re-emit the edge stages over a grown corpus without
+    /// rebuilding nodes.
     pub fn clear_edges(&mut self) {
         for adj in &mut self.out_adj {
             adj.clear();
@@ -258,9 +270,11 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
             adj.clear();
         }
         self.edge_count = 0;
+        self.served = None;
     }
 
-    /// Outgoing `(target, label)` pairs of `id`.
+    /// Stored outgoing `(target, label)` pairs of `id`, without the
+    /// served run; [`PropertyGraph::edges`] yields both.
     ///
     /// # Panics
     ///
@@ -269,7 +283,8 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         &self.out_adj[id.index()]
     }
 
-    /// Incoming `(source, label)` pairs of `id`.
+    /// Stored incoming `(source, label)` pairs of `id`, without the
+    /// served run.
     ///
     /// # Panics
     ///
@@ -278,20 +293,88 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         &self.in_adj[id.index()]
     }
 
+    /// The served relation, when `filter` passes its label, and where its
+    /// run sits in `id`'s row of `at` (out or in).
+    fn served_run<'a>(
+        &'a self,
+        id: NodeId,
+        filter: &mut impl FnMut(&L) -> bool,
+        at: impl Fn(&'a Served<L>) -> &'a [u32],
+    ) -> Option<(&'a Served<L>, usize)> {
+        let served = self.served.as_ref()?;
+        let run = *at(served).get(id.index())?;
+        filter(&served.label).then_some((served, run as usize))
+    }
+
+    /// The served degree of `id` when `filter` passes the served label.
+    pub(crate) fn served_degree(&self, id: NodeId, filter: &mut impl FnMut(&L) -> bool) -> usize {
+        self.served_run(id, filter, |s| &s.out_at)
+            .map_or(0, |(served, _)| served.relation.degree(id))
+    }
+
+    /// The served label, if a relation is served.
+    pub(crate) fn served_label(&self) -> Option<L> {
+        self.served.as_ref().map(|s| s.label)
+    }
+
+    /// Calls `f(to, label)` for each out-edge of `id` whose label passes
+    /// `filter`, in row order: stored edges before the served run, the
+    /// run, stored edges after it. `buf` holds the run.
+    pub(crate) fn walk_out(
+        &self,
+        id: NodeId,
+        filter: &mut impl FnMut(&L) -> bool,
+        buf: &mut Vec<NodeId>,
+        mut f: impl FnMut(NodeId, L),
+    ) {
+        let row = &self.out_adj[id.index()];
+        let (head, tail) = match self.served_run(id, filter, |s| &s.out_at) {
+            Some((served, at)) => {
+                buf.clear();
+                served.relation.neighbours(id, buf);
+                (&row[..at], &row[at..])
+            }
+            None => {
+                buf.clear();
+                (&row[..], &row[row.len()..])
+            }
+        };
+        for &(to, label) in head {
+            if filter(&label) {
+                f(to, label);
+            }
+        }
+        if let Some(label) = self.served_label() {
+            for &to in buf.iter() {
+                f(to, label);
+            }
+        }
+        for &(to, label) in tail {
+            if filter(&label) {
+                f(to, label);
+            }
+        }
+    }
+
     /// Out-degree of `id` counting only edges whose label passes `filter`.
     pub fn out_degree_by(&self, id: NodeId, mut filter: impl FnMut(&L) -> bool) -> usize {
-        self.out_adj[id.index()]
+        let stored = self.out_adj[id.index()]
             .iter()
             .filter(|(_, l)| filter(l))
-            .count()
+            .count();
+        stored + self.served_degree(id, &mut filter)
     }
 
     /// In-degree of `id` counting only edges whose label passes `filter`.
     pub fn in_degree_by(&self, id: NodeId, mut filter: impl FnMut(&L) -> bool) -> usize {
-        self.in_adj[id.index()]
+        let stored = self.in_adj[id.index()]
             .iter()
             .filter(|(_, l)| filter(l))
-            .count()
+            .count();
+        let served = self
+            .served_run(id, &mut filter, |s| &s.in_at)
+            .map_or(0, |(served, _)| served.relation.degree(id));
+        stored + served
     }
 
     /// Whether an edge `from → to` with `label` exists.
@@ -299,26 +382,46 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         self.out_adj[from.index()]
             .iter()
             .any(|&(t, l)| t == to && l == label)
+            || self
+                .served_run(from, &mut |l| *l == label, |s| &s.out_at)
+                .is_some_and(|(served, _)| served.relation.contains(from, to))
     }
 
-    /// Iterates every directed edge.
+    /// Iterates every directed edge, served ones included: node by node,
+    /// each node's out-row in order.
     pub fn edges(&self) -> impl Iterator<Item = Edge<L>> + '_ {
-        self.out_adj.iter().enumerate().flat_map(|(i, adj)| {
-            adj.iter().map(move |&(to, label)| Edge {
-                from: NodeId(i as u32),
-                to,
-                label,
-            })
+        self.node_ids().flat_map(move |from| {
+            let row = &self.out_adj[from.index()];
+            let mut run = Vec::new();
+            let (head, tail) = match self.served_run(from, &mut |_| true, |s| &s.out_at) {
+                Some((served, at)) => {
+                    served.relation.neighbours(from, &mut run);
+                    (&row[..at], &row[at..])
+                }
+                None => (&row[..], &row[row.len()..]),
+            };
+            let label = self.served_label();
+            head.iter()
+                .copied()
+                .chain(run.into_iter().filter_map(move |to| Some((to, label?))))
+                .chain(tail.iter().copied())
+                .map(move |(to, label)| Edge { from, to, label })
         })
     }
 
     /// Number of directed edges whose label passes `filter`.
     pub fn edge_count_by(&self, mut filter: impl FnMut(&L) -> bool) -> usize {
-        self.out_adj
+        let stored = self
+            .out_adj
             .iter()
             .flat_map(|adj| adj.iter())
             .filter(|(_, l)| filter(l))
-            .count()
+            .count();
+        let served = match &self.served {
+            Some(served) if filter(&served.label) => served.edges,
+            _ => 0,
+        };
+        stored + served
     }
 
     /// Connected components over the subgraph of edges whose label passes
@@ -327,19 +430,23 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
     /// "DG has 2,475 nodes" counts packages that participate in at least
     /// one duplicated relation, not the whole corpus.
     ///
-    /// Components are returned sorted by ascending minimum node id, nodes
-    /// within a component sorted ascending.
+    /// The union-find (union by size) merges the endpoints of every
+    /// passing edge in [`PropertyGraph::edges`] order, and components come
+    /// out in ascending order of their final root. That is not ascending
+    /// minimum node id: the edges (0,6), (3,4), (3,5), (3,6), (1,2) give
+    /// the component of 1 before the component of 0. Nodes within a
+    /// component are sorted ascending.
     pub fn components(&self, mut filter: impl FnMut(&L) -> bool) -> Vec<Vec<NodeId>> {
         let mut uf = unionfind::UnionFind::new(self.nodes.len());
         let mut touched = vec![false; self.nodes.len()];
-        for (i, adj) in self.out_adj.iter().enumerate() {
-            for (to, label) in adj {
-                if filter(label) {
-                    uf.union(i, to.index());
-                    touched[i] = true;
-                    touched[to.index()] = true;
-                }
-            }
+        let mut buf = Vec::new();
+        for id in self.node_ids() {
+            let i = id.index();
+            self.walk_out(id, &mut filter, &mut buf, |to, _| {
+                uf.union(i, to.index());
+                touched[i] = true;
+                touched[to.index()] = true;
+            });
         }
         let mut groups: std::collections::BTreeMap<usize, Vec<NodeId>> =
             std::collections::BTreeMap::new();
@@ -366,14 +473,15 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         seen[start.index()] = true;
         queue.push_back(start);
         let mut out = Vec::new();
+        let mut buf = Vec::new();
         while let Some(cur) = queue.pop_front() {
             out.push(cur);
-            for (next, label) in &self.out_adj[cur.index()] {
-                if filter(label) && !seen[next.index()] {
+            self.walk_out(cur, &mut filter, &mut buf, |next, _| {
+                if !seen[next.index()] {
                     seen[next.index()] = true;
-                    queue.push_back(*next);
+                    queue.push_back(next);
                 }
-            }
+            });
         }
         out.sort_unstable();
         out
@@ -430,37 +538,223 @@ mod tests {
         assert_eq!(g.edge_count(), fresh.edge_count());
     }
 
-    #[test]
-    fn batch_append_matches_per_edge_loop() {
-        // Same pair sequence through both paths, on graphs that already
-        // carry edges (the batch must append after them, not reorder).
-        let (mut batch, ids) = diamond();
-        let (mut loop_, _) = diamond();
-        let pairs = [
-            (ids[0], ids[2]),
-            (ids[2], ids[0]), // reverse orientation is a distinct append
-            (ids[0], ids[2]), // repeats allowed: this is a multigraph
-            (ids[3], ids[1]),
+    /// A symmetric relation held as ascending neighbour sets, served
+    /// the way MALGRAPH serves its similar relation.
+    #[derive(Debug)]
+    struct Sets(Vec<std::collections::BTreeSet<NodeId>>);
+
+    impl ServedRelation for Sets {
+        fn neighbours(&self, node: NodeId, out: &mut Vec<NodeId>) {
+            if let Some(set) = self.0.get(node.index()) {
+                out.extend(set.iter().copied());
+            }
+        }
+        fn degree(&self, node: NodeId) -> usize {
+            self.0.get(node.index()).map_or(0, |set| set.len())
+        }
+        fn contains(&self, a: NodeId, b: NodeId) -> bool {
+            self.0.get(a.index()).is_some_and(|set| set.contains(&b))
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Lbl {
+        A,
+        B,
+        S,
+        C,
+    }
+
+    /// The same edges twice, in MALGRAPH's stage order: stored `A`
+    /// cliques and `B` arcs, then the symmetric `S` pairs, then stored
+    /// `C` edges. The first graph stores `S` (pairs in ascending order,
+    /// so each node's run is ascending); the second serves it.
+    fn stored_and_served() -> (PropertyGraph<u32, Lbl>, PropertyGraph<u32, Lbl>) {
+        let n = 10;
+        let s_pairs = [
+            (0, 2),
+            (0, 5),
+            (1, 7),
+            (2, 5),
+            (2, 9),
+            (3, 4),
+            (5, 9),
+            (6, 8),
         ];
-        batch.add_undirected_edges(pairs.iter().copied(), Rel::Dup);
-        for &(a, b) in &pairs {
-            loop_.add_undirected_edge(a, b, Rel::Dup);
+        let mut graphs = Vec::new();
+        for serve in [false, true] {
+            let mut g = PropertyGraph::new();
+            let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(i as u32)).collect();
+            g.add_undirected_edge(ids[0], ids[1], Lbl::A);
+            g.add_undirected_edge(ids[4], ids[5], Lbl::A);
+            g.add_edge(ids[2], ids[3], Lbl::B);
+            g.add_edge(ids[9], ids[0], Lbl::B);
+            if serve {
+                let mut sets = vec![std::collections::BTreeSet::new(); n];
+                for &(a, b) in &s_pairs {
+                    sets[a].insert(ids[b]);
+                    sets[b].insert(ids[a]);
+                }
+                g.serve(Lbl::S, Arc::new(Sets(sets)));
+            } else {
+                for &(a, b) in &s_pairs {
+                    g.add_undirected_edge(ids[a], ids[b], Lbl::S);
+                }
+            }
+            g.add_undirected_edge(ids[1], ids[6], Lbl::C);
+            g.add_undirected_edge(ids[2], ids[8], Lbl::C);
+            g.add_edge(ids[7], ids[3], Lbl::B);
+            graphs.push(g);
         }
-        for &id in &ids {
-            assert_eq!(batch.out_edges(id), loop_.out_edges(id));
-            assert_eq!(batch.in_edges(id), loop_.in_edges(id));
-        }
-        assert_eq!(batch.edge_count(), loop_.edge_count());
-        // An empty batch is a no-op.
-        batch.add_undirected_edges(std::iter::empty(), Rel::Dep);
-        assert_eq!(batch.edge_count(), loop_.edge_count());
+        let served = graphs.pop().expect("two graphs");
+        (graphs.pop().expect("two graphs"), served)
     }
 
     #[test]
-    #[should_panic(expected = "irreflexive")]
-    fn batch_append_rejects_self_edges_before_writing() {
-        let (mut g, ids) = diamond();
-        g.add_undirected_edges([(ids[0], ids[0])].iter().copied(), Rel::Dup);
+    fn a_served_relation_walks_like_stored_edges() {
+        use crate::index::{AdjacencyIndex, ComponentIndex};
+        use crate::stats::RelationStats;
+        let (stored, served) = stored_and_served();
+        let labels = [Lbl::A, Lbl::B, Lbl::S, Lbl::C];
+        assert!(served.edges().eq(stored.edges()));
+        assert_eq!(served.edge_count(), stored.edge_count());
+        assert_eq!(
+            ComponentIndex::build_many(&served, &labels)
+                .iter()
+                .map(|i| i.components().to_vec())
+                .collect::<Vec<_>>(),
+            ComponentIndex::build_many(&stored, &labels)
+                .iter()
+                .map(|i| i.components().to_vec())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            RelationStats::compute_many(&served, &labels),
+            RelationStats::compute_many(&stored, &labels)
+        );
+        let label_sets: [&[Lbl]; 4] = [
+            &labels,
+            &[Lbl::S],
+            &[Lbl::A, Lbl::B, Lbl::C],
+            &[Lbl::A, Lbl::S],
+        ];
+        for set in label_sets {
+            let filter = |l: &Lbl| set.contains(l);
+            assert_eq!(served.edge_count_by(filter), stored.edge_count_by(filter));
+            assert_eq!(served.components(filter), stored.components(filter));
+            let (a, b) = (
+                ComponentIndex::build(&served, filter),
+                ComponentIndex::build(&stored, filter),
+            );
+            assert_eq!(a.components(), b.components());
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(
+                RelationStats::compute(&served, filter),
+                RelationStats::compute(&stored, filter)
+            );
+            let (a, b) = (
+                AdjacencyIndex::build(&served, filter),
+                AdjacencyIndex::build(&stored, filter),
+            );
+            for id in stored.node_ids() {
+                assert_eq!(a.neighbors(id), b.neighbors(id));
+                assert_eq!(served.reachable(id, filter), stored.reachable(id, filter));
+                assert_eq!(
+                    served.out_degree_by(id, filter),
+                    stored.out_degree_by(id, filter)
+                );
+                assert_eq!(
+                    served.in_degree_by(id, filter),
+                    stored.in_degree_by(id, filter)
+                );
+            }
+        }
+        for from in stored.node_ids() {
+            for to in stored.node_ids() {
+                for label in labels {
+                    assert_eq!(
+                        served.has_edge(from, to, label),
+                        stored.has_edge(from, to, label),
+                        "{from}->{to} {label:?}"
+                    );
+                }
+            }
+        }
+        let subset: Vec<NodeId> = stored.node_ids().filter(|id| id.index() % 3 != 1).collect();
+        for nodes in [None, Some(&subset[..])] {
+            let dot = |g: &PropertyGraph<u32, Lbl>| {
+                crate::dot::to_dot(g, nodes, |_, n| n.to_string(), |l| format!("{l:?}"))
+            };
+            assert_eq!(dot(&served), dot(&stored));
+        }
+    }
+
+    #[test]
+    fn served_runs_sit_where_the_relation_was_attached() {
+        let (stored, served) = stored_and_served();
+        for id in stored.node_ids() {
+            // Stored rows hold everything but the served run.
+            let without_s: Vec<_> = stored
+                .out_edges(id)
+                .iter()
+                .copied()
+                .filter(|&(_, l)| l != Lbl::S)
+                .collect();
+            assert_eq!(served.out_edges(id), &without_s[..]);
+        }
+        // A node added after attaching has no run, and later edges land
+        // after the run.
+        let mut grown = served;
+        let late = grown.add_node(99);
+        grown.add_undirected_edge(late, NodeId(2), Lbl::C);
+        assert_eq!(grown.out_degree_by(late, |_| true), 1);
+        let row: Vec<Lbl> = grown
+            .edges()
+            .filter(|e| e.from == NodeId(2))
+            .map(|e| e.label)
+            .collect();
+        assert_eq!(
+            row,
+            [Lbl::B, Lbl::S, Lbl::S, Lbl::S, Lbl::C, Lbl::C],
+            "node 2: stored B, served S run, then stored C"
+        );
+    }
+
+    #[test]
+    fn clear_edges_detaches_the_served_relation() {
+        let (_, mut served) = stored_and_served();
+        served.clear_edges();
+        assert_eq!(served.edge_count(), 0);
+        assert_eq!(served.edges().count(), 0);
+        assert!(!served.has_edge(NodeId(0), NodeId(2), Lbl::S));
+        served.serve(Lbl::S, Arc::new(Sets(Vec::new())));
+        assert_eq!(served.edge_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "serves one relation")]
+    fn a_graph_serves_one_relation() {
+        let (_, mut served) = stored_and_served();
+        served.serve(Lbl::C, Arc::new(Sets(Vec::new())));
+    }
+
+    #[test]
+    fn components_come_out_in_root_order_not_by_minimum() {
+        // Union by size: (0,6) roots {0,6} at 0, (3,4) and (3,5) root
+        // {3,4,5} at 3, and (3,6) hangs the smaller {0,6} under 3. The
+        // root of {1,2} is 1 < 3, so that component comes first although
+        // the other holds node 0.
+        let mut g: PropertyGraph<(), Rel> = PropertyGraph::new();
+        let ids: Vec<NodeId> = (0..7).map(|_| g.add_node(())).collect();
+        for (a, b) in [(0, 6), (3, 4), (3, 5), (3, 6), (1, 2)] {
+            g.add_undirected_edge(ids[a], ids[b], Rel::Dup);
+        }
+        let minima = |components: &[Vec<NodeId>]| -> Vec<usize> {
+            components.iter().map(|c| c[0].index()).collect()
+        };
+        assert_eq!(minima(&g.components(|_| true)), [1, 0]);
+        let index = crate::index::ComponentIndex::build(&g, |_| true);
+        assert_eq!(minima(index.components()), [1, 0]);
     }
 
     #[test]

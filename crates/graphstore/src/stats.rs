@@ -49,10 +49,11 @@ impl RelationStats {
     }
 
     /// [`RelationStats::compute`] for every label at once, in a single
-    /// traversal of the out-adjacency: each edge increments its label's
-    /// edge counter and marks both endpoints incident. Walking the edge
-    /// lists dominates on dense graphs, so one pass over all labels beats
-    /// one pass per label by the number of labels.
+    /// traversal of the stored out-adjacency: each edge increments its
+    /// label's edge counter and marks both endpoints incident. A served
+    /// label needs no walk: it is symmetric, so a node is incident
+    /// exactly when its served degree is positive, and its edges are the
+    /// sum of those degrees.
     pub fn compute_many<N, L: Copy + Eq>(
         graph: &PropertyGraph<N, L>,
         labels: &[L],
@@ -60,6 +61,9 @@ impl RelationStats {
         let n = graph.node_count();
         let mut edges = vec![0usize; labels.len()];
         let mut touched = vec![vec![false; n]; labels.len()];
+        let served = graph
+            .served_label()
+            .and_then(|s| Some((s, labels.iter().position(|l| *l == s)?)));
         for id in graph.node_ids() {
             for &(to, ref label) in graph.out_edges(id) {
                 if let Some(slot) = labels.iter().position(|l| l == label) {
@@ -67,6 +71,11 @@ impl RelationStats {
                     touched[slot][id.index()] = true;
                     touched[slot][to.index()] = true;
                 }
+            }
+            if let Some((label, slot)) = served {
+                let degree = graph.served_degree(id, &mut |l| *l == label);
+                edges[slot] += degree;
+                touched[slot][id.index()] |= degree > 0;
             }
         }
         labels

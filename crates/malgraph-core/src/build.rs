@@ -16,11 +16,12 @@
 use crate::analysis::index::AnalysisIndex;
 use crate::node::{MalNode, Relation};
 use crate::similarity::{
-    similar_pairs_cached, SimilarityCache, SimilarityConfig, SimilarityOutput,
+    similar_pairs_cached, SimilarPairs, SimilarityCache, SimilarityConfig, SimilarityOutput,
+    NO_CLUSTER,
 };
 use crawler::{CollectedDataset, CollectedPackage, CollectedReport};
 use graphstore::index::{AdjacencyIndex, ComponentIndex};
-use graphstore::{NodeId, PropertyGraph};
+use graphstore::{NodeId, PropertyGraph, ServedRelation};
 use oss_types::{CrashPlan, CrashSignal, Ecosystem, PackageId};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,23 +37,27 @@ pub struct BuildOptions {
 ///
 /// Nodes are package/source pairs ([`MalNode`]); edges carry one of the
 /// four [`Relation`]s. Symmetric relations (duplicated / similar /
-/// co-existing) are stored as directed pairs, dependency edges point from
-/// the dependent package to its dependency.
+/// co-existing) are directed pairs, dependency edges point from the
+/// dependent package to its dependency. Duplicated, dependency and
+/// co-existing edges are stored; the similar relation is served from
+/// the ecosystems' class tables ([`SimilarPairs`]), in the place and
+/// order its edges would be stored, so every edge walk, count and lookup
+/// of `graph` sees it.
 #[derive(Debug)]
 pub struct MalGraph {
     /// The underlying property graph.
     pub graph: PropertyGraph<MalNode, Relation>,
     pub(crate) primary: HashMap<PackageId, NodeId>,
-    /// Similarity diagnostics per ecosystem (chosen k, schedule trace).
-    /// `Arc` so the incremental ingestion path can share one output
-    /// between its per-ecosystem memo and the graph without deep-copying
-    /// millions of pairs every window.
+    /// Similarity output per ecosystem: the class table of its similar
+    /// pairs, the chosen k and the schedule trace. `Arc` so the
+    /// incremental ingestion path shares one output between its
+    /// per-ecosystem memo and the graph.
     pub similarity_diagnostics: Vec<(Ecosystem, Arc<SimilarityOutput>)>,
     /// Lazily-built per-relation component indexes, in [`Relation::ALL`]
-    /// order — all built in one adjacency traversal on the first
-    /// component query (the similarity relation alone carries tens of
-    /// millions of directed edges, so the traversal, not the union-find,
-    /// dominates). The graph is immutable between queries — the one
+    /// order — all built in one edge walk on the first component query.
+    /// The similar groups replay the union of every served edge, in edge
+    /// order: union by size makes the group order depend on that
+    /// sequence. The graph is immutable between queries — the one
     /// mutation path, [`MalGraph::apply_delta`], holds `&mut self` and
     /// explicitly invalidates (or incrementally extends) every snapshot
     /// before queries resume — so a snapshot taken at first query stays
@@ -67,9 +72,7 @@ pub struct MalGraph {
     /// the `OnceLock` initialiser, which runs under `&self`.
     pub(crate) dup_carry: Mutex<Option<ComponentIndex>>,
     /// Lazily-built per-relation CSR adjacency snapshots, in
-    /// [`Relation::ALL`] order. Built per relation on demand — only the
-    /// sparse co-existing relation is ever traversed, and materialising
-    /// the similarity CSR would cost hundreds of megabytes.
+    /// [`Relation::ALL`] order, each built on its first traversal query.
     pub(crate) adjacency: [OnceLock<AdjacencyIndex>; Relation::ALL.len()],
     /// Lazily-computed Table-II statistics, in [`Relation::ALL`] order,
     /// gathered for all relations in a single edge scan.
@@ -98,8 +101,8 @@ impl MalGraph {
     }
 
     /// The cached component index for one relation. The first query
-    /// builds the indexes of *all* relations in a single adjacency
-    /// traversal ([`ComponentIndex::build_many`]); `OnceLock` serialises
+    /// builds the indexes of *all* relations in a single edge walk
+    /// ([`ComponentIndex::build_many`]); `OnceLock` serialises
     /// concurrent first queries, so the parallel analysis harness shares
     /// one snapshot per relation. A Duplicated index parked by
     /// [`MalGraph::apply_delta`] is re-adopted instead of rebuilt — the
@@ -146,9 +149,8 @@ impl MalGraph {
     }
 
     /// The cached CSR adjacency snapshot for one relation, built on first
-    /// use (each relation independently — traversal queries only run over
-    /// the sparse relations, and a dense relation's CSR would dwarf the
-    /// graph itself).
+    /// use, each relation independently: the analyses traverse only the
+    /// co-existing relation.
     pub fn adjacency(&self, relation: Relation) -> &AdjacencyIndex {
         self.adjacency[relation_slot(relation)].get_or_init(|| {
             let _detached = obs::detached();
@@ -311,7 +313,10 @@ impl MalGraph {
     }
 
     /// Stage 4: similar edges and the similarity diagnostics, one
-    /// ecosystem at a time in job order. Returns the edge count.
+    /// ecosystem at a time in job order. The class tables are laid over
+    /// the nodes and served to the graph, which places each node's run
+    /// after its stored duplicated and dependency edges and before the
+    /// co-existing ones. Returns the pair count, by arithmetic.
     fn emit_similar_edges(
         &mut self,
         packages: &[CollectedPackage],
@@ -321,6 +326,7 @@ impl MalGraph {
     ) -> Result<u64, CrashSignal> {
         self.similarity_diagnostics.clear();
         let mut similar_edges = 0u64;
+        let mut served = SimilarNeighbours::new(self.graph.node_count());
         for (eco, entries) in similarity_jobs(packages) {
             let memo = &mut memos[eco_slot(eco)];
             let output = match &memo.output {
@@ -341,18 +347,126 @@ impl MalGraph {
                     output
                 }
             };
-            // One primary lookup per entry instead of two per pair: the
-            // similar relation carries millions of pairs per ecosystem,
-            // and string-keyed `PackageId` hashing dominated this stage.
             let nodes: Vec<NodeId> = entries.iter().map(|(id, _)| self.primary[id]).collect();
-            self.graph.add_undirected_edges(
-                output.pairs.iter().map(|&(a, b)| (nodes[a], nodes[b])),
-                Relation::Similar,
-            );
+            served.add(&output.pairs, &nodes);
             similar_edges += output.pairs.len() as u64;
             self.similarity_diagnostics.push((eco, output));
         }
+        self.graph.serve(Relation::Similar, Arc::new(served));
         Ok(similar_edges)
+    }
+}
+
+/// The similar relation as the graph serves it: every ecosystem's class
+/// table ([`SimilarPairs`]) laid over the graph's nodes, cluster by
+/// cluster. A node's neighbours are the members of its cluster whose
+/// class verdict toward it (for members before it) or from it (for
+/// members after it) is set, in entry order — the order the emitted
+/// pairs gave its rows — so the graph walks, counts and looks up similar
+/// edges without storing one. It takes a few bytes per clustered node
+/// plus the verdict matrices, however many pairs the classes expand to.
+#[derive(Debug)]
+struct SimilarNeighbours {
+    /// Node index → member slot, [`NO_CLUSTER`] when the node is in no
+    /// cluster.
+    slot: Vec<u32>,
+    /// Member slot → node; each cluster's members are contiguous and in
+    /// entry order.
+    node: Vec<NodeId>,
+    /// Member slot → its class's index among its cluster's classes.
+    local: Vec<u32>,
+    /// Member slot → its number of similar neighbours.
+    degree: Vec<u32>,
+    /// Member slot → its cluster, numbered across ecosystems.
+    cluster: Vec<u32>,
+    /// Cluster → its member slots.
+    members: Vec<std::ops::Range<usize>>,
+    /// Cluster → the offset of its verdict matrix in `verdicts`, and its
+    /// number of classes.
+    matrix: Vec<(usize, usize)>,
+    verdicts: Vec<u8>,
+}
+
+impl SimilarNeighbours {
+    fn new(nodes: usize) -> SimilarNeighbours {
+        SimilarNeighbours {
+            slot: vec![NO_CLUSTER; nodes],
+            node: Vec::new(),
+            local: Vec::new(),
+            degree: Vec::new(),
+            cluster: Vec::new(),
+            members: Vec::new(),
+            matrix: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// Adds one ecosystem's table; entry `i` of the table is `nodes[i]`.
+    fn add(&mut self, pairs: &SimilarPairs, nodes: &[NodeId]) {
+        let members = pairs.members();
+        for (c, matrix) in pairs.verdicts().iter().enumerate() {
+            let cluster = u32::try_from(self.members.len()).expect("graph too large");
+            let first = self.node.len();
+            for m in members.range(c) {
+                let node = nodes[members.entry[m] as usize];
+                assert_eq!(
+                    self.slot[node.index()],
+                    NO_CLUSTER,
+                    "a node joins one similarity cluster"
+                );
+                self.slot[node.index()] = u32::try_from(self.node.len()).expect("graph too large");
+                self.node.push(node);
+                self.local.push(members.local[m]);
+                self.degree.push(members.degree[m]);
+                self.cluster.push(cluster);
+            }
+            self.members.push(first..self.node.len());
+            self.matrix.push((self.verdicts.len(), members.classes[c]));
+            self.verdicts.extend_from_slice(matrix);
+        }
+    }
+
+    /// The member slot of `node`, if it is in a cluster.
+    fn slot_of(&self, node: NodeId) -> Option<usize> {
+        match self.slot.get(node.index()) {
+            Some(&s) if s != NO_CLUSTER => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// Whether the member in slot `a` is similar to the one in slot `b`
+    /// of the same cluster, `a` before `b`.
+    fn similar(&self, a: usize, b: usize) -> bool {
+        let (offset, g) = self.matrix[self.cluster[a] as usize];
+        self.verdicts[offset + self.local[a] as usize * g + self.local[b] as usize] != 0
+    }
+}
+
+impl ServedRelation for SimilarNeighbours {
+    fn neighbours(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        let Some(s) = self.slot_of(node) else {
+            return;
+        };
+        let range = self.members[self.cluster[s] as usize].clone();
+        out.extend(
+            (range.start..s)
+                .filter(|&t| self.similar(t, s))
+                .chain((s + 1..range.end).filter(|&t| self.similar(s, t)))
+                .map(|t| self.node[t]),
+        );
+    }
+
+    fn degree(&self, node: NodeId) -> usize {
+        self.slot_of(node).map_or(0, |s| self.degree[s] as usize)
+    }
+
+    fn contains(&self, a: NodeId, b: NodeId) -> bool {
+        match (self.slot_of(a), self.slot_of(b)) {
+            (Some(x), Some(y)) if x != y && self.cluster[x] == self.cluster[y] => {
+                self.similar(x.min(y), x.max(y))
+            }
+            _ => false,
+        }
     }
 }
 
@@ -519,7 +633,7 @@ fn emit_coexisting_edges(
 ///    *malicious* package of the corpus (legitimate dependencies are
 ///    dropped);
 /// 4. **similar** edges: the AST→embedding→K-Means pipeline per
-///    ecosystem, over available packages;
+///    ecosystem, over available packages, served from its class table;
 /// 5. **co-existing** edges: clique over the packages named by the same
 ///    security report.
 ///

@@ -1,4 +1,4 @@
-//! Crash-consistent checkpointing of a windowed ingest run (ISSUE 10).
+//! Crash-consistent checkpointing of a windowed ingest run.
 //!
 //! The paper's pipeline runs for months (§II); a reproduction at that
 //! scale must survive process death mid-run. This module makes the
@@ -37,13 +37,18 @@
 //! makes resume fast is skipping the similarity pipeline — [`restore`]
 //! seeds the similarity memos with the persisted outputs, so every
 //! ecosystem takes the memo's reuse path, as in a window that added
-//! nothing to it. The
-//! `f32` schedule traces are stored as raw bit patterns so the
-//! round-trip is exact, not close, and the (at full scale, millions of)
-//! similar pairs are encoded as one flat `"a,b a,b …"` string per
-//! ecosystem in a compact-rendered body — see `snapshot_body` for why
-//! the obvious nested-array encoding is not merely slower but
-//! allocation-bound.
+//! nothing to it.
+//!
+//! Format 2 stores each output's similar pairs as its class table
+//! ([`SimilarPairs`](crate::similarity::SimilarPairs)): a cluster and a
+//! class id per entry and one verdict matrix per cluster, a few numbers
+//! per package where format 1 spelled out every pair (millions at full
+//! scale). Reading a generation checks the table — ids in range, classes
+//! numbered by first appearance, every matrix the size of its cluster's
+//! classes, as many rows as entries — without sizing anything by a
+//! length the file declares. The `f32` schedule traces are stored as raw
+//! bit patterns so the round-trip is exact, not close. A format-1
+//! generation fails the tag check and is discarded like any corrupt one.
 //!
 //! # The fallback ladder
 //!
@@ -64,7 +69,7 @@
 
 use crate::build::{self, BuildOptions, MalGraph};
 use crate::ingest::IngestState;
-use crate::similarity::SimilarityOutput;
+use crate::similarity::{SimilarPairs, SimilarityOutput, NO_CLUSTER};
 use crawler::{CollectedDataset, CorpusDelta, ExportFidelity};
 use jsonio::durable::{self, SealError};
 use oss_types::{CrashPlan, CrashSignal, Ecosystem, PackageId, Sha256};
@@ -74,8 +79,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Format tag of generation snapshot files.
-const GENERATION_TAG: &str = "malgraph-checkpoint/1";
+/// Format tag of generation snapshot files. A generation written under
+/// another tag (format 1 stored expanded pairs) fails the tag check and
+/// takes the recovery ladder like any other unreadable generation.
+const GENERATION_TAG: &str = "malgraph-checkpoint/2";
+/// The `format_version` field of a generation body.
+const FORMAT_VERSION: u32 = 2;
 /// Format tag of write-ahead journal entries.
 const JOURNAL_TAG: &str = "malgraph-journal/1";
 /// Format tag of the run stamp.
@@ -436,42 +445,38 @@ impl CheckpointStore {
 }
 
 /// Builds the snapshot document straight from live ingest state (no
-/// intermediate clone of the corpus or the pair lists — at full scale
-/// those are hundreds of megabytes).
+/// intermediate clone of the corpus).
 ///
-/// Two representation choices keep generation I/O linear-time where a
-/// naive encoding is allocation-bound:
-///
-/// * similar pairs are one flat `"a,b a,b …"` string per ecosystem, not
-///   nested JSON arrays — the Similar graph carries millions of pairs
-///   at full scale, and a `Value` tree with three heap nodes per pair
-///   turns both serialisation and parse into multi-second allocation
-///   storms;
-/// * `f32` trace values are stored as raw bit patterns — JSON floats
-///   would round-trip through decimal and the identity contract is
-///   *byte* identity, not approximate identity.
+/// Each ecosystem's similar relation is stored as its class table
+/// ([`SimilarPairs`]), not as the pairs it expands to: a cluster and a
+/// class id per entry (`null` for an entry in no cluster) and one
+/// verdict string of `0`/`1` per cluster. A flood of thousands of copies
+/// is one class and one verdict, so the table is a few numbers per
+/// package where the pairs it stands for run to millions at full scale.
+/// `f32` trace values are stored as raw bit patterns — JSON floats would
+/// round-trip through decimal and the identity contract is *byte*
+/// identity, not approximate identity.
 ///
 /// The body is rendered compact, not pretty: nobody reads a generation
 /// file by eye, and the indentation would double its size.
 fn snapshot_body(state: &IngestState) -> String {
-    use std::fmt::Write as _;
+    let ids = |ids: &[u32]| -> Vec<jsonio::Value> {
+        ids.iter()
+            .map(|&id| match id {
+                NO_CLUSTER => jsonio::Value::Null,
+                id => id.into(),
+            })
+            .collect()
+    };
     let similarity: Vec<jsonio::Value> = Ecosystem::ALL
         .iter()
         .zip(&state.eco)
         .filter_map(|(&eco, memo)| {
             let out = memo.output.as_deref()?;
-            let mut pairs = String::with_capacity(out.pairs.len() * 12);
-            for &(a, b) in &out.pairs {
-                if !pairs.is_empty() {
-                    pairs.push(' ');
-                }
-                let _ = write!(pairs, "{a},{b}");
-            }
             Some(jsonio::object! {
                 "ecosystem": eco.slug(),
                 "entries_len": memo.entries_len,
                 "chosen_k": out.chosen_k,
-                "pairs": pairs,
                 "trace": out
                     .trace
                     .iter()
@@ -479,11 +484,23 @@ fn snapshot_body(state: &IngestState) -> String {
                         jsonio::Value::Array(vec![k.into(), inertia.to_bits().into()])
                     })
                     .collect::<Vec<_>>(),
+                "cluster": ids(out.pairs.clusters()),
+                "class": ids(out.pairs.classes()),
+                "verdicts": out
+                    .pairs
+                    .verdicts()
+                    .iter()
+                    .map(|matrix| {
+                        let text: String =
+                            matrix.iter().map(|&v| if v == 0 { '0' } else { '1' }).collect();
+                        jsonio::Value::from(text)
+                    })
+                    .collect::<Vec<_>>(),
             })
         })
         .collect();
     jsonio::object! {
-        "format_version": 1u32,
+        "format_version": FORMAT_VERSION,
         "windows_applied": state.windows,
         "similarity": similarity,
         "corpus": crawler::dataset_value(&state.dataset, ExportFidelity::Full),
@@ -497,7 +514,7 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
         .get("format_version")
         .and_then(|v| v.as_u64())
         .ok_or_else(|| bad("format_version"))?;
-    if version != 1 {
+    if version != u64::from(FORMAT_VERSION) {
         return Err(CheckpointError::Malformed(format!(
             "snapshot: unsupported format version {version}"
         )));
@@ -527,22 +544,6 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
             .get("chosen_k")
             .and_then(|v| v.as_u64())
             .ok_or_else(|| bad("similarity.chosen_k"))? as usize;
-        let encoded = entry
-            .get("pairs")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| bad("similarity.pairs"))?;
-        let mut pairs = Vec::new();
-        if !encoded.is_empty() {
-            for token in encoded.split(' ') {
-                let pair = token
-                    .split_once(',')
-                    .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)));
-                match pair {
-                    Some(p) => pairs.push(p),
-                    None => return Err(bad("similarity.pairs")),
-                }
-            }
-        }
         let mut trace = Vec::new();
         for step in entry
             .get("trace")
@@ -560,6 +561,58 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
                 _ => return Err(bad("similarity.trace")),
             }
         }
+        // Every vector below is sized by the body's own arrays, never by
+        // a count the body declares.
+        let ids = |key: &str| -> Result<Vec<u32>, CheckpointError> {
+            entry
+                .get(key)
+                .and_then(|v| v.as_array())
+                .ok_or_else(|| bad(&format!("similarity.{key}")))?
+                .iter()
+                .map(|v| match v {
+                    jsonio::Value::Null => Some(NO_CLUSTER),
+                    v => v
+                        .as_u64()
+                        .filter(|&id| id < u64::from(NO_CLUSTER))
+                        .map(|id| id as u32),
+                })
+                .collect::<Option<Vec<u32>>>()
+                .ok_or_else(|| bad(&format!("similarity.{key}")))
+        };
+        let (cluster, class) = (ids("cluster")?, ids("class")?);
+        let verdicts = entry
+            .get("verdicts")
+            .and_then(|v| v.as_array())
+            .ok_or_else(|| bad("similarity.verdicts"))?
+            .iter()
+            .map(|v| {
+                v.as_str()?
+                    .bytes()
+                    .map(|b| match b {
+                        b'0' => Some(0u8),
+                        b'1' => Some(1u8),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<u8>>>()
+            })
+            .collect::<Option<Vec<Vec<u8>>>>()
+            .ok_or_else(|| bad("similarity.verdicts"))?;
+        let malformed = |what: String| {
+            CheckpointError::Malformed(format!("snapshot: {} class table {what}", eco.slug()))
+        };
+        if cluster.len() != entries_len {
+            return Err(malformed(format!(
+                "holds {} rows for {entries_len} entries",
+                cluster.len()
+            )));
+        }
+        if verdicts.len() != chosen_k {
+            return Err(malformed(format!(
+                "holds {} verdict matrices for k = {chosen_k}",
+                verdicts.len()
+            )));
+        }
+        let pairs = SimilarPairs::from_parts(cluster, class, verdicts).map_err(malformed)?;
         similarity.push((
             eco,
             entries_len,
@@ -590,10 +643,11 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
 ///
 /// `Malformed` when the snapshot's similarity outputs do not line up
 /// with the corpus it carries — an ecosystem listed twice, listed with
-/// no similarity job, missing, covering a different number of entries,
-/// or holding a pair that is reflexive or names an entry past the end.
-/// That is a spliced or hand-edited snapshot; the recovery ladder
-/// treats it like any other corruption.
+/// no similarity job, missing, or covering a different number of entries
+/// (by its declared length or by its class table's rows). The table's
+/// own consistency was checked when it was read. A mismatch is a spliced
+/// or hand-edited snapshot; the recovery ladder treats it like any other
+/// corruption.
 pub fn restore(
     snapshot: Snapshot,
     options: &BuildOptions,
@@ -605,8 +659,7 @@ pub fn restore(
     let jobs = build::similarity_job_sizes(&state.dataset.packages);
     let malformed =
         |what: String| CheckpointError::Malformed(format!("snapshot similarity {what}"));
-    // Consumed by-value so the corpus and the pair lists (hundreds of
-    // megabytes at full scale) move instead of cloning.
+    // Consumed by value so the corpus moves instead of cloning.
     for (eco, entries_len, output) in snapshot.similarity {
         let Some(&(_, len)) = jobs.iter().find(|(job, _)| *job == eco) else {
             return Err(malformed(format!(
@@ -624,14 +677,11 @@ pub fn restore(
                 eco.slug()
             )));
         }
-        if let Some((a, b)) = output
-            .pairs
-            .iter()
-            .find(|&&(a, b)| a == b || a.max(b) >= len)
-        {
+        if output.pairs.entries() != len {
             return Err(malformed(format!(
-                "for {} pairs {a} with {b} among {len} entries",
-                eco.slug()
+                "for {} has a class table of {} rows, corpus has {len} entries",
+                eco.slug(),
+                output.pairs.entries()
             )));
         }
         memo.entries_len = entries_len;
@@ -1052,64 +1102,221 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// Makes the first similarity entry of generation `windows` start
-    /// with `pair`, then reseals the file, so only the snapshot's own
-    /// validation stands between the pair and the graph.
-    fn reseal_with_first_pair(store: &CheckpointStore, windows: usize, pair: &str) {
+    /// The value under `key` of a JSON object.
+    fn field<'a>(object: &'a mut jsonio::Value, key: &str) -> &'a mut jsonio::Value {
+        match object {
+            jsonio::Value::Object(fields) => {
+                &mut fields
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("no field {key:?}"))
+                    .1
+            }
+            _ => panic!("not an object"),
+        }
+    }
+
+    /// The elements of a JSON array.
+    fn items(array: &mut jsonio::Value) -> &mut Vec<jsonio::Value> {
+        match array {
+            jsonio::Value::Array(items) => items,
+            _ => panic!("not an array"),
+        }
+    }
+
+    /// Applies `edit` to the first similarity entry of generation
+    /// `windows`, then reseals the file under `tag`, so only the
+    /// snapshot's own validation stands between the edit and the graph.
+    fn reseal_first_table(
+        store: &CheckpointStore,
+        windows: usize,
+        tag: &str,
+        edit: impl FnOnce(&mut jsonio::Value),
+    ) {
         let path = store.generation_path(windows);
         let body = open_body(&path, GENERATION_TAG).unwrap().unwrap();
-        let at = body.find("\"pairs\":\"").expect("a similarity entry") + "\"pairs\":\"".len();
-        let sep = if body[at..].starts_with('"') { "" } else { " " };
-        let body = format!("{}{pair}{sep}{}", &body[..at], &body[at..]);
-        seal_body(&path, GENERATION_TAG, &body).unwrap();
+        let mut root = jsonio::Value::parse(&body).unwrap();
+        edit(&mut items(field(&mut root, "similarity"))[0]);
+        seal_body(&path, tag, &root.to_compact()).unwrap();
+    }
+
+    fn counter(snap: &obs::Snapshot, name: &str) -> u64 {
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    }
+
+    /// Runs the fixture, damages the newest generation's first class
+    /// table with `edit`, and checks that reading it gives `Malformed`,
+    /// that recovery discards it for the older generation plus one
+    /// journal window, and that the recovered graph is the uninterrupted
+    /// one.
+    fn assert_discarded_at_restore(name: &str, edit: impl FnOnce(&mut jsonio::Value)) {
+        let _gate = obs_gate().write().unwrap_or_else(|e| e.into_inner());
+        let (deltas, options) = fixture();
+        let store = temp_store(name);
+        let (graph, _) = run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &CrashPlan::none(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
+        reseal_first_table(&store, deltas.len(), GENERATION_TAG, edit);
+        let read = store
+            .read_generation(deltas.len())
+            .and_then(|snapshot| restore(snapshot, &options));
+        assert!(
+            matches!(read, Err(CheckpointError::Malformed(_))),
+            "{name}: {read:?}"
+        );
+        obs::reset();
+        obs::enable();
+        let (recovered, state) = recover(&store, &options).unwrap();
+        let snap = obs::snapshot();
+        obs::disable();
+        assert_eq!(
+            counter(&snap, "recovery.discarded{stage=checkpoint}"),
+            1,
+            "{name}"
+        );
+        assert_eq!(
+            counter(&snap, "recovery.fallbacks{stage=generation}"),
+            1,
+            "{name}"
+        );
+        assert_eq!(
+            counter(&snap, "recovery.resumed{stage=checkpoint}"),
+            1,
+            "{name}"
+        );
+        assert_eq!(
+            counter(&snap, "recovery.replayed{stage=journal}"),
+            1,
+            "{name}"
+        );
+        assert_eq!(state.windows_applied(), deltas.len());
+        assert_eq!(
+            graph_signature(&recovered),
+            graph_signature(&graph),
+            "{name}"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The first clustered row of a table's `cluster` or `class` list.
+    fn first_clustered<'a>(table: &'a mut jsonio::Value, key: &str) -> &'a mut jsonio::Value {
+        items(field(table, key))
+            .iter_mut()
+            .find(|v| !v.is_null())
+            .expect("a clustered entry")
     }
 
     #[test]
-    fn impossible_similar_pairs_are_discarded_at_restore() {
+    fn a_class_id_out_of_range_is_discarded_at_restore() {
+        assert_discarded_at_restore("class-range", |table| {
+            *first_clustered(table, "class") = 999_999u32.into();
+        });
+    }
+
+    #[test]
+    fn a_cluster_id_out_of_range_is_discarded_at_restore() {
+        assert_discarded_at_restore("cluster-range", |table| {
+            let k = items(field(table, "verdicts")).len() as u32;
+            *first_clustered(table, "cluster") = k.into();
+        });
+    }
+
+    #[test]
+    fn a_verdict_matrix_of_the_wrong_size_is_discarded_at_restore() {
+        assert_discarded_at_restore("matrix-size", |table| {
+            let matrix = items(field(table, "verdicts"))
+                .iter_mut()
+                .find(|m| m.as_str().is_some_and(|m| !m.is_empty()))
+                .expect("a non-empty cluster");
+            *matrix = format!("{}0", matrix.as_str().unwrap()).into();
+        });
+    }
+
+    #[test]
+    fn a_table_longer_than_its_entries_is_discarded_at_restore() {
+        assert_discarded_at_restore("table-length", |table| {
+            items(field(table, "cluster")).push(jsonio::Value::Null);
+            items(field(table, "class")).push(jsonio::Value::Null);
+        });
+    }
+
+    #[test]
+    fn a_declared_length_far_beyond_the_body_is_discarded_at_restore() {
+        // Nothing may be sized by the declared length: a vector of 2^60
+        // rows would abort the process, not return an error.
+        assert_discarded_at_restore("declared-length", |table| {
+            *field(table, "entries_len") = jsonio::Value::Int(1 << 60);
+        });
+    }
+
+    #[test]
+    fn a_format_1_generation_is_discarded_and_the_journal_replayed() {
         let _gate = obs_gate().write().unwrap_or_else(|e| e.into_inner());
         let (deltas, options) = fixture();
-        for (name, pair) in [("pair-range", "0,999999"), ("pair-self", "1,1")] {
-            let store = temp_store(name);
-            let (graph, _) = run_checkpointed_ingest(
-                &deltas,
-                &options,
-                &store,
-                &CrashPlan::none(),
-                &CheckpointOptions::default(),
-            )
-            .unwrap();
-            reseal_with_first_pair(&store, deltas.len(), pair);
-            let snapshot = store.read_generation(deltas.len()).unwrap();
-            assert!(
-                matches!(
-                    restore(snapshot, &options),
-                    Err(CheckpointError::Malformed(_))
-                ),
-                "pair {pair} must be rejected"
-            );
-            obs::reset();
-            obs::enable();
-            let (recovered, state) = recover(&store, &options).unwrap();
-            let snap = obs::snapshot();
-            obs::disable();
-            let counter = |name: &str| {
-                snap.counters
+        let store = temp_store("format-1");
+        let (graph, _) = run_checkpointed_ingest(
+            &deltas,
+            &options,
+            &store,
+            &CrashPlan::none(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
+        // Rewrite every retained generation as format 1 wrote it: its
+        // tag and version, and pairs in place of the class table.
+        let generations = store.generations().unwrap();
+        assert_eq!(generations.len(), 2);
+        for &windows in &generations {
+            let path = store.generation_path(windows);
+            let body = open_body(&path, GENERATION_TAG).unwrap().unwrap();
+            let mut root = jsonio::Value::parse(&body).unwrap();
+            *field(&mut root, "format_version") = 1u32.into();
+            let snapshot = store.read_generation(windows).unwrap();
+            for (table, (_, _, output)) in items(field(&mut root, "similarity"))
+                .iter_mut()
+                .zip(&snapshot.similarity)
+            {
+                let pairs: Vec<String> = output
+                    .pairs
                     .iter()
-                    .find(|(n, _)| n == name)
-                    .map_or(0, |(_, v)| *v)
-            };
-            assert_eq!(counter("recovery.discarded{stage=checkpoint}"), 1, "{pair}");
-            assert_eq!(counter("recovery.fallbacks{stage=generation}"), 1, "{pair}");
-            assert_eq!(counter("recovery.resumed{stage=checkpoint}"), 1, "{pair}");
-            assert_eq!(counter("recovery.replayed{stage=journal}"), 1, "{pair}");
-            assert_eq!(state.windows_applied(), deltas.len());
-            assert_eq!(
-                graph_signature(&recovered),
-                graph_signature(&graph),
-                "{pair}"
-            );
-            let _ = std::fs::remove_dir_all(store.dir());
+                    .map(|(a, b)| format!("{a},{b}"))
+                    .collect();
+                let jsonio::Value::Object(fields) = table else {
+                    panic!("not an object")
+                };
+                fields.retain(|(k, _)| !matches!(k.as_str(), "cluster" | "class" | "verdicts"));
+                fields.push(("pairs".to_string(), pairs.join(" ").into()));
+            }
+            seal_body(&path, "malgraph-checkpoint/1", &root.to_compact()).unwrap();
+            assert!(matches!(
+                store.read_generation(windows),
+                Err(CheckpointError::Seal(_))
+            ));
         }
+        obs::reset();
+        obs::enable();
+        let (recovered, state) = recover(&store, &options).unwrap();
+        let snap = obs::snapshot();
+        obs::disable();
+        assert_eq!(counter(&snap, "recovery.discarded{stage=checkpoint}"), 2);
+        assert_eq!(counter(&snap, "recovery.fallbacks{stage=generation}"), 2);
+        assert_eq!(counter(&snap, "recovery.resumed{stage=checkpoint}"), 0);
+        assert_eq!(
+            counter(&snap, "recovery.replayed{stage=journal}"),
+            deltas.len() as u64
+        );
+        assert_eq!(counter(&snap, "recovery.fallbacks{stage=rebuild}"), 0);
+        assert_eq!(state.windows_applied(), deltas.len());
+        assert_eq!(graph_signature(&recovered), graph_signature(&graph));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -1144,12 +1351,6 @@ mod tests {
         let (_, again) = recover(&store, &options).unwrap();
         let recount = obs::snapshot();
         obs::disable();
-        let counter = |snap: &obs::Snapshot, name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, v)| *v)
-        };
         assert_eq!(counter(&counts, "recovery.replayed{stage=journal}"), 1);
         assert_eq!(counter(&counts, "recovery.discarded{stage=journal}"), 1);
         assert_eq!(graph_signature(&resumed), graph_signature(&graph));

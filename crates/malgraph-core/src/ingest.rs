@@ -18,9 +18,11 @@
 //! co-existing edges between *old* nodes can appear when a new package
 //! resolves a previously-legitimate dependency name or a
 //! previously-unknown report member. Re-emission of those stages is
-//! cheap (milliseconds at paper scale); the expense lives in the
-//! similarity stage, which is where the caching goes — [`IngestState`]
-//! carries each ecosystem's similarity memo from window to window:
+//! cheap (milliseconds at paper scale), the similar stage included: it
+//! lays the class tables over the nodes again and stores no edge. The
+//! expense lives in the similarity pipeline, which is where the caching
+//! goes — [`IngestState`] carries each ecosystem's similarity memo from
+//! window to window:
 //!
 //! * per-ecosystem entry lists are corpus-ordered and append-only, so
 //!   an unchanged length proves the list unchanged and the previous

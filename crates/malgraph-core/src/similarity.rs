@@ -36,10 +36,14 @@
 //!   once per oriented pair of *distinct contents* instead of once per
 //!   member pair (a flood cluster holds thousands of copies of a few
 //!   artifacts, collapsing the O(|c|²) walk to O(G²)); orientations
-//!   whose nested-loop emission range is provably empty are skipped
-//!   outright. A cross-window decision memo was tried and reverted: at
-//!   the observed ~55% hit rate the hash-map traffic on a multi-million
-//!   entry table costs more than the O(dim) screens it saves.
+//!   whose nested-loop range is provably empty are skipped outright. A
+//!   cross-window decision memo was tried and reverted: at the observed
+//!   ~55% hit rate the hash-map traffic on a multi-million entry table
+//!   costs more than the O(dim) screens it saves.
+//! * **class table** — the output keeps those per-cluster verdicts with
+//!   each entry's cluster and content class ([`SimilarPairs`]) instead
+//!   of expanding them into member pairs: the pairs are counted by
+//!   arithmetic, and the graph serves the similar edges from the table.
 //!
 //! The K-Means schedule is *not* cached: clustering is a global
 //! property of the grown corpus, and a warm-start from the previous
@@ -48,8 +52,8 @@
 //! The unit tests keep the simplest statement of the pipeline as its
 //! reference: parse and embed every entry, run the same schedule, then
 //! test every member pair of each cluster with the exact dense dot, on
-//! one thread, with no screen. Cold, warm and grown caches must match it
-//! bit for bit under every kernel and thread count.
+//! one thread, with no screen. Cold, warm and grown caches must expand
+//! to its pair list bit for bit under every kernel and thread count.
 //!
 //! # Determinism contract
 //!
@@ -74,7 +78,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Tuning knobs for the similarity pipeline.
 #[derive(Debug, Clone)]
@@ -140,12 +146,316 @@ impl SimilarityConfig {
 /// Output of the pipeline: similar pairs plus diagnostics.
 #[derive(Debug, Clone)]
 pub struct SimilarityOutput {
-    /// Unordered similar pairs (indices into the input slice).
-    pub pairs: Vec<(usize, usize)>,
+    /// Unordered similar pairs (indices into the input slice), kept as
+    /// content classes.
+    pub pairs: SimilarPairs,
     /// The k selected by the schedule.
     pub chosen_k: usize,
     /// `(k, inertia)` trace of the schedule, for the ablation bench.
     pub trace: Vec<(usize, f32)>,
+}
+
+/// Marks a table row in no cluster (an unparseable entry, or every
+/// entry when there were too few vectors to cluster).
+pub(crate) const NO_CLUSTER: u32 = u32::MAX;
+
+/// The similar pairs of one ecosystem, kept as content classes.
+///
+/// A flood campaign republishes one artifact under thousands of names,
+/// so millions of member pairs copy a few hundred facts. The table holds
+/// the facts:
+///
+/// * per entry, its K-Means cluster and its *content class*, or
+///   [`NO_CLUSTER`] for both. Classes number the distinct vector
+///   contents by first appearance in entry order, so the table does not
+///   depend on what the embedding cache held;
+/// * per cluster, the oriented verdict matrix over the cluster's classes
+///   in first-appearance order within the cluster, row-major, `1` for
+///   similar. It is stored as the refinement computed it: the
+///   sparse·dense dot is not guaranteed to be bitwise symmetric, and an
+///   orientation no member pair consumes stays `0`.
+///
+/// Member pair `(a, b)` with `a` before `b` in one cluster is similar
+/// exactly when the verdict for (class of `a` → class of `b`) is set.
+/// Walking the clusters in index order, and each cluster's members with
+/// the nested `a < b` loop, lists the pairs in the pipeline's order.
+///
+/// [`SimilarPairs::len`] is arithmetic over the table. Reading the pairs
+/// themselves ([`SimilarPairs::iter`], `==` between tables that differ,
+/// `&`-iteration) expands them once into a memo; production code never
+/// does — the graph serves the relation from the table.
+#[derive(Clone)]
+pub struct SimilarPairs {
+    cluster: Vec<u32>,
+    class: Vec<u32>,
+    verdicts: Vec<Vec<u8>>,
+    len: usize,
+    memo: OnceLock<Vec<(usize, usize)>>,
+}
+
+/// A table's clusters as member lists:
+/// `entry[start[c]..start[c + 1]]` are cluster `c`'s entries in
+/// ascending order, with the index of each one's class among the
+/// cluster's `classes[c]` classes (first appearance) and its number of
+/// similar partners.
+pub(crate) struct Members {
+    pub(crate) start: Vec<usize>,
+    pub(crate) entry: Vec<u32>,
+    pub(crate) local: Vec<u32>,
+    pub(crate) classes: Vec<usize>,
+    pub(crate) degree: Vec<u32>,
+}
+
+impl Members {
+    /// The member range of cluster `c`.
+    pub(crate) fn range(&self, c: usize) -> std::ops::Range<usize> {
+        self.start[c]..self.start[c + 1]
+    }
+}
+
+impl SimilarPairs {
+    /// A table over `entries` entries that clusters none of them.
+    pub(crate) fn unclustered(entries: usize) -> SimilarPairs {
+        SimilarPairs::from_parts(
+            vec![NO_CLUSTER; entries],
+            vec![NO_CLUSTER; entries],
+            Vec::new(),
+        )
+        .expect("an empty table is consistent")
+    }
+
+    /// A table from its parts, checked for consistency; the error says
+    /// which part is wrong. Every allocation is sized by the parts
+    /// themselves, never by a count they declare.
+    pub(crate) fn from_parts(
+        cluster: Vec<u32>,
+        class: Vec<u32>,
+        verdicts: Vec<Vec<u8>>,
+    ) -> Result<SimilarPairs, String> {
+        if cluster.len() != class.len() {
+            return Err(format!(
+                "{} cluster ids for {} class ids",
+                cluster.len(),
+                class.len()
+            ));
+        }
+        let mut classes = 0u32;
+        for (i, (&c, &k)) in cluster.iter().zip(&class).enumerate() {
+            match (c == NO_CLUSTER, k == NO_CLUSTER) {
+                (true, true) => {}
+                (false, false) => {
+                    if c as usize >= verdicts.len() {
+                        return Err(format!("entry {i} is in cluster {c} of {}", verdicts.len()));
+                    }
+                    if k > classes {
+                        return Err(format!(
+                            "entry {i} has class {k}, but only {classes} appeared before it"
+                        ));
+                    }
+                    classes += u32::from(k == classes);
+                }
+                _ => return Err(format!("entry {i} has a cluster or a class, not both")),
+            }
+        }
+        let mut table = SimilarPairs {
+            cluster,
+            class,
+            verdicts,
+            len: 0,
+            memo: OnceLock::new(),
+        };
+        let members = table.members_unchecked(classes as usize);
+        for (c, matrix) in table.verdicts.iter().enumerate() {
+            let g = members.classes[c];
+            if matrix.len() != g * g {
+                return Err(format!(
+                    "cluster {c} has {g} classes but a verdict matrix of {} entries",
+                    matrix.len()
+                ));
+            }
+            if matrix.iter().any(|&v| v > 1) {
+                return Err(format!("cluster {c} has a verdict other than 0 or 1"));
+            }
+        }
+        let members = table.with_degrees(members);
+        table.len = members.degree.iter().map(|&d| d as usize).sum::<usize>() / 2;
+        Ok(table)
+    }
+
+    /// Number of similar pairs, by arithmetic over the table.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no pair is similar.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The pairs in the pipeline's order, expanded into a memo on first
+    /// use.
+    pub fn iter(&self) -> std::slice::Iter<'_, (usize, usize)> {
+        self.memo
+            .get_or_init(|| {
+                let mut pairs = Vec::with_capacity(self.len);
+                self.for_each_pair(|a, b| pairs.push((a, b)));
+                pairs
+            })
+            .iter()
+    }
+
+    /// Number of table rows: the entry count of the pipeline run.
+    pub(crate) fn entries(&self) -> usize {
+        self.cluster.len()
+    }
+
+    /// Per entry: its cluster, or [`NO_CLUSTER`].
+    pub(crate) fn clusters(&self) -> &[u32] {
+        &self.cluster
+    }
+
+    /// Per entry: its content class, or [`NO_CLUSTER`].
+    pub(crate) fn classes(&self) -> &[u32] {
+        &self.class
+    }
+
+    /// Per cluster: its oriented verdict matrix.
+    pub(crate) fn verdicts(&self) -> &[Vec<u8>] {
+        &self.verdicts
+    }
+
+    /// The clusters as member lists, with every member's degree.
+    pub(crate) fn members(&self) -> Members {
+        let classes = self
+            .class
+            .iter()
+            .filter(|&&k| k != NO_CLUSTER)
+            .max()
+            .map_or(0, |&k| k as usize + 1);
+        self.with_degrees(self.members_unchecked(classes))
+    }
+
+    /// The member lists of a table whose cluster ids are in range and
+    /// whose classes are below `classes`; degrees are left at 0.
+    fn members_unchecked(&self, classes: usize) -> Members {
+        let clusters = self.verdicts.len();
+        let mut start = vec![0usize; clusters + 1];
+        for &c in self.cluster.iter().filter(|&&c| c != NO_CLUSTER) {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..clusters {
+            start[c + 1] += start[c];
+        }
+        let mut cursor = start.clone();
+        let mut entry = vec![0u32; start[clusters]];
+        let mut class = vec![0u32; start[clusters]];
+        for (i, (&c, &k)) in self.cluster.iter().zip(&self.class).enumerate() {
+            if c != NO_CLUSTER {
+                entry[cursor[c as usize]] = i as u32;
+                class[cursor[c as usize]] = k;
+                cursor[c as usize] += 1;
+            }
+        }
+        // Renumber each cluster's classes by first appearance within it.
+        let mut seen_in = vec![NO_CLUSTER; classes];
+        let mut local_of = vec![0u32; classes];
+        let mut counts = vec![0usize; clusters];
+        for c in 0..clusters {
+            for k in &mut class[start[c]..start[c + 1]] {
+                let slot = *k as usize;
+                if seen_in[slot] != c as u32 {
+                    seen_in[slot] = c as u32;
+                    local_of[slot] = counts[c] as u32;
+                    counts[c] += 1;
+                }
+                *k = local_of[slot];
+            }
+        }
+        let members = entry.len();
+        Members {
+            start,
+            entry,
+            local: class,
+            classes: counts,
+            degree: vec![0; members],
+        }
+    }
+
+    /// Fills every member's degree: the members before it whose class's
+    /// verdict toward its class is set, plus the members after it toward
+    /// whose class its class's verdict is set. Running class counts make
+    /// this O(members × classes) per cluster, never O(pairs).
+    fn with_degrees(&self, mut members: Members) -> Members {
+        for (c, matrix) in self.verdicts.iter().enumerate() {
+            let g = members.classes[c];
+            let range = members.range(c);
+            let local = &members.local[range.clone()];
+            let degree = &mut members.degree[range];
+            let mut seen = vec![0u32; g];
+            for (m, &y) in local.iter().enumerate() {
+                let y = y as usize;
+                degree[m] = (0..g).map(|x| seen[x] * u32::from(matrix[x * g + y])).sum();
+                seen[y] += 1;
+            }
+            seen.iter_mut().for_each(|n| *n = 0);
+            for (m, &x) in local.iter().enumerate().rev() {
+                let x = x as usize;
+                let row = &matrix[x * g..][..g];
+                degree[m] += (0..g).map(|y| seen[y] * u32::from(row[y])).sum::<u32>();
+                seen[x] += 1;
+            }
+        }
+        members
+    }
+
+    /// Calls `f(a, b)` for every similar pair, in the pipeline's order.
+    fn for_each_pair(&self, mut f: impl FnMut(usize, usize)) {
+        let members = self.members();
+        for (c, matrix) in self.verdicts.iter().enumerate() {
+            let g = members.classes[c];
+            let range = members.range(c);
+            let (entry, local) = (&members.entry[range.clone()], &members.local[range]);
+            for a in 0..entry.len() {
+                let row = &matrix[local[a] as usize * g..][..g];
+                for b in (a + 1)..entry.len() {
+                    if row[local[b] as usize] != 0 {
+                        f(entry[a] as usize, entry[b] as usize);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl PartialEq for SimilarPairs {
+    /// Equal pair lists. Equal tables have equal lists; other tables are
+    /// compared by expanding both.
+    fn eq(&self, other: &SimilarPairs) -> bool {
+        self.len == other.len
+            && ((self.cluster == other.cluster
+                && self.class == other.class
+                && self.verdicts == other.verdicts)
+                || self.iter().eq(other.iter()))
+    }
+}
+
+impl fmt::Debug for SimilarPairs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimilarPairs")
+            .field("len", &self.len)
+            .field("entries", &self.cluster.len())
+            .field("clusters", &self.verdicts.len())
+            .finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a SimilarPairs {
+    type Item = &'a (usize, usize);
+    type IntoIter = std::slice::Iter<'a, (usize, usize)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// Persistent state [`similar_pairs_cached`] carries across corpus
@@ -441,18 +751,18 @@ fn group_by_vid(members: &[usize], vid_of: &[u32]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Phase 3: cosine-refined pairs within each cluster, paying each
-/// screen + dot once per *oriented pair of distinct vector contents*
-/// instead of once per member pair. Embedder outputs are L2-normalized,
-/// so the similarity is a single dot product; with the quantized kernel
-/// the certified i8 upper bound proves most decisions `< threshold`
-/// before the exact dot runs (survivors are rescored exactly — see
-/// `cluster::matrix`). The screen is only sound for `threshold > -1`:
-/// at `threshold ≤ -1` the exact path's clamp to `-1` could lift a
-/// provably-small dot back over the threshold. Workers are bounded by
-/// the configured thread count, clusters are distributed largest-first
-/// onto the least-loaded worker, and each worker tags its output with
-/// the cluster index, so the merged pair list does not depend on the
+/// Phase 3: the class table ([`SimilarPairs`]) — each cluster's
+/// cosine verdicts, paying each screen + dot once per *oriented pair of
+/// distinct vector contents* instead of once per member pair. Embedder
+/// outputs are L2-normalized, so the similarity is a single dot product;
+/// with the quantized kernel the certified i8 upper bound proves most
+/// decisions `< threshold` before the exact dot runs (survivors are
+/// rescored exactly — see `cluster::matrix`). The screen is only sound
+/// for `threshold > -1`: at `threshold ≤ -1` the exact path's clamp to
+/// `-1` could lift a provably-small dot back over the threshold. Workers
+/// are bounded by the configured thread count, clusters are distributed
+/// largest-first onto the least-loaded worker, and each worker tags its
+/// output with the cluster index, so the table does not depend on the
 /// worker count or scheduling.
 ///
 /// Soundness of the collapse: the decision for `(ia, ib)` is a pure
@@ -461,33 +771,33 @@ fn group_by_vid(members: &[usize], vid_of: &[u32]) -> Vec<Vec<usize>> {
 /// pair with the same `(vid_from, vid_to)` orientation shares its
 /// representative's decision exactly. Orientation is preserved (the
 /// sparse·dense dot is not guaranteed bitwise-symmetric), and an
-/// orientation whose nested-loop emission range is provably empty —
-/// every position of one group precedes every position of the other —
-/// skips its decision outright, since no emitted pair could consume it.
-/// Emission replays the plain nested member walk with each pair's
-/// verdict served as a byte lookup in the per-cluster group matrix, so
-/// accepted pairs appear in exactly the original nested-loop order with
-/// no sort.
-fn refine_pairs_grouped(
+/// orientation whose nested-loop range is provably empty — every
+/// position of one group precedes every position of the other — skips
+/// its decision outright and stays `0`, since no member pair consumes
+/// it. Vids map one to one onto the table's content classes, and a
+/// cluster's vid groups are in first-appearance order, so each cluster's
+/// group matrix is its verdict matrix as the table defines it.
+fn refine_classes(
     points: &Points,
     vid_of: &[u32],
-    clusters: &[Vec<usize>],
+    best: &KMeansResult,
     owners: &[usize],
+    entries: usize,
     config: &SimilarityConfig,
-) -> Vec<(usize, usize)> {
+) -> SimilarPairs {
     let phase = obs::span!("similarity/refine");
-    let distinct: std::collections::HashSet<u32> = vid_of.iter().copied().collect();
-    obs::counter_add("similarity.distinct_vectors", distinct.len() as u64);
+    let clusters = best.clusters();
     let quant = (config.kernel == Kernel::TiledQuantized && config.threshold > -1.0)
         .then(|| points.quant());
     let threads = resolve_threads(config.threads, clusters.len());
-    let buckets = lpt_buckets(clusters, threads);
-    type TaggedPairs = (Vec<(usize, Vec<(usize, usize)>)>, u64, u64);
-    let mut by_cluster: Vec<Vec<(usize, usize)>> = vec![Vec::new(); clusters.len()];
-    let refined: Vec<TaggedPairs> = crossbeam::thread::scope(|scope| {
+    let buckets = lpt_buckets(&clusters, threads);
+    type TaggedVerdicts = (Vec<(usize, Vec<u8>)>, u64, u64);
+    let mut verdicts: Vec<Vec<u8>> = vec![Vec::new(); clusters.len()];
+    let refined: Vec<TaggedVerdicts> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = buckets
             .iter()
             .map(|bucket| {
+                let clusters = &clusters;
                 scope.spawn(move |_| {
                     let threshold = f64::from(config.threshold);
                     let (matrix, sparse) = (points.matrix(), points.sparse());
@@ -518,17 +828,9 @@ fn refine_pairs_grouped(
                             let members = &clusters[c];
                             let groups = group_by_vid(members, vid_of);
                             let g = groups.len();
-                            // Each member position's group, and the
-                            // oriented per-group decision matrix
-                            // (`1` = accept). Entries for orientations
-                            // whose emission range below is empty stay
-                            // `0` unconsulted.
-                            let mut gid: Vec<u32> = vec![0; members.len()];
-                            for (gi, pi) in groups.iter().enumerate() {
-                                for &p in pi {
-                                    gid[p] = gi as u32;
-                                }
-                            }
+                            // The oriented per-group decision matrix
+                            // (`1` = accept). Entries for orientations no
+                            // member pair consumes stay `0` unconsulted.
                             let mut verdicts: Vec<u8> = vec![0; g * g];
                             for gi in 0..g {
                                 let pi = &groups[gi];
@@ -555,19 +857,7 @@ fn refine_pairs_grouped(
                                     }
                                 }
                             }
-                            // Emission: the plain nested member walk —
-                            // already the canonical order, no sort —
-                            // with each pair's verdict a byte lookup.
-                            let mut local: Vec<(usize, usize)> = Vec::new();
-                            for a in 0..members.len() {
-                                let row = &verdicts[gid[a] as usize * g..][..g];
-                                for b in (a + 1)..members.len() {
-                                    if row[gid[b] as usize] != 0 {
-                                        local.push((owners[members[a]], owners[members[b]]));
-                                    }
-                                }
-                            }
-                            (c, local)
+                            (c, verdicts)
                         })
                         .collect();
                     (tagged, pruned, rescored)
@@ -585,11 +875,24 @@ fn refine_pairs_grouped(
     for (tagged, pruned, rescored) in refined {
         pruned_total += pruned;
         rescored_total += rescored;
-        for (c, local) in tagged {
-            by_cluster[c] = local;
+        for (c, matrix) in tagged {
+            verdicts[c] = matrix;
         }
     }
-    let pairs: Vec<(usize, usize)> = by_cluster.into_iter().flatten().collect();
+    // Classes number the distinct contents by first appearance in entry
+    // order (points are in entry order), not by vid: vids depend on
+    // what the cache held.
+    let mut cluster = vec![NO_CLUSTER; entries];
+    let mut class = vec![NO_CLUSTER; entries];
+    let mut class_of: HashMap<u32, u32> = HashMap::new();
+    for (p, &owner) in owners.iter().enumerate() {
+        let next = class_of.len() as u32;
+        class[owner] = *class_of.entry(vid_of[p]).or_insert(next);
+        cluster[owner] = best.assignments[p] as u32;
+    }
+    obs::counter_add("similarity.distinct_vectors", class_of.len() as u64);
+    let pairs = SimilarPairs::from_parts(cluster, class, verdicts)
+        .expect("the refinement builds a consistent table");
     obs::counter_add("similarity.pairs", pairs.len() as u64);
     obs::counter_add("kernel.pruned_quantized", pruned_total);
     obs::counter_add("kernel.rescored", rescored_total);
@@ -645,7 +948,7 @@ pub fn similar_pairs_cached(
     drop(phase);
     if vectors.len() < 2 {
         return SimilarityOutput {
-            pairs: Vec::new(),
+            pairs: SimilarPairs::unclustered(entries.len()),
             chosen_k: 0,
             trace: Vec::new(),
         };
@@ -656,8 +959,7 @@ pub fn similar_pairs_cached(
     let rows: Vec<(&[u32], &[f32])> = vectors.iter().map(|v| (v.indices(), v.values())).collect();
     let points = Points::from_sparse_rows(config.dim, &rows);
     let (best, trace) = run_schedule(&points, config);
-    let clusters = best.clusters();
-    let pairs = refine_pairs_grouped(&points, &vid_of, &clusters, &owners, config);
+    let pairs = refine_classes(&points, &vid_of, &best, &owners, entries.len(), config);
     SimilarityOutput {
         pairs,
         chosen_k: best.k(),
@@ -715,13 +1017,21 @@ mod tests {
         pairs
     }
 
+    /// The reference's output: the pairs as a plain list.
+    struct Reference {
+        pairs: Vec<(usize, usize)>,
+        chosen_k: usize,
+        trace: Vec<(usize, f32)>,
+    }
+
     /// The pipeline's simplest statement: embed every entry, run the
     /// shared K-Means schedule, test every member pair — no cache, no
-    /// screen, no collapse, and one thread outside the schedule.
-    fn reference(entries: &[(PackageId, &str)], config: &SimilarityConfig) -> SimilarityOutput {
+    /// screen, no collapse, no class table, and one thread outside the
+    /// schedule.
+    fn reference(entries: &[(PackageId, &str)], config: &SimilarityConfig) -> Reference {
         let (vectors, owners) = embed_entries(entries, config);
         if vectors.len() < 2 {
-            return SimilarityOutput {
+            return Reference {
                 pairs: Vec::new(),
                 chosen_k: 0,
                 trace: Vec::new(),
@@ -732,7 +1042,7 @@ mod tests {
         let points = Points::from_sparse_rows(config.dim, &rows);
         let (best, trace) = run_schedule(&points, config);
         let pairs = refine_pairs(&points, &best.clusters(), &owners, config);
-        SimilarityOutput {
+        Reference {
             pairs,
             chosen_k: best.k(),
             trace,
@@ -794,7 +1104,8 @@ mod tests {
             .map(|(id, c)| (id.clone(), c.as_str()))
             .collect();
         let out = similar_pairs(&entries, &SimilarityConfig::default());
-        let comps = components(entries.len(), &out.pairs);
+        let pairs: Vec<(usize, usize)> = out.pairs.iter().copied().collect();
+        let comps = components(entries.len(), &pairs);
         // Family members must never be split across groups in a way that
         // merges two behaviours: check purity by index range.
         for comp in &comps {
@@ -884,10 +1195,13 @@ mod tests {
         assert_eq!(c.growth, 1.0);
     }
 
-    /// Asserts two pipeline outputs are bitwise-identical (the inertia
-    /// trace compares by f32 bits, not approximate equality).
-    fn assert_outputs_identical(a: &SimilarityOutput, b: &SimilarityOutput, label: &str) {
-        assert_eq!(a.pairs, b.pairs, "{label}: pairs diverged");
+    /// Asserts a pipeline output is bitwise-identical to the reference
+    /// (the inertia trace compares by f32 bits, not approximate
+    /// equality): its table expands to the reference's pair list, and
+    /// counts it by arithmetic.
+    fn assert_outputs_identical(a: &Reference, b: &SimilarityOutput, label: &str) {
+        assert_eq!(a.pairs.len(), b.pairs.len(), "{label}: pair count diverged");
+        assert!(b.pairs.iter().eq(a.pairs.iter()), "{label}: pairs diverged");
         assert_eq!(a.chosen_k, b.chosen_k, "{label}: chosen_k diverged");
         assert_eq!(
             a.trace.len(),
@@ -900,6 +1214,111 @@ mod tests {
                 x.1.to_bits(),
                 y.1.to_bits(),
                 "{label}: trace inertia bits diverged"
+            );
+        }
+    }
+
+    /// Asserts two class tables are equal part by part.
+    fn assert_tables_identical(a: &SimilarPairs, b: &SimilarPairs, label: &str) {
+        assert_eq!(a.clusters(), b.clusters(), "{label}: clusters diverged");
+        assert_eq!(a.classes(), b.classes(), "{label}: classes diverged");
+        assert_eq!(a.verdicts(), b.verdicts(), "{label}: verdicts diverged");
+    }
+
+    /// Seven entries in two clusters; entry 4 is in none. Class 0 spans
+    /// both clusters, and cluster 0's matrix is asymmetric: class 1 →
+    /// class 0 is similar, class 0 → class 1 is not.
+    fn small_table() -> SimilarPairs {
+        const N: u32 = NO_CLUSTER;
+        SimilarPairs::from_parts(
+            vec![0, 0, 1, 0, N, 1, 0],
+            vec![0, 1, 0, 0, N, 2, 1],
+            vec![vec![1, 0, 1, 0], vec![0, 1, 0, 0]],
+        )
+        .expect("consistent")
+    }
+
+    #[test]
+    fn a_class_table_expands_cluster_by_cluster_in_nested_order() {
+        let table = small_table();
+        // Cluster 0 holds entries 0, 1, 3, 6 (classes 0, 1, 0, 1): only
+        // 0 → 0 and 1 → 0 are set, so (0, 3) and (1, 3) — and not (0, 1).
+        // Cluster 1 holds entries 2, 5, its classes 0 and 2 local 0, 1.
+        assert_eq!(table.len(), 3);
+        assert_eq!(
+            table.iter().copied().collect::<Vec<_>>(),
+            [(0, 3), (1, 3), (2, 5)]
+        );
+        let members = table.members();
+        let degree_of = |entry: u32| {
+            members
+                .entry
+                .iter()
+                .position(|&e| e == entry)
+                .map_or(0, |m| members.degree[m])
+        };
+        let degrees: Vec<u32> = (0..7).map(degree_of).collect();
+        assert_eq!(degrees, [1, 1, 1, 2, 0, 1, 0]);
+        assert_eq!(members.classes, [2, 2]);
+        assert_eq!(SimilarPairs::unclustered(4).len(), 0);
+    }
+
+    #[test]
+    fn tables_are_equal_when_their_pairs_are() {
+        let table = small_table();
+        assert_eq!(table, small_table());
+        // Cluster 1's class 2 → class 0 orientation is consumed by no
+        // pair: setting it changes the table, not the pairs.
+        let unconsumed = SimilarPairs::from_parts(
+            table.clusters().to_vec(),
+            table.classes().to_vec(),
+            vec![vec![1, 0, 1, 0], vec![0, 1, 1, 0]],
+        )
+        .expect("consistent");
+        assert_eq!(unconsumed, table);
+        let fewer = SimilarPairs::from_parts(
+            table.clusters().to_vec(),
+            table.classes().to_vec(),
+            vec![vec![1, 0, 0, 0], vec![0, 1, 0, 0]],
+        )
+        .expect("consistent");
+        assert_ne!(fewer, table);
+    }
+
+    #[test]
+    fn inconsistent_tables_are_rejected() {
+        const N: u32 = NO_CLUSTER;
+        let good = || {
+            (
+                vec![0, 0, 1, N],
+                vec![0, 1, 0, N],
+                vec![vec![0, 1, 0, 0], vec![1]],
+            )
+        };
+        assert!(SimilarPairs::from_parts(good().0, good().1, good().2).is_ok());
+        type Case = (&'static str, Vec<u32>, Vec<u32>, Vec<Vec<u8>>);
+        let cases: [Case; 6] = [
+            ("rows differ", vec![0, 0, 1], good().1, good().2),
+            ("class skips ahead", good().0, vec![0, 2, 0, N], good().2),
+            ("cluster out of range", vec![0, 0, 2, N], good().1, good().2),
+            ("half a row", good().0, vec![0, 1, N, N], good().2),
+            (
+                "matrix of the wrong size",
+                good().0,
+                good().1,
+                vec![vec![0, 1, 0], vec![1]],
+            ),
+            (
+                "verdict not 0 or 1",
+                good().0,
+                good().1,
+                vec![vec![0, 2, 0, 0], vec![1]],
+            ),
+        ];
+        for (what, cluster, class, verdicts) in cases {
+            assert!(
+                SimilarPairs::from_parts(cluster, class, verdicts).is_err(),
+                "{what}"
             );
         }
     }
@@ -930,6 +1349,7 @@ mod tests {
             );
             let warm = similar_pairs_cached(&entries, &config, &mut cache);
             assert_outputs_identical(&expected, &warm, &format!("{label} warm"));
+            assert_tables_identical(&cold.pairs, &warm.pairs, &label);
         }
     }
 
@@ -958,6 +1378,10 @@ mod tests {
                 &full_cached,
                 &format!("{label} grown"),
             );
+            // The grown cache numbered vids in another order than a fresh
+            // one would; the table numbers classes by entry order alone.
+            let fresh = similar_pairs(&entries, &config);
+            assert_tables_identical(&full_cached.pairs, &fresh.pairs, &label);
             assert_eq!(cache.len(), entries.len());
         }
     }

@@ -18,14 +18,16 @@ use std::fmt::Write as _;
 static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc::new();
 
 /// A canonical rendering of the whole graph: every node in insertion
-/// order with its ordered out-edge list. Bitwise equality of signatures
-/// is bitwise equality of graphs.
+/// order with its ordered out-edge list, served similar edges included
+/// (`edges()` walks node by node). Bitwise equality of signatures is
+/// bitwise equality of graphs.
 fn graph_signature(graph: &MalGraph) -> String {
     let mut out = String::new();
+    let mut edges = graph.graph.edges().peekable();
     for (id, node) in graph.graph.nodes() {
         let _ = write!(out, "{} {}", id.index(), node.package);
-        for &(to, label) in graph.graph.out_edges(id) {
-            let _ = write!(out, " ->{}:{:?}", to.index(), label);
+        while let Some(edge) = edges.next_if(|e| e.from == id) {
+            let _ = write!(out, " ->{}:{:?}", edge.to.index(), edge.label);
         }
         out.push('\n');
     }
