@@ -101,9 +101,7 @@ struct Served<L> {
     relation: Arc<dyn ServedRelation>,
     /// Per node known when the relation was attached: the length of its
     /// stored out-row then, which is where the served run sits.
-    out_at: Vec<u32>,
-    /// The same for the in-rows.
-    in_at: Vec<u32>,
+    at: Vec<u32>,
     /// Directed edges the relation serves: the sum of its degrees.
     edges: usize,
 }
@@ -233,9 +231,8 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
     }
 
     /// Serves `label`'s edges from `relation` instead of storing them.
-    /// In each node's out- and in-row, the served run sits after the
-    /// edges stored so far and before any stored later; nodes added later
-    /// have no run.
+    /// In each node's out-row, the served run sits after the edges stored
+    /// so far and before any stored later; nodes added later have no run.
     ///
     /// # Panics
     ///
@@ -243,17 +240,16 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
     /// relation until [`PropertyGraph::clear_edges`] detaches it.
     pub fn serve(&mut self, label: L, relation: Arc<dyn ServedRelation>) {
         assert!(self.served.is_none(), "a graph serves one relation");
-        let at = |rows: &[Vec<(NodeId, L)>]| -> Vec<u32> {
-            rows.iter()
-                .map(|row| u32::try_from(row.len()).expect("graph too large"))
-                .collect()
-        };
+        let at = self
+            .out_adj
+            .iter()
+            .map(|row| u32::try_from(row.len()).expect("graph too large"))
+            .collect();
         let edges = self.node_ids().map(|id| relation.degree(id)).sum();
         self.served = Some(Served {
             label,
-            out_at: at(&self.out_adj),
-            in_at: at(&self.in_adj),
             relation,
+            at,
             edges,
         });
     }
@@ -293,23 +289,17 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         &self.in_adj[id.index()]
     }
 
-    /// The served relation, when `filter` passes its label, and where its
-    /// run sits in `id`'s row of `at` (out or in).
-    fn served_run<'a>(
-        &'a self,
-        id: NodeId,
-        filter: &mut impl FnMut(&L) -> bool,
-        at: impl Fn(&'a Served<L>) -> &'a [u32],
-    ) -> Option<(&'a Served<L>, usize)> {
+    /// The served relation, if `id` was a node when it was attached and
+    /// `filter` passes its label.
+    fn served_for(&self, id: NodeId, filter: &mut impl FnMut(&L) -> bool) -> Option<&Served<L>> {
         let served = self.served.as_ref()?;
-        let run = *at(served).get(id.index())?;
-        filter(&served.label).then_some((served, run as usize))
+        (id.index() < served.at.len() && filter(&served.label)).then_some(served)
     }
 
     /// The served degree of `id` when `filter` passes the served label.
     pub(crate) fn served_degree(&self, id: NodeId, filter: &mut impl FnMut(&L) -> bool) -> usize {
-        self.served_run(id, filter, |s| &s.out_at)
-            .map_or(0, |(served, _)| served.relation.degree(id))
+        self.served_for(id, filter)
+            .map_or(0, |served| served.relation.degree(id))
     }
 
     /// The served label, if a relation is served.
@@ -328,23 +318,21 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         mut f: impl FnMut(NodeId, L),
     ) {
         let row = &self.out_adj[id.index()];
-        let (head, tail) = match self.served_run(id, filter, |s| &s.out_at) {
-            Some((served, at)) => {
-                buf.clear();
+        buf.clear();
+        let (head, run, tail) = match self.served_for(id, filter) {
+            Some(served) => {
                 served.relation.neighbours(id, buf);
-                (&row[..at], &row[at..])
+                let at = served.at[id.index()] as usize;
+                (&row[..at], Some(served.label), &row[at..])
             }
-            None => {
-                buf.clear();
-                (&row[..], &row[row.len()..])
-            }
+            None => (&row[..], None, &row[row.len()..]),
         };
         for &(to, label) in head {
             if filter(&label) {
                 f(to, label);
             }
         }
-        if let Some(label) = self.served_label() {
+        if let Some(label) = run {
             for &to in buf.iter() {
                 f(to, label);
             }
@@ -365,16 +353,14 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         stored + self.served_degree(id, &mut filter)
     }
 
-    /// In-degree of `id` counting only edges whose label passes `filter`.
+    /// In-degree of `id` counting only edges whose label passes `filter`
+    /// (a served relation is symmetric: its in-degree is its degree).
     pub fn in_degree_by(&self, id: NodeId, mut filter: impl FnMut(&L) -> bool) -> usize {
         let stored = self.in_adj[id.index()]
             .iter()
             .filter(|(_, l)| filter(l))
             .count();
-        let served = self
-            .served_run(id, &mut filter, |s| &s.in_at)
-            .map_or(0, |(served, _)| served.relation.degree(id));
-        stored + served
+        stored + self.served_degree(id, &mut filter)
     }
 
     /// Whether an edge `from → to` with `label` exists.
@@ -383,29 +369,20 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
             .iter()
             .any(|&(t, l)| t == to && l == label)
             || self
-                .served_run(from, &mut |l| *l == label, |s| &s.out_at)
-                .is_some_and(|(served, _)| served.relation.contains(from, to))
+                .served_for(from, &mut |l| *l == label)
+                .is_some_and(|served| served.relation.contains(from, to))
     }
 
     /// Iterates every directed edge, served ones included: node by node,
     /// each node's out-row in order.
     pub fn edges(&self) -> impl Iterator<Item = Edge<L>> + '_ {
+        let mut buf = Vec::new();
         self.node_ids().flat_map(move |from| {
-            let row = &self.out_adj[from.index()];
-            let mut run = Vec::new();
-            let (head, tail) = match self.served_run(from, &mut |_| true, |s| &s.out_at) {
-                Some((served, at)) => {
-                    served.relation.neighbours(from, &mut run);
-                    (&row[..at], &row[at..])
-                }
-                None => (&row[..], &row[row.len()..]),
-            };
-            let label = self.served_label();
-            head.iter()
-                .copied()
-                .chain(run.into_iter().filter_map(move |to| Some((to, label?))))
-                .chain(tail.iter().copied())
-                .map(move |(to, label)| Edge { from, to, label })
+            let mut row = Vec::new();
+            self.walk_out(from, &mut |_| true, &mut buf, |to, label| {
+                row.push(Edge { from, to, label })
+            });
+            row
         })
     }
 

@@ -379,12 +379,24 @@ struct SimilarNeighbours {
     degree: Vec<u32>,
     /// Member slot → its cluster, numbered across ecosystems.
     cluster: Vec<u32>,
-    /// Cluster → its member slots.
-    members: Vec<std::ops::Range<usize>>,
-    /// Cluster → the offset of its verdict matrix in `verdicts`, and its
-    /// number of classes.
-    matrix: Vec<(usize, usize)>,
+    clusters: Vec<ClusterSpan>,
+    /// Every cluster's verdict matrix, row-major: the verdict from class
+    /// `x` toward class `y` of a cluster is at `offset + x * classes + y`.
     verdicts: Vec<u8>,
+    /// The same matrices transposed, so a member's verdicts *toward* its
+    /// class are one contiguous row too.
+    transposed: Vec<u8>,
+}
+
+/// Where one cluster of [`SimilarNeighbours`] lives.
+#[derive(Debug)]
+struct ClusterSpan {
+    /// Its member slots.
+    members: std::ops::Range<usize>,
+    /// Its matrices' offset in `verdicts` and `transposed`.
+    offset: usize,
+    /// Its number of classes: the side of its matrices.
+    classes: usize,
 }
 
 impl SimilarNeighbours {
@@ -395,9 +407,9 @@ impl SimilarNeighbours {
             local: Vec::new(),
             degree: Vec::new(),
             cluster: Vec::new(),
-            members: Vec::new(),
-            matrix: Vec::new(),
+            clusters: Vec::new(),
             verdicts: Vec::new(),
+            transposed: Vec::new(),
         }
     }
 
@@ -405,7 +417,7 @@ impl SimilarNeighbours {
     fn add(&mut self, pairs: &SimilarPairs, nodes: &[NodeId]) {
         let members = pairs.members();
         for (c, matrix) in pairs.verdicts().iter().enumerate() {
-            let cluster = u32::try_from(self.members.len()).expect("graph too large");
+            let cluster = u32::try_from(self.clusters.len()).expect("graph too large");
             let first = self.node.len();
             for m in members.range(c) {
                 let node = nodes[members.entry[m] as usize];
@@ -420,9 +432,16 @@ impl SimilarNeighbours {
                 self.degree.push(members.degree[m]);
                 self.cluster.push(cluster);
             }
-            self.members.push(first..self.node.len());
-            self.matrix.push((self.verdicts.len(), members.classes[c]));
+            let classes = members.classes[c];
+            self.clusters.push(ClusterSpan {
+                members: first..self.node.len(),
+                offset: self.verdicts.len(),
+                classes,
+            });
             self.verdicts.extend_from_slice(matrix);
+            self.transposed.extend(
+                (0..classes * classes).map(|i| matrix[i % classes * classes + i / classes]),
+            );
         }
     }
 
@@ -433,13 +452,6 @@ impl SimilarNeighbours {
             _ => None,
         }
     }
-
-    /// Whether the member in slot `a` is similar to the one in slot `b`
-    /// of the same cluster, `a` before `b`.
-    fn similar(&self, a: usize, b: usize) -> bool {
-        let (offset, g) = self.matrix[self.cluster[a] as usize];
-        self.verdicts[offset + self.local[a] as usize * g + self.local[b] as usize] != 0
-    }
 }
 
 impl ServedRelation for SimilarNeighbours {
@@ -447,11 +459,17 @@ impl ServedRelation for SimilarNeighbours {
         let Some(s) = self.slot_of(node) else {
             return;
         };
-        let range = self.members[self.cluster[s] as usize].clone();
+        let cluster = &self.clusters[self.cluster[s] as usize];
+        let row = cluster.offset + self.local[s] as usize * cluster.classes;
+        // The verdicts of earlier members' classes toward this member's
+        // class, and of its class toward later members' classes.
+        let toward = &self.transposed[row..row + cluster.classes];
+        let from = &self.verdicts[row..row + cluster.classes];
+        let (before, after) = (cluster.members.start..s, s + 1..cluster.members.end);
         out.extend(
-            (range.start..s)
-                .filter(|&t| self.similar(t, s))
-                .chain((s + 1..range.end).filter(|&t| self.similar(s, t)))
+            before
+                .filter(|&t| toward[self.local[t] as usize] != 0)
+                .chain(after.filter(|&t| from[self.local[t] as usize] != 0))
                 .map(|t| self.node[t]),
         );
     }
@@ -463,7 +481,10 @@ impl ServedRelation for SimilarNeighbours {
     fn contains(&self, a: NodeId, b: NodeId) -> bool {
         match (self.slot_of(a), self.slot_of(b)) {
             (Some(x), Some(y)) if x != y && self.cluster[x] == self.cluster[y] => {
-                self.similar(x.min(y), x.max(y))
+                let (first, second) = (x.min(y), x.max(y));
+                let cluster = &self.clusters[self.cluster[first] as usize];
+                let at = self.local[first] as usize * cluster.classes + self.local[second] as usize;
+                self.verdicts[cluster.offset + at] != 0
             }
             _ => false,
         }

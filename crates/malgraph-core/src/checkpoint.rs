@@ -460,8 +460,8 @@ impl CheckpointStore {
 /// The body is rendered compact, not pretty: nobody reads a generation
 /// file by eye, and the indentation would double its size.
 fn snapshot_body(state: &IngestState) -> String {
-    let ids = |ids: &[u32]| -> Vec<jsonio::Value> {
-        ids.iter()
+    let ids = |list: &[u32]| -> Vec<jsonio::Value> {
+        list.iter()
             .map(|&id| match id {
                 NO_CLUSTER => jsonio::Value::Null,
                 id => id.into(),
