@@ -456,7 +456,9 @@ impl SimilarNeighbours {
 
 impl ServedRelation for SimilarNeighbours {
     fn neighbours(&self, node: NodeId, out: &mut Vec<NodeId>) {
-        let Some(s) = self.slot_of(node) else {
+        // Most members of a mixed cluster are similar to nobody; only the
+        // others scan their cluster.
+        let Some(s) = self.slot_of(node).filter(|&s| self.degree[s] > 0) else {
             return;
         };
         let cluster = &self.clusters[self.cluster[s] as usize];
