@@ -27,9 +27,10 @@
 //! windows — the run stamp refuses a mismatch) resumes where durability
 //! left off, finishing with a graph byte-identical to an uninterrupted
 //! run. `--crash-at POINT[:N]` arms the deterministic crash injector at
-//! a named stage boundary (see `malgraph_core::CRASH_POINTS`); the
-//! simulated crash aborts the process with exit code 3, exactly as a
-//! `kill -9` would, except addressable in tests.
+//! a named stage boundary (one of `malgraph_core::CRASH_POINTS`; any
+//! other spec, or one without `--checkpoint-dir`, exits 2 before any
+//! work starts); the simulated crash aborts the process with exit code
+//! 3, exactly as a `kill -9` would, except addressable in tests.
 //!
 //! `collect`, `analyze`, `ingest` and `scan` additionally accept the
 //! observability flags `--metrics-out <file>` (JSON snapshot, schema
@@ -41,9 +42,9 @@
 //!
 //! `perf diff` loads two perf artifacts — obs snapshots (`malgraph-obs/1`
 //! or `/2`) or `BENCH_*.json` reports — and exits 1 when any span,
-//! counter, or timing grew past the noise thresholds; `ci.sh`'s
-//! `perf_gate` runs it against the baselines checked in under
-//! `baselines/`.
+//! counter, or timing grew past the noise thresholds. perfbench
+//! self-checks its results file with the same diff; CI gates on exact
+//! work counts in the test suites instead of on wall time.
 //!
 //! `collect` + `analyze` round-trip through the export format, the flow a
 //! downstream lab would use with a published corpus. With `--fault-rate`
@@ -57,7 +58,8 @@ use malgraph::crawler::{
 };
 use malgraph::detector::{DynamicDetector, StaticDetector};
 use malgraph::malgraph_core::analysis::{actors, diversity, evolution, overlap, quality};
-use malgraph::malgraph_core::{build, BuildOptions, IngestState, MalGraph};
+use malgraph::malgraph_core::{build, BuildOptions, IngestState, MalGraph, CRASH_POINTS};
+use malgraph::oss_types::CrashPlan;
 use malgraph::prelude::*;
 use malgraph::registry_sim::WindowPlan;
 use malgraph::{jsonio, obs};
@@ -173,7 +175,7 @@ struct CommonOpts {
     windows: usize,
     verify: bool,
     checkpoint_dir: Option<String>,
-    crash_at: Option<String>,
+    crash_at: Option<CrashPlan>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
     profile_out: Option<String>,
@@ -260,7 +262,7 @@ fn parse_opts(cmd: Cmd, args: &[String]) -> CommonOpts {
             }
             "--verify" => opts.verify = true,
             "--checkpoint-dir" => opts.checkpoint_dir = Some(next_str(&mut it, "--checkpoint-dir")),
-            "--crash-at" => opts.crash_at = Some(next_str(&mut it, "--crash-at")),
+            "--crash-at" => opts.crash_at = Some(parse_crash_at(&next_str(&mut it, "--crash-at"))),
             "--metrics-out" => opts.metrics_out = Some(next_str(&mut it, "--metrics-out")),
             "--trace-out" => opts.trace_out = Some(next_str(&mut it, "--trace-out")),
             "--profile-out" => opts.profile_out = Some(next_str(&mut it, "--profile-out")),
@@ -305,7 +307,24 @@ fn parse_opts(cmd: Cmd, args: &[String]) -> CommonOpts {
             }
         }
     }
+    if opts.crash_at.is_some() && opts.checkpoint_dir.is_none() {
+        die("--crash-at requires --checkpoint-dir (a crash without durability only loses work)");
+    }
     opts
+}
+
+/// Parses a `--crash-at POINT[:N]` spec, accepting only the points the
+/// checkpointed driver fires: an unknown name would never crash.
+fn parse_crash_at(spec: &str) -> CrashPlan {
+    let plan = CrashPlan::parse(spec).unwrap_or_else(|e| die(&format!("--crash-at: {e}")));
+    let (point, _) = plan.armed().expect("a parsed crash plan is armed");
+    if !CRASH_POINTS.contains(&point) {
+        die(&format!(
+            "--crash-at: unknown crash point {point:?} (valid: {})",
+            CRASH_POINTS.join(", ")
+        ));
+    }
+    plan
 }
 
 fn next_str(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
@@ -557,7 +576,7 @@ fn cmd_analyze(args: &[String]) -> i32 {
 }
 
 fn cmd_ingest(args: &[String]) -> i32 {
-    let opts = parse_opts(Cmd::Ingest, args);
+    let mut opts = parse_opts(Cmd::Ingest, args);
     obs_setup(&opts);
     let world = generate(&opts);
     let dataset = collect(&world);
@@ -579,11 +598,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
         use malgraph::malgraph_core::{
             run_checkpointed_ingest, CheckpointOptions, CheckpointStore, IngestRunError, RunStamp,
         };
-        use malgraph::oss_types::CrashPlan;
-        let crash = match &opts.crash_at {
-            Some(spec) => CrashPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string())),
-            None => CrashPlan::none(),
-        };
+        let crash = opts.crash_at.take().unwrap_or_else(CrashPlan::none);
         let store = CheckpointStore::open(std::path::Path::new(dir))
             .unwrap_or_else(|e| die(&format!("open checkpoint dir {dir}: {e}")));
         let stamp = RunStamp::new(opts.seed, opts.scale, deltas.len());
@@ -622,11 +637,6 @@ fn cmd_ingest(args: &[String]) -> i32 {
             Err(IngestRunError::Store(e)) => die(&format!("checkpoint store: {e}")),
         }
     } else {
-        if opts.crash_at.is_some() {
-            die(
-                "--crash-at requires --checkpoint-dir (a crash without durability only loses work)",
-            );
-        }
         let mut graph = MalGraph::empty();
         let mut state = IngestState::new();
         for delta in &deltas {

@@ -765,9 +765,18 @@ fn crash_at_flag_is_validated() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--crash-at requires --checkpoint-dir"));
+    assert!(out.stdout.is_empty(), "rejected before any work");
 
-    // Malformed specs die before any work happens.
-    for spec in ["ingest/apply:0", "ingest/apply:x", ":3"] {
+    // Malformed specs and points the driver never fires die while the
+    // flags are parsed, before any world is generated (nothing on
+    // stdout); an unknown point would otherwise run to completion.
+    for (spec, reason) in [
+        ("ingest/apply:0", "occurrence must be >= 1"),
+        ("ingest/apply:x", "occurrence is not a number"),
+        (":3", "empty point name"),
+        ("bogus", "unknown crash point"),
+        ("ingest/aply:2", "unknown crash point"),
+    ] {
         let out = bin()
             .args([
                 "ingest",
@@ -785,6 +794,19 @@ fn crash_at_flag_is_validated() {
             Some(2),
             "--crash-at {spec} must be rejected"
         );
+        assert!(
+            out.stdout.is_empty(),
+            "--crash-at {spec} must be rejected before any work: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(reason), "--crash-at {spec}: {stderr}");
+        if reason == "unknown crash point" {
+            assert!(
+                stderr.contains("valid: collect/merge, ingest/journal"),
+                "the error lists the valid points: {stderr}"
+            );
+        }
     }
 }
 
