@@ -73,10 +73,10 @@ const POINT_TILE: usize = 32;
 /// the screen is lossless regardless). The *refinement* pair screen in
 /// `malgraph-core` has no density gate: a pair's exact dot is a scattered
 /// gather, against which the linear i8 window wins at any density.
-const MIN_SCREEN_DENSITY: f64 = 0.35;
+pub(crate) const MIN_SCREEN_DENSITY: f64 = 0.35;
 
 /// No point screening tiny vectors — the exact dot is a handful of ops.
-const MIN_SCREEN_DIM: usize = 32;
+pub(crate) const MIN_SCREEN_DIM: usize = 32;
 
 /// Per-term rounding slack of the f32 expansion
 /// `‖p‖² − 2·p·c + ‖c‖²` (2 f32 additions ≈ 2.1·ε₃₂, inflated).
@@ -204,7 +204,7 @@ fn assign_chunk(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
     match ctx.kernel {
         Kernel::DenseScalar => assign_chunk_dense(ctx, chunk),
         Kernel::TiledQuantized if ctx.quant.is_some() => assign_chunk_quant(ctx, chunk),
-        Kernel::Tiled | Kernel::TiledQuantized => assign_chunk_tiled(ctx, chunk),
+        Kernel::TiledQuantized => assign_chunk_tiled(ctx, chunk),
     }
 }
 

@@ -56,21 +56,21 @@ use rand::Rng;
 
 /// Which assignment kernel the Lloyd engine runs.
 ///
-/// All three produce **bitwise identical** results — they share one
+/// Both produce **bitwise identical** results — they share one
 /// summation order and one candidate-scan order, and the quantized
 /// screen only skips candidates provably unable to win (see
 /// `engine.rs`). The enum exists so benchmarks and the equivalence
-/// suite can pit them against each other; production callers keep the
-/// default.
+/// suites can pit the default against its reference; production
+/// callers keep the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// The seed engine's straight loop over dense rows — baseline and
     /// bitwise reference.
     DenseScalar,
-    /// Cache-tiled point×centroid loop over sparse exact dots.
-    Tiled,
-    /// [`Kernel::Tiled`] plus the certified i8 screen in front of every
-    /// exact distance.
+    /// Cache-tiled point×centroid loop over sparse exact dots, with the
+    /// certified i8 screen in front of every exact distance when the
+    /// data is wide and dense enough for the screen to pay (the engine
+    /// decides from the points, never from an option).
     #[default]
     TiledQuantized,
 }
@@ -527,48 +527,57 @@ mod tests {
         }
     }
 
-    /// All three assignment kernels on near-tie-riddled sparse data:
-    /// the kernel choice must never leak into a single output bit.
+    /// Both assignment kernels on near-tie-riddled sparse data, on each
+    /// side of the i8 screen's gate — so the default runs its unscreened
+    /// and its screened kernel: the kernel choice must never leak into a
+    /// single output bit.
     #[test]
     fn kernels_agree_bitwise() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let data: Vec<Vec<f32>> = (0..600)
-            .map(|_| {
-                (0..48)
-                    .map(|_| {
-                        if rng.gen_bool(0.3) {
-                            rng.gen_range(-1.0f32..1.0)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let run = |kernel: Kernel| {
-            let mut rng = StdRng::seed_from_u64(34);
-            let config = KMeansConfig {
-                kernel,
-                ..KMeansConfig::default()
+        for (density, screened) in [(0.3, false), (0.5, true)] {
+            let mut rng = StdRng::seed_from_u64(33);
+            let data: Vec<Vec<f32>> = (0..600)
+                .map(|_| {
+                    (0..48)
+                        .map(|_| {
+                            if rng.gen_bool(density) {
+                                rng.gen_range(-1.0f32..1.0)
+                            } else {
+                                0.0
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let points = Points::from_dense_rows(&data);
+            assert_eq!(
+                points.dim() >= engine::MIN_SCREEN_DIM
+                    && points.density() >= engine::MIN_SCREEN_DENSITY,
+                screened,
+                "density {density}: wrong side of the screen's gate"
+            );
+            let run = |kernel: Kernel| {
+                let mut rng = StdRng::seed_from_u64(34);
+                let config = KMeansConfig {
+                    kernel,
+                    ..KMeansConfig::default()
+                };
+                kmeans(&data, 9, &config, &mut rng)
             };
-            kmeans(&data, 9, &config, &mut rng)
-        };
-        let reference = run(Kernel::DenseScalar);
-        for kernel in [Kernel::Tiled, Kernel::TiledQuantized] {
-            let other = run(kernel);
-            assert_eq!(reference.assignments, other.assignments, "{kernel:?}");
+            let reference = run(Kernel::DenseScalar);
+            let other = run(Kernel::TiledQuantized);
+            assert_eq!(reference.assignments, other.assignments, "{density}");
             assert_eq!(
                 reference.inertia.to_bits(),
                 other.inertia.to_bits(),
-                "{kernel:?}"
+                "{density}"
             );
-            assert_eq!(reference.iterations, other.iterations, "{kernel:?}");
+            assert_eq!(reference.iterations, other.iterations, "{density}");
             for (a, b) in reference.centroids.iter().zip(&other.centroids) {
                 let (ab, bb): (Vec<u32>, Vec<u32>) = (
                     a.iter().map(|v| v.to_bits()).collect(),
                     b.iter().map(|v| v.to_bits()).collect(),
                 );
-                assert_eq!(ab, bb, "{kernel:?}");
+                assert_eq!(ab, bb, "{density}");
             }
         }
     }

@@ -815,7 +815,7 @@ fn refine_classes(
                             Kernel::DenseScalar => {
                                 cluster::matrix::dense_dot(matrix.row(x), matrix.row(y))
                             }
-                            _ => {
+                            Kernel::TiledQuantized => {
                                 let (si, sv) = sparse.row(x);
                                 cluster::matrix::sparse_dot_dense(si, sv, matrix.row(y))
                             }
@@ -1052,7 +1052,7 @@ mod tests {
     /// Every kernel at one and three threads.
     fn configs() -> Vec<SimilarityConfig> {
         let mut out = Vec::new();
-        for kernel in [Kernel::DenseScalar, Kernel::Tiled, Kernel::TiledQuantized] {
+        for kernel in [Kernel::DenseScalar, Kernel::TiledQuantized] {
             for threads in [1, 3] {
                 out.push(SimilarityConfig {
                     kernel,
