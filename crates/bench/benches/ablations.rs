@@ -106,8 +106,8 @@ fn bench_growk_engine(c: &mut Criterion) {
     // every step) vs. warm starts (what `similar_pairs` pays now).
     // On this tiny corpus Lloyd converges in a couple of iterations and
     // k-means++ seeding dominates, so the two are near-even; the warm
-    // win appears at corpus scale (clustering.rs engine groups and
-    // BENCH_PR1.json, n ≥ 5000 × dim 1024).
+    // win appears at corpus scale (the BENCH_PR1.json record,
+    // n ≥ 5000 × dim 1024).
     let corpus = lineage_corpus(12, 8, 5);
     let embedder = embed::Embedder::new(256);
     let data: Vec<Vec<f32>> = corpus

@@ -351,14 +351,14 @@ fn bench_appendix(dir: &Path) -> String {
     if !body.is_empty() {
         md.push_str(
             "\n## Perf trajectory — engine benchmark snapshots\n\n\
-             Rebuilt from `BENCH_PR1.json` / `BENCH_PR6.json` / `BENCH_PR7.json` beside\n\
-             this file. `BENCH_PR1` and `BENCH_PR7` are records: the serial K-Means\n\
-             engine and the uncached harness mode they compare against are gone, and\n\
-             so are the binaries that wrote them. `BENCH_PR6.json` is regenerated by\n\
-             the `kernel_bench` release binary. The `BENCH_PR6` columns are end-to-end\n\
-             assignment + cosine refinement; the `BENCH_PR7` columns are full analysis\n\
-             sections; every mode was asserted bitwise-identical before its time was\n\
-             reported.\n\n```text\n",
+             Rebuilt from the records `BENCH_PR1.json` / `BENCH_PR6.json` /\n\
+             `BENCH_PR7.json` beside this file. The binaries that wrote them are gone,\n\
+             and so are the serial K-Means engine, the unscreened tiled kernel option\n\
+             and the uncached harness mode they compare against; perfbench\n\
+             (`BENCHMARK.json`) times the pipeline now. The `BENCH_PR6` columns are\n\
+             end-to-end assignment + cosine refinement; the `BENCH_PR7` columns are\n\
+             full analysis sections; every mode was asserted bitwise-identical before\n\
+             its time was reported.\n\n```text\n",
         );
         md.push_str(body.trim_end_matches('\n'));
         md.push_str("\n```\n");
@@ -449,13 +449,14 @@ fn recovery_appendix(dir: &Path) -> String {
     let full_ms = f(&pr10, "full_build_ms");
     let mut md = String::from(
         "\n## Crash recovery — resume vs. rebuild\n\n\
-         Rebuilt from `BENCH_PR10.json` beside this file (regenerate with the\n\
-         `recovery_bench` release binary; seed 42, scale 1.0, 18 787 packages in\n\
-         9 disclosure-quantile windows, minima over 3 repetitions). Two staged\n\
-         crashes bracket the recovery cost against a cold `build()` over the\n\
-         union corpus; every resumed graph is asserted node-for-node and\n\
-         edge-for-edge identical to that rebuild — including the `f32` bits of\n\
-         the similarity traces — before its time is reported.\n\n```text\n",
+         Rebuilt from the record `BENCH_PR10.json` beside this file (seed 42,\n\
+         scale 1.0, 18 787 packages in 9 disclosure-quantile windows, minima over\n\
+         3 repetitions; the binary that wrote it is gone, and perfbench's\n\
+         `ingest_ckpt` workload times recovery now). Two staged crashes bracket\n\
+         the recovery cost against a cold `build()` over the union corpus; every\n\
+         resumed graph was asserted node-for-node and edge-for-edge identical to\n\
+         that rebuild — including the `f32` bits of the similarity traces —\n\
+         before its time was reported.\n\n```text\n",
     );
     md.push_str(&format!(
         "== BENCH_PR10 — crash-consistent checkpointing \
@@ -520,16 +521,12 @@ fn recovery_appendix(dir: &Path) -> String {
     md
 }
 
-/// Perf-sentinel appendix: demonstrates the regression gate on live data
-/// by diffing a quick-bench snapshot against itself (clean pass) and then
-/// against a copy with one timing inflated 25% (caught, non-zero exit in
-/// the CLI). This is exactly what `ci.sh`'s perf_gate step runs via
-/// `malgraph perf diff baselines/<bench>.json <bench>.json`.
+/// Perf-sentinel appendix: demonstrates `malgraph perf diff` on a record
+/// by diffing it against itself (clean pass) and then against a copy with
+/// one timing inflated 25% (caught, non-zero exit in the CLI).
 fn sentinel_appendix(dir: &Path) -> String {
-    let Some((name, text)) = ["BENCH_PR8_quick.json", "BENCH_PR6_quick.json"]
-        .iter()
-        .find_map(|n| std::fs::read_to_string(dir.join(n)).ok().map(|t| (*n, t)))
-    else {
+    let name = "BENCH_PR8_quick.json";
+    let Ok(text) = std::fs::read_to_string(dir.join(name)) else {
         return String::new();
     };
     let Ok(base) = obs::baseline::PerfProfile::from_json_str(name, &text) else {
@@ -562,10 +559,12 @@ fn sentinel_appendix(dir: &Path) -> String {
         "\n## Perf sentinel — the regression gate, demonstrated\n\n\
          `malgraph perf diff` compares two snapshots (obs metrics or `BENCH_*.json`)\n\
          and fails when a metric worsens by more than the relative threshold AND the\n\
-         absolute noise floor. Below: the checked-in quick-bench snapshot diffed\n\
+         absolute noise floor. Below: the record `BENCH_PR8_quick.json` diffed\n\
          against itself (clean), then against a copy with its largest timing\n\
-         inflated 25% — the injected regression the gate exists to catch. The same\n\
-         check runs in `ci.sh` (perf_gate) against `baselines/`.\n\n```text\n",
+         inflated 25% — the kind of regression the sentinel exists to catch. CI\n\
+         does not run it: `ci.sh` gates on exact work counts instead\n\
+         (`profile_equivalence`, `ingest_equivalence` and the budget tests), and\n\
+         perfbench self-checks its results file with the same diff.\n\n```text\n",
     );
     md.push_str(clean.render(false).trim_end_matches('\n'));
     md.push_str("\n\n");

@@ -100,11 +100,12 @@ impl Repro {
     }
 
     /// Assembles a context from parts prepared elsewhere — the ingest
-    /// equivalence suite and `ingest_bench` wire an incrementally grown
-    /// graph (`MalGraph::apply_delta` over corpus deltas) into the same
+    /// equivalence suite wires an incrementally grown graph
+    /// (`MalGraph::apply_delta` over corpus deltas) into the same
     /// analysis sections the one-shot context runs, so the two paths can
-    /// be compared byte for byte. [`AnalyzeMode::Indexed`] is the only
-    /// `mode`.
+    /// be compared byte for byte, and perfbench times the sections over
+    /// the world, corpus and graph it built itself.
+    /// [`AnalyzeMode::Indexed`] is the only `mode`.
     pub fn from_parts(
         world: World,
         dataset: CollectedDataset,

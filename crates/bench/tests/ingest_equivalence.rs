@@ -11,9 +11,13 @@
 //! one-shot stage order.
 //!
 //! The suite also pins the invalidation accounting: every drop/extension
-//! of a PR7 cache increments an `ingest.*` counter, so a stale-cache
-//! regression (a cache silently *kept* where the matrix says drop) shows
-//! up as a counter mismatch even before it corrupts a section.
+//! of an analysis cache increments an `ingest.*` counter, so a
+//! stale-cache regression (a cache silently *kept* where the matrix says
+//! drop) shows up as a counter mismatch even before it corrupts a
+//! section. Beside it, the windows' similarity work (embeddings, memo
+//! misses, K-Means iterations, kernel screens, recomputed ecosystems) is
+//! pinned exactly, so a memo that stops carrying across windows fails by
+//! count rather than by time.
 
 use crawler::{collect, partition_windows, union_dataset, CorpusDelta};
 use malgraph_bench::{AnalyzeMode, Repro, EXPERIMENTS, EXTENSIONS};
@@ -134,6 +138,20 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
         grew(&before, &after, "ingest.extended{cache=adjacency}"),
         invalidating
     );
+    // The similarity work of the four windows, pinned the same way: the
+    // memos carried across windows embed each distinct source once and
+    // re-run only the ecosystems a window grew, so a memo dropped
+    // between windows shows up here as extra embeddings, iterations and
+    // screens. A change that lowers a count lowers its pin.
+    assert_eq!(grew(&before, &after, "embed.vectors"), 237);
+    assert_eq!(grew(&before, &after, "similarity.embed_cache_misses"), 237);
+    assert_eq!(grew(&before, &after, "kmeans.iterations"), 54);
+    assert_eq!(
+        grew(&before, &after, "kernel.pruned_quantized") + grew(&before, &after, "kernel.rescored"),
+        36_242,
+        "screens: candidates pruned by the i8 window or rescored exactly"
+    );
+    assert_eq!(grew(&before, &after, "ingest.similarity_recomputed"), 10);
 
     // The ingested corpus is the union, byte for byte.
     assert_eq!(state.dataset().packages, union.packages);

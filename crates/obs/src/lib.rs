@@ -27,7 +27,8 @@
 //!   stacks, byte-stable under [`FakeClock`]).
 //! * **Baselines** — [`baseline`] loads snapshot or bench JSON into
 //!   [`baseline::PerfProfile`]s and diffs them under noise thresholds,
-//!   powering `malgraph perf diff` and the CI perf gate.
+//!   powering `malgraph perf diff` and perfbench's self-check. CI gates
+//!   on exact counter values in the test suites, not on these diffs.
 //!
 //! # Overhead policy
 //!
