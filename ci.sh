@@ -57,8 +57,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 #  * the pinned counters — profile_equivalence caps 14 work counts of
 #    the whole pipeline (embeddings, K-Means iterations, kernel screens,
 #    sandbox runs and steps, index builds, …) and asserts every counter
-#    equal at 1 and 7 threads; ingest_equivalence pins the windowed
-#    ingest's `ingest.*` cache accounting and its similarity work.
+#    but the sections' fan-out count equal at 1 and 7 threads;
+#    ingest_equivalence pins the windowed ingest's `ingest.*` cache
+#    accounting and its similarity work.
 echo "== cargo test -q --workspace (vendored crates excluded)"
 cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude proptest --exclude rand --exclude rand_distr
 
