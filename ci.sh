@@ -58,14 +58,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 #    the whole pipeline (embeddings, K-Means iterations, kernel screens,
 #    sandbox runs and steps, index builds, …) and asserts every counter
 #    but the sections' fan-out count equal at 1 and 7 threads;
-#    ingest_equivalence pins the windowed ingest's `ingest.*` cache
-#    accounting and its similarity work.
+#    ingest_equivalence pins the windowed ingest's cache drops
+#    (`ingest.invalidated{cache=…}`, one per populated cache per
+#    window) and its similarity work, refinement's screens
+#    (`similarity.refine_screens`) among them.
 echo "== cargo test -q --workspace (vendored crates excluded)"
 cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude proptest --exclude rand --exclude rand_distr
 
 # Benches must at least compile (they are not run in CI).
 echo "== cargo bench --no-run -p malgraph-bench"
 cargo bench --no-run -p malgraph-bench
+
+# perfbench is a workspace of its own, so `--workspace` above never
+# builds it, yet it calls the library's public API. `--locked` keeps its
+# lock file as it is; the build lands in the ignored perfbench/target.
+echo "== cargo check --manifest-path perfbench/Cargo.toml"
+cargo check --locked --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "${1:-}" == "--release" ]]; then
     echo "== cargo build --release"

@@ -4,20 +4,20 @@
 //! serially on fresh indexes. A graph grown window by
 //! window through [`MalGraph::apply_delta`] must reproduce every section
 //! of every experiment and extension **byte for byte** — serial on a
-//! context whose Duplicated caches were *extended* across windows, and
+//! context whose caches were populated and dropped at every window, and
 //! fanned out over 7 worker threads on a context whose caches are all
 //! first-touched concurrently. Any divergence means a cache survived a
 //! delta it should not have, or the delta emission drifted from the
 //! one-shot stage order.
 //!
-//! The suite also pins the invalidation accounting: every drop/extension
-//! of an analysis cache increments an `ingest.*` counter, so a
-//! stale-cache regression (a cache silently *kept* where the matrix says
-//! drop) shows up as a counter mismatch even before it corrupts a
-//! section. Beside it, the windows' similarity work (embeddings, memo
-//! misses, K-Means iterations, kernel screens, recomputed ecosystems) is
-//! pinned exactly, so a memo that stops carrying across windows fails by
-//! count rather than by time.
+//! The suite also pins the invalidation accounting: every drop of an
+//! analysis cache increments an `ingest.*` counter, so a stale-cache
+//! regression (a cache silently *kept* where the matrix says drop)
+//! shows up as a counter mismatch even before it corrupts a section.
+//! Beside it, the windows' similarity work (embeddings, memo misses,
+//! K-Means iterations, kernel and refinement screens, recomputed
+//! ecosystems) is pinned exactly, so a memo that stops carrying across
+//! windows fails by count rather than by time.
 
 use crawler::{collect, partition_windows, union_dataset, CorpusDelta};
 use malgraph_bench::{AnalyzeMode, Repro, EXPERIMENTS, EXTENSIONS};
@@ -93,12 +93,11 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     let reference = oracle.run_all(&ids, 1);
 
     // Candidate A: ingest window by window, *forcing* every lazy cache
-    // between deltas so the next `apply_delta` must extend or drop a
-    // populated cache (the hard case — a fresh context never exercises
-    // the invalidation matrix at all). The counter deltas pin the
-    // matrix: 3 non-Duplicated component indexes, 3 adjacency CSRs, the
-    // stats table and the analysis index dropped per subsequent window;
-    // the Duplicated component index and CSR extended in place.
+    // between deltas so the next `apply_delta` must drop a populated
+    // cache (the hard case — a fresh context never exercises the
+    // invalidation matrix at all). The counter deltas pin the matrix:
+    // the groups of all four relations (one cache), the stats table and
+    // the analysis index dropped per subsequent window.
     let mut graph = MalGraph::empty();
     let mut state = IngestState::new();
     let before = counters();
@@ -106,7 +105,6 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
         graph.apply_delta(delta, &options, &mut state);
         for relation in Relation::ALL {
             let _ = graph.groups(relation);
-            let _ = graph.adjacency(relation);
             let _ = graph.relation_stats(relation);
         }
         let _ = graph.analysis_index(state.dataset());
@@ -116,11 +114,7 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     assert_eq!(grew(&before, &after, "ingest.windows"), WINDOWS as u64);
     assert_eq!(
         grew(&before, &after, "ingest.invalidated{cache=components}"),
-        3 * invalidating
-    );
-    assert_eq!(
-        grew(&before, &after, "ingest.invalidated{cache=adjacency}"),
-        3 * invalidating
+        invalidating
     );
     assert_eq!(
         grew(&before, &after, "ingest.invalidated{cache=stats}"),
@@ -128,14 +122,6 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     );
     assert_eq!(
         grew(&before, &after, "ingest.invalidated{cache=analysis}"),
-        invalidating
-    );
-    assert_eq!(
-        grew(&before, &after, "ingest.extended{cache=components}"),
-        invalidating
-    );
-    assert_eq!(
-        grew(&before, &after, "ingest.extended{cache=adjacency}"),
         invalidating
     );
     // The similarity work of the four windows, pinned the same way: the
@@ -146,6 +132,13 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     assert_eq!(grew(&before, &after, "embed.vectors"), 237);
     assert_eq!(grew(&before, &after, "similarity.embed_cache_misses"), 237);
     assert_eq!(grew(&before, &after, "kmeans.iterations"), 54);
+    // Refinement's screens before the kernels' sum, which K-Means
+    // assignment feeds too: extra refinement work fails here by name.
+    assert_eq!(
+        grew(&before, &after, "similarity.refine_screens"),
+        10_550,
+        "refinement's class-pair decisions, screened out or rescored"
+    );
     assert_eq!(
         grew(&before, &after, "kernel.pruned_quantized") + grew(&before, &after, "kernel.rescored"),
         36_242,
@@ -157,8 +150,8 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     assert_eq!(state.dataset().packages, union.packages);
     assert_eq!(state.dataset().reports, union.reports);
 
-    // Serial pass over candidate A: its Duplicated component index and
-    // CSR are the *extended* instances, everything else rebuilt lazily.
+    // Serial pass over candidate A, whose caches were filled after the
+    // last delta.
     let ingested = Repro::from_parts(
         world(),
         state.dataset().clone(),
@@ -185,7 +178,7 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     let parallel = cold.run_all(&ids, 7);
     assert_sections_equal(&reference, &parallel, &ids, "ingested/7-thread");
 
-    // Warm rerun on the extended-cache context must also be stable.
+    // Warm rerun on candidate A's context must also be stable.
     let warm = ingested.run_all(&ids, 7);
     assert_sections_equal(&reference, &warm, &ids, "ingested/warm-rerun");
 }

@@ -37,6 +37,10 @@ const WORK_CEILINGS: &[(&[&str], u64)] = &[
     (&["similarity.embed_cache_misses"], 1_048),
     (&["kmeans.runs"], 23),
     (&["kmeans.iterations"], 76),
+    // Refinement's class-pair decisions, screened out or rescored. It is
+    // checked before the `kernel.*` counts, which K-Means assignment
+    // feeds too, so extra refinement work fails here by name.
+    (&["similarity.refine_screens"], 43_883),
     // Exact distances and dots the kernels computed, and every candidate
     // they screened: pruned by the i8 window or rescored exactly.
     (&["kernel.rescored"], 25_464),
@@ -45,7 +49,6 @@ const WORK_CEILINGS: &[(&[&str], u64)] = &[
     (&["detector.sandbox_steps{kind=executed}"], 24_269),
     (&["detector.static_scans"], 1_020),
     (&["analysis.index_builds"], 4),
-    (&["analysis.adjacency_builds"], 1),
     (&["analysis.corpus_index_builds"], 1),
     (&["analysis.sequence_builds"], 1),
 ];

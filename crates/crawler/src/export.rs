@@ -236,6 +236,13 @@ fn read_package(entry: &jsonio::Value) -> Result<CollectedPackage, ExportError> 
         let at = read_time(at).ok_or_else(|| bad_field("mentions"))?;
         mentions.push((source, at));
     }
+    // The graph has one node per mention, so a package without one
+    // would have no node for its edges to start from.
+    if mentions.is_empty() {
+        return Err(ExportError {
+            message: format!("malformed manifest: package {id} has no mentions"),
+        });
+    }
     let signature = match require(entry, "sha256")? {
         jsonio::Value::Null => None,
         value => Some(parse_sha256(
@@ -634,6 +641,28 @@ mod tests {
         assert!(import_json(bad_id).is_err());
     }
 
+    /// Exports `dataset` at both fidelities and as a journal window, and
+    /// asserts that each import fails with an error containing `expected`.
+    fn assert_rejected(dataset: CollectedDataset, expected: &str) {
+        for fidelity in [ExportFidelity::Full, ExportFidelity::ManifestOnly] {
+            let json = export_json(&dataset, fidelity).unwrap();
+            let err = import_json(&json).unwrap_err().to_string();
+            assert!(err.contains(expected), "{err}");
+        }
+        // The checkpoint journal's window documents share the reader.
+        let delta = CorpusDelta {
+            window: 0,
+            start: SimTime::from_minutes(0),
+            end: dataset.collect_time,
+            packages: dataset.packages,
+            reports: Vec::new(),
+            website_count: 0,
+            collect_time: dataset.collect_time,
+        };
+        let err = import_delta_json(&export_delta_json(&delta)).unwrap_err();
+        assert!(err.to_string().contains(expected), "{err}");
+    }
+
     #[test]
     fn repeated_package_ids_are_rejected() {
         let mut repeated = corpus();
@@ -645,23 +674,20 @@ mod tests {
             .clone();
         let expected = format!("package {} appears twice", copy.id);
         repeated.packages.push(copy);
-        for fidelity in [ExportFidelity::Full, ExportFidelity::ManifestOnly] {
-            let json = export_json(&repeated, fidelity).unwrap();
-            let err = import_json(&json).unwrap_err().to_string();
-            assert!(err.contains(&expected), "{err}");
-        }
-        // The checkpoint journal's window documents share the reader.
-        let delta = CorpusDelta {
-            window: 0,
-            start: SimTime::from_minutes(0),
-            end: repeated.collect_time,
-            packages: repeated.packages,
-            reports: Vec::new(),
-            website_count: 0,
-            collect_time: repeated.collect_time,
-        };
-        let err = import_delta_json(&export_delta_json(&delta)).unwrap_err();
-        assert!(err.to_string().contains(&expected), "{err}");
+        assert_rejected(repeated, &expected);
+    }
+
+    #[test]
+    fn packages_without_mentions_are_rejected() {
+        let mut unmentioned = corpus();
+        let package = unmentioned
+            .packages
+            .iter_mut()
+            .find(|p| p.archive.is_some())
+            .expect("corpus has an available package");
+        package.mentions.clear();
+        let expected = format!("package {} has no mentions", package.id);
+        assert_rejected(unmentioned, &expected);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`PropertyGraph<N, L>`] — nodes carry an arbitrary payload `N`,
 //!   edges carry a label `L` (MALGRAPH uses its four relation types);
 //! * [`PropertyGraph::components`] — connected components restricted to a
-//!   label subset, computed with a union-find ([`unionfind`]);
+//!   label subset, computed with a union-find ([`unionfind`]), and
+//!   [`PropertyGraph::components_by_label`] — each label's components
+//!   from one walk over the edges;
 //! * [`PropertyGraph::serve`] — one symmetric label answered by a
 //!   [`ServedRelation`] instead of stored rows (MALGRAPH's similar
 //!   relation: millions of edges that copy a few hundred facts); every
@@ -34,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod dot;
-pub mod index;
 pub mod stats;
 pub mod unionfind;
 
@@ -50,12 +51,6 @@ impl NodeId {
     /// The raw index.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Crate-internal inverse of [`NodeId::index`]; only index structures
-    /// derived from an existing graph may mint ids.
-    pub(crate) fn from_index(i: usize) -> NodeId {
-        NodeId(u32::try_from(i).expect("graph too large"))
     }
 }
 
@@ -414,31 +409,38 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
     /// the component of 1 before the component of 0. Nodes within a
     /// component are sorted ascending.
     pub fn components(&self, mut filter: impl FnMut(&L) -> bool) -> Vec<Vec<NodeId>> {
-        let mut uf = unionfind::UnionFind::new(self.nodes.len());
-        let mut touched = vec![false; self.nodes.len()];
+        let mut components = Components::new(self.nodes.len());
         let mut buf = Vec::new();
         for id in self.node_ids() {
-            let i = id.index();
-            self.walk_out(id, &mut filter, &mut buf, |to, _| {
-                uf.union(i, to.index());
-                touched[i] = true;
-                touched[to.index()] = true;
+            self.walk_out(id, &mut filter, &mut buf, |to, _| components.union(id, to));
+        }
+        components.finish()
+    }
+
+    /// [`PropertyGraph::components`] for each label of `labels`, in that
+    /// order, from one walk over the edges: each edge goes to its label's
+    /// union-find, so every label sees the union sequence its own
+    /// `components(|l| *l == label)` call would, and gets the same
+    /// components in the same order. Edges of unlisted labels are
+    /// skipped.
+    pub fn components_by_label(&self, labels: &[L]) -> Vec<Vec<Vec<NodeId>>> {
+        let mut components: Vec<Components> = labels
+            .iter()
+            .map(|_| Components::new(self.nodes.len()))
+            .collect();
+        let mut buf = Vec::new();
+        for id in self.node_ids() {
+            self.walk_out(id, &mut |l| labels.contains(l), &mut buf, |to, label| {
+                let slot = labels.iter().position(|l| *l == label).expect("filtered");
+                components[slot].union(id, to);
             });
         }
-        let mut groups: std::collections::BTreeMap<usize, Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for (i, &is_touched) in touched.iter().enumerate() {
-            if is_touched {
-                groups.entry(uf.find(i)).or_default().push(NodeId(i as u32));
-            }
-        }
-        groups.into_values().collect()
+        components.into_iter().map(Components::finish).collect()
     }
 
     /// Nodes reachable from `start` via edges whose label passes
     /// `filter`, including `start` itself (BFS). Used by the Fig.-3
-    /// neighbourhood rendering and as the baseline in the union-find
-    /// ablation bench.
+    /// neighbourhood rendering and the Fig.-8 campaign timeline.
     ///
     /// # Panics
     ///
@@ -462,6 +464,45 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         }
         out.sort_unstable();
         out
+    }
+}
+
+/// The union-find behind [`PropertyGraph::components`] and
+/// [`PropertyGraph::components_by_label`]: it unions the endpoints of
+/// each edge it is given, remembers which nodes those edges touched, and
+/// collects the touched nodes by their final root.
+struct Components {
+    uf: unionfind::UnionFind,
+    touched: Vec<bool>,
+}
+
+impl Components {
+    fn new(nodes: usize) -> Components {
+        Components {
+            uf: unionfind::UnionFind::new(nodes),
+            touched: vec![false; nodes],
+        }
+    }
+
+    fn union(&mut self, from: NodeId, to: NodeId) {
+        self.uf.union(from.index(), to.index());
+        self.touched[from.index()] = true;
+        self.touched[to.index()] = true;
+    }
+
+    /// The components in ascending order of their root, each sorted.
+    fn finish(mut self) -> Vec<Vec<NodeId>> {
+        let mut by_root: std::collections::BTreeMap<usize, Vec<NodeId>> =
+            std::collections::BTreeMap::new();
+        for (i, &touched) in self.touched.iter().enumerate() {
+            if touched {
+                by_root
+                    .entry(self.uf.find(i))
+                    .or_default()
+                    .push(NodeId(i as u32));
+            }
+        }
+        by_root.into_values().collect()
     }
 }
 
@@ -589,21 +630,14 @@ mod tests {
 
     #[test]
     fn a_served_relation_walks_like_stored_edges() {
-        use crate::index::{AdjacencyIndex, ComponentIndex};
         use crate::stats::RelationStats;
         let (stored, served) = stored_and_served();
         let labels = [Lbl::A, Lbl::B, Lbl::S, Lbl::C];
         assert!(served.edges().eq(stored.edges()));
         assert_eq!(served.edge_count(), stored.edge_count());
         assert_eq!(
-            ComponentIndex::build_many(&served, &labels)
-                .iter()
-                .map(|i| i.components().to_vec())
-                .collect::<Vec<_>>(),
-            ComponentIndex::build_many(&stored, &labels)
-                .iter()
-                .map(|i| i.components().to_vec())
-                .collect::<Vec<_>>()
+            served.components_by_label(&labels),
+            stored.components_by_label(&labels)
         );
         assert_eq!(
             RelationStats::compute_many(&served, &labels),
@@ -619,22 +653,11 @@ mod tests {
             let filter = |l: &Lbl| set.contains(l);
             assert_eq!(served.edge_count_by(filter), stored.edge_count_by(filter));
             assert_eq!(served.components(filter), stored.components(filter));
-            let (a, b) = (
-                ComponentIndex::build(&served, filter),
-                ComponentIndex::build(&stored, filter),
-            );
-            assert_eq!(a.components(), b.components());
-            assert_eq!(a.stats(), b.stats());
             assert_eq!(
                 RelationStats::compute(&served, filter),
                 RelationStats::compute(&stored, filter)
             );
-            let (a, b) = (
-                AdjacencyIndex::build(&served, filter),
-                AdjacencyIndex::build(&stored, filter),
-            );
             for id in stored.node_ids() {
-                assert_eq!(a.neighbors(id), b.neighbors(id));
                 assert_eq!(served.reachable(id, filter), stored.reachable(id, filter));
                 assert_eq!(
                     served.out_degree_by(id, filter),
@@ -730,8 +753,7 @@ mod tests {
             components.iter().map(|c| c[0].index()).collect()
         };
         assert_eq!(minima(&g.components(|_| true)), [1, 0]);
-        let index = crate::index::ComponentIndex::build(&g, |_| true);
-        assert_eq!(minima(index.components()), [1, 0]);
+        assert_eq!(minima(&g.components_by_label(&[Rel::Dup])[0]), [1, 0]);
     }
 
     #[test]

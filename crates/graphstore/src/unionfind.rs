@@ -36,20 +36,6 @@ impl UnionFind {
         self.parent.len()
     }
 
-    /// Grows the universe to `n` elements; the new elements
-    /// `len()..n` start as singleton sets. Existing sets are untouched,
-    /// so growing then unioning is indistinguishable from having built
-    /// `UnionFind::new(n)` and replaying the same union sequence — the
-    /// property the incremental ingestion path relies on. A `n` at or
-    /// below the current length is a no-op.
-    pub fn grow(&mut self, n: usize) {
-        for i in self.parent.len()..n {
-            self.parent.push(i);
-            self.size.push(1);
-            self.components += 1;
-        }
-    }
-
     /// Whether the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
@@ -140,30 +126,6 @@ mod tests {
         assert_eq!(uf.component_count(), 1);
         assert!(uf.connected(0, 99));
         assert_eq!(uf.component_size(42), 100);
-    }
-
-    #[test]
-    fn grow_matches_fresh_structure_under_the_same_unions() {
-        let pairs = [(0, 1), (2, 3), (1, 2), (5, 7), (4, 5)];
-        let mut grown = UnionFind::new(4);
-        for &(a, b) in &pairs[..2] {
-            grown.union(a, b);
-        }
-        grown.grow(8);
-        for &(a, b) in &pairs[2..] {
-            grown.union(a, b);
-        }
-        let mut fresh = UnionFind::new(8);
-        for &(a, b) in &pairs {
-            fresh.union(a, b);
-        }
-        assert_eq!(grown.component_count(), fresh.component_count());
-        for i in 0..8 {
-            assert_eq!(grown.find(i), fresh.find(i), "root of {i}");
-            assert_eq!(grown.component_size(i), fresh.component_size(i));
-        }
-        grown.grow(3); // shrink request is a no-op
-        assert_eq!(grown.len(), 8);
     }
 
     #[test]

@@ -116,9 +116,9 @@ pub struct TimelineEntry {
 }
 
 /// Reconstructs the release timeline of the co-existing group containing
-/// `member` (Fig. 8 uses the August-2023 npm campaign). The traversal
-/// runs over the cached CSR snapshot instead of re-walking the labeled
-/// adjacency lists.
+/// `member` (Fig. 8 uses the August-2023 npm campaign). The breadth-first
+/// walk skips the served similar run of every row, so it reads only the
+/// stored edges of the group's nodes.
 pub fn campaign_timeline(
     graph: &MalGraph,
     dataset: &CollectedDataset,
@@ -127,16 +127,9 @@ pub fn campaign_timeline(
     let Some(node) = graph.primary_node(member) else {
         return Vec::new();
     };
-    let group = graph.adjacency(Relation::Coexisting).reachable(node);
-    timeline_entries(group, graph, dataset)
-}
-
-fn timeline_entries(
-    group: Vec<NodeId>,
-    graph: &MalGraph,
-    dataset: &CollectedDataset,
-) -> Vec<TimelineEntry> {
-    let mut entries: Vec<TimelineEntry> = group
+    let mut entries: Vec<TimelineEntry> = graph
+        .graph
+        .reachable(node, |l| *l == Relation::Coexisting)
         .into_iter()
         .filter_map(|n| {
             let pkg = &graph.graph.node(n).package;
@@ -163,20 +156,6 @@ mod tests {
         let dataset = collect(&world);
         let graph = build(&dataset, &BuildOptions::default());
         (graph, dataset)
-    }
-
-    /// [`campaign_timeline`] over the raw adjacency lists: the oracle
-    /// the cached CSR snapshot's BFS is asserted against.
-    fn campaign_timeline_reference(
-        graph: &MalGraph,
-        dataset: &CollectedDataset,
-        member: &PackageId,
-    ) -> Vec<TimelineEntry> {
-        let Some(node) = graph.primary_node(member) else {
-            return Vec::new();
-        };
-        let group = graph.graph.reachable(node, |l| *l == Relation::Coexisting);
-        timeline_entries(group, graph, dataset)
     }
 
     #[test]
@@ -252,17 +231,7 @@ mod tests {
         assert_eq!(timeline[0].released.month(), 8);
     }
 
-    #[test]
-    fn indexed_timeline_matches_reference() {
-        let (graph, dataset) = setup();
-        let member: PackageId = "npm/etc-crypto@1.0.0".parse().unwrap();
-        assert_eq!(
-            campaign_timeline(&graph, &dataset, &member),
-            campaign_timeline_reference(&graph, &dataset, &member)
-        );
-    }
-
-    /// The cached component index and the shared release-time table
+    /// The cached groups and the shared release-time table
     /// against a fresh recomputation, for every relation.
     #[test]
     fn cached_groups_and_periods_match_fresh_recomputation() {

@@ -20,11 +20,10 @@ use crate::similarity::{
     NO_CLUSTER,
 };
 use crawler::{CollectedDataset, CollectedPackage, CollectedReport};
-use graphstore::index::{AdjacencyIndex, ComponentIndex};
 use graphstore::{NodeId, PropertyGraph, ServedRelation};
 use oss_types::{CrashPlan, CrashSignal, Ecosystem, PackageId};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Options of the graph builder.
 #[derive(Debug, Clone, Default)]
@@ -53,27 +52,11 @@ pub struct MalGraph {
     /// incremental ingestion path shares one output between its
     /// per-ecosystem memo and the graph.
     pub similarity_diagnostics: Vec<(Ecosystem, Arc<SimilarityOutput>)>,
-    /// Lazily-built per-relation component indexes, in [`Relation::ALL`]
-    /// order — all built in one edge walk on the first component query.
-    /// The similar groups replay the union of every served edge, in edge
-    /// order: union by size makes the group order depend on that
-    /// sequence. The graph is immutable between queries — the one
-    /// mutation path, [`MalGraph::apply_delta`], holds `&mut self` and
-    /// explicitly invalidates (or incrementally extends) every snapshot
-    /// before queries resume — so a snapshot taken at first query stays
-    /// valid until the next delta.
-    pub(crate) indexes: OnceLock<Vec<ComponentIndex>>,
-    /// A Duplicated component index carried across deltas: the
-    /// duplicated relation is append-only under ingestion (cliques stay
-    /// within one package's nodes), so instead of discarding its index
-    /// with the rest, [`MalGraph::apply_delta`] extends it in place and
-    /// parks it here for the next [`MalGraph::component_index`] build to
-    /// re-adopt. Behind a `Mutex` because the re-adoption happens inside
-    /// the `OnceLock` initialiser, which runs under `&self`.
-    pub(crate) dup_carry: Mutex<Option<ComponentIndex>>,
-    /// Lazily-built per-relation CSR adjacency snapshots, in
-    /// [`Relation::ALL`] order, each built on its first traversal query.
-    pub(crate) adjacency: [OnceLock<AdjacencyIndex>; Relation::ALL.len()],
+    /// Each relation's groups, in [`Relation::ALL`] order, computed by
+    /// the first [`MalGraph::groups`] call. This cache, `stats` and
+    /// `analysis` summarise the graph and corpus as first queried; the
+    /// one mutation path, [`MalGraph::apply_delta`], drops all three.
+    pub(crate) groups: OnceLock<Vec<Vec<Vec<NodeId>>>>,
     /// Lazily-computed Table-II statistics, in [`Relation::ALL`] order,
     /// gathered for all relations in a single edge scan.
     pub(crate) stats: OnceLock<Vec<graphstore::stats::RelationStats>>,
@@ -100,79 +83,34 @@ impl MalGraph {
         self.primary.len()
     }
 
-    /// The cached component index for one relation. The first query
-    /// builds the indexes of *all* relations in a single edge walk
-    /// ([`ComponentIndex::build_many`]); `OnceLock` serialises
-    /// concurrent first queries, so the parallel analysis harness shares
-    /// one snapshot per relation. A Duplicated index parked by
-    /// [`MalGraph::apply_delta`] is re-adopted instead of rebuilt — the
-    /// incremental extension is byte-identical to a fresh build.
-    pub fn component_index(&self, relation: Relation) -> &ComponentIndex {
-        let indexes = self.indexes.get_or_init(|| {
+    /// Connected components of one relation (paper's subgraph groups) —
+    /// identical to `self.graph.components(|l| *l == relation)`. The
+    /// first call computes every relation's groups in one edge walk
+    /// ([`PropertyGraph::components_by_label`]); `OnceLock` serialises
+    /// concurrent first calls, so the parallel analysis harness shares
+    /// one result.
+    pub fn groups(&self, relation: Relation) -> &[Vec<NodeId>] {
+        obs::counter_add("analysis.group_queries", 1);
+        let groups = self.groups.get_or_init(|| {
             // Detached: which analysis section wins the OnceLock race is
-            // scheduling-dependent, so the build must root its own stack
+            // scheduling-dependent, so the walk must root its own stack
             // for the folded profile to stay thread-count-invariant.
             let _detached = obs::detached();
             let _span = obs::span!("analysis/index/components");
-            let mut carried = self.dup_carry.lock().expect("carry lock poisoned").take();
-            let fresh: Vec<Relation> = Relation::ALL
-                .iter()
-                .copied()
-                .filter(|r| carried.is_none() || *r != Relation::Duplicated)
-                .collect();
-            obs::counter_add("analysis.index_builds", fresh.len() as u64);
-            if carried.is_some() {
-                obs::counter_add("analysis.index_carried", 1);
+            obs::counter_add("analysis.index_builds", Relation::ALL.len() as u64);
+            let groups = self.graph.components_by_label(&Relation::ALL);
+            for relation_groups in &groups {
+                obs::counter_add("analysis.indexed_components", relation_groups.len() as u64);
             }
-            let mut built = ComponentIndex::build_many(&self.graph, &fresh).into_iter();
-            let indexes: Vec<ComponentIndex> = Relation::ALL
-                .iter()
-                .map(|r| {
-                    if *r == Relation::Duplicated && carried.is_some() {
-                        carried.take().expect("checked above")
-                    } else {
-                        built
-                            .next()
-                            .expect("one fresh index per remaining relation")
-                    }
-                })
-                .collect();
-            for index in &indexes {
-                obs::counter_add(
-                    "analysis.indexed_components",
-                    index.components().len() as u64,
-                );
-            }
-            indexes
+            groups
         });
-        &indexes[relation_slot(relation)]
-    }
-
-    /// The cached CSR adjacency snapshot for one relation, built on first
-    /// use, each relation independently: the analyses traverse only the
-    /// co-existing relation.
-    pub fn adjacency(&self, relation: Relation) -> &AdjacencyIndex {
-        self.adjacency[relation_slot(relation)].get_or_init(|| {
-            let _detached = obs::detached();
-            let _span = obs::span!("analysis/index/adjacency/{}", relation.group_label());
-            obs::counter_add("analysis.adjacency_builds", 1);
-            AdjacencyIndex::build(&self.graph, |l| *l == relation)
-        })
-    }
-
-    /// Connected components of one relation (paper's subgraph groups) —
-    /// identical to `self.graph.components(|l| *l == relation)`, served
-    /// from the cached [`ComponentIndex`] after the first call.
-    pub fn groups(&self, relation: Relation) -> &[Vec<NodeId>] {
-        obs::counter_add("analysis.group_queries", 1);
-        self.component_index(relation).components()
+        &groups[relation_slot(relation)]
     }
 
     /// Table II row for one relation, from a cache computed for all
     /// relations in one edge scan (identical to a fresh
     /// [`graphstore::stats::RelationStats::compute`]). Deliberately does
-    /// *not* force the component indexes: the statistics need no
-    /// union-find.
+    /// *not* force the groups: the statistics need no union-find.
     pub fn relation_stats(&self, relation: Relation) -> graphstore::stats::RelationStats {
         let stats = self.stats.get_or_init(|| {
             let _detached = obs::detached();
@@ -198,9 +136,7 @@ impl MalGraph {
             graph: PropertyGraph::new(),
             primary: HashMap::new(),
             similarity_diagnostics: Vec::new(),
-            indexes: OnceLock::new(),
-            dup_carry: Mutex::new(None),
-            adjacency: Default::default(),
+            groups: OnceLock::new(),
             stats: OnceLock::new(),
             analysis: OnceLock::new(),
         }

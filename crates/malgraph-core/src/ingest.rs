@@ -35,21 +35,19 @@
 //!   *source text* was never seen in any window are parsed and embedded
 //!   (republished byte-identical code hits the source memo).
 //!
-//! # Cache invalidation (the PR7 `OnceLock`s)
+//! # Cache invalidation
 //!
 //! | cache                     | on `apply_delta`                        |
 //! |---------------------------|-----------------------------------------|
-//! | component indexes         | Duplicated: extended in place (append-only cliques) and parked in `dup_carry`; other relations: dropped |
-//! | adjacency CSRs            | Duplicated: extended in place; others: dropped |
+//! | groups (every relation)   | dropped (one edge walk to rebuild)      |
 //! | Table-II stats            | dropped (single edge scan to rebuild)   |
 //! | `AnalysisIndex`           | dropped (binds to the grown corpus)     |
 //! | detector `SandboxCache`   | untouched — keyed by code content, so entries stay valid as the corpus grows |
 //!
-//! Every drop/extension increments an `ingest.*` counter, so stale-cache
-//! regressions are observable, not silent.
+//! Every drop increments an `ingest.invalidated{cache=…}` counter, so
+//! stale-cache regressions are observable, not silent.
 
-use crate::build::{relation_slot, BuildOptions, EcoState, MalGraph};
-use crate::node::Relation;
+use crate::build::{BuildOptions, EcoState, MalGraph};
 use crawler::{CollectedDataset, CorpusDelta};
 use graphstore::NodeId;
 use oss_types::{CrashPlan, CrashSignal, SimTime};
@@ -158,50 +156,12 @@ impl MalGraph {
             )?;
         }
 
-        // 2. Invalidate or extend the lazy query caches.
+        // 2. Drop the lazy query caches: each summarises the graph or
+        // corpus before this delta.
         {
             let _stage = obs::span!("ingest/delta/invalidate");
-            let dup_slot = relation_slot(Relation::Duplicated);
-            // Component indexes: the Duplicated forest is append-only
-            // under ingestion, so it is extended and parked for the next
-            // index build to re-adopt; the other relations are dropped.
-            let carry = self.dup_carry.get_mut().expect("carry lock poisoned");
-            let mut duplicated_index = match self.indexes.take() {
-                Some(mut indexes) => {
-                    obs::counter_add(
-                        "ingest.invalidated{cache=components}",
-                        (Relation::ALL.len() - 1) as u64,
-                    );
-                    Some(indexes.swap_remove(dup_slot))
-                }
-                None => carry.take(),
-            };
-            if let Some(index) = duplicated_index.as_mut() {
-                index.extend(
-                    &self.graph,
-                    |l| *l == Relation::Duplicated,
-                    index.node_watermark(),
-                );
-                obs::counter_add("ingest.extended{cache=components}", 1);
-            }
-            *carry = duplicated_index;
-            // Adjacency CSRs: same split, per relation.
-            for (slot, relation) in Relation::ALL.iter().enumerate() {
-                if *relation == Relation::Duplicated {
-                    if let Some(mut adjacency) = self.adjacency[slot].take() {
-                        adjacency.extend(
-                            &self.graph,
-                            |l| *l == Relation::Duplicated,
-                            adjacency.node_watermark(),
-                        );
-                        self.adjacency[slot]
-                            .set(adjacency)
-                            .expect("no concurrent init while holding &mut self");
-                        obs::counter_add("ingest.extended{cache=adjacency}", 1);
-                    }
-                } else if self.adjacency[slot].take().is_some() {
-                    obs::counter_add("ingest.invalidated{cache=adjacency}", 1);
-                }
+            if self.groups.take().is_some() {
+                obs::counter_add("ingest.invalidated{cache=components}", 1);
             }
             if self.stats.take().is_some() {
                 obs::counter_add("ingest.invalidated{cache=stats}", 1);
@@ -220,6 +180,7 @@ impl MalGraph {
 mod tests {
     use super::*;
     use crate::build::build;
+    use crate::node::Relation;
     use crawler::{collect, partition_windows};
     use registry_sim::{WindowPlan, World, WorldConfig};
 
@@ -267,8 +228,7 @@ mod tests {
             assert_eq!(out_a.pairs, out_b.pairs);
             assert_eq!(out_a.chosen_k, out_b.chosen_k);
         }
-        // Queries served from the (partly extended, partly rebuilt)
-        // caches match the oracle's.
+        // Queries answered from the caches match the oracle's.
         for relation in Relation::ALL {
             assert_eq!(graph.groups(relation), oracle.groups(relation));
             assert_eq!(
@@ -290,12 +250,11 @@ mod tests {
         let mut state = IngestState::new();
         for (i, delta) in deltas.iter().enumerate() {
             graph.apply_delta(delta, &options, &mut state);
-            // Force every cache between windows: group + adjacency +
-            // stats + analysis queries populate all the `OnceLock`s,
-            // which the next delta must extend or drop.
+            // Force every cache between windows: group, stats and
+            // analysis queries populate all the `OnceLock`s, which the
+            // next delta must drop.
             for relation in Relation::ALL {
                 let _ = graph.groups(relation);
-                let _ = graph.adjacency(relation);
                 let _ = graph.relation_stats(relation);
             }
             let _ = graph.analysis_index(state.dataset());
@@ -314,13 +273,6 @@ mod tests {
                     oracle.relation_stats(relation),
                     "stale stats after window {i}"
                 );
-                for id in graph.graph.node_ids() {
-                    assert_eq!(
-                        graph.adjacency(relation).neighbors(id),
-                        oracle.adjacency(relation).neighbors(id),
-                        "stale adjacency after window {i}"
-                    );
-                }
             }
         }
     }

@@ -62,10 +62,15 @@ fn collect_then_analyze_round_trips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
+/// Collects a small corpus, lets `damage` edit it (returning the id of
+/// the package it damaged), and runs `analyze` on the edited corpus.
+/// Returns that id, `analyze`'s exit code and its stderr.
+fn analyze_damaged_corpus(
+    name: &str,
+    damage: impl FnOnce(&mut malgraph::crawler::CollectedDataset) -> String,
+) -> (String, Option<i32>, String) {
     use malgraph::crawler::{export_json, import_json, ExportFidelity};
-    let dir = std::env::temp_dir().join(format!("malgraph-repeat-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("malgraph-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let corpus = dir.join("corpus.json");
     let out = bin()
@@ -78,36 +83,68 @@ fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // Append a copy of one available PyPI package record.
     let mut dataset = import_json(&std::fs::read_to_string(&corpus).unwrap()).unwrap();
-    let copy = dataset
-        .packages
-        .iter()
-        .find(|p| p.archive.is_some() && p.id.to_string().starts_with("pypi/"))
-        .expect("corpus has an available PyPI package")
-        .clone();
-    let id = copy.id.to_string();
-    dataset.packages.push(copy);
-    let repeated = dir.join("repeated.json");
+    let id = damage(&mut dataset);
+    let damaged = dir.join("damaged.json");
     std::fs::write(
-        &repeated,
+        &damaged,
         export_json(&dataset, ExportFidelity::Full).unwrap(),
     )
     .unwrap();
 
     let out = bin()
         .args(["analyze", "--corpus"])
-        .arg(&repeated)
+        .arg(&damaged)
         .output()
         .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+    (
+        id,
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn analyze_rejects_a_corpus_that_repeats_a_package_id() {
+    // Append a copy of one available PyPI package record.
+    let (id, code, stderr) = analyze_damaged_corpus("repeat", |dataset| {
+        let copy = dataset
+            .packages
+            .iter()
+            .find(|p| p.archive.is_some() && p.id.to_string().starts_with("pypi/"))
+            .expect("corpus has an available PyPI package")
+            .clone();
+        let id = copy.id.to_string();
+        dataset.packages.push(copy);
+        id
+    });
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains(&format!("package {id} appears twice")),
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_rejects_a_package_with_no_mentions() {
+    // An available package, so the build would draw its dependency edges.
+    let (id, code, stderr) = analyze_damaged_corpus("unmentioned", |dataset| {
+        let package = dataset
+            .packages
+            .iter_mut()
+            .find(|p| p.archive.is_some())
+            .expect("corpus has an available package");
+        package.mentions.clear();
+        package.id.to_string()
+    });
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("package {id} has no mentions")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
