@@ -54,14 +54,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 #  * step_budget (detector) — sandbox steps actually executed;
 #  * similar_budget (malgraph-core) — bytes `build` requests for a
 #    2,000-copy flood;
-#  * the pinned counters — profile_equivalence caps 14 work counts of
+#  * the pinned counters — profile_equivalence caps 13 work counts of
 #    the whole pipeline (embeddings, K-Means iterations, kernel screens,
 #    sandbox runs and steps, index builds, …) and asserts every counter
 #    but the sections' fan-out count equal at 1 and 7 threads;
 #    ingest_equivalence pins the windowed ingest's cache drops
 #    (`ingest.invalidated{cache=…}`, one per populated cache per
-#    window) and its similarity work, refinement's screens
-#    (`similarity.refine_screens`) among them.
+#    window) and its similarity work.
 echo "== cargo test -q --workspace (vendored crates excluded)"
 cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude proptest --exclude rand --exclude rand_distr
 

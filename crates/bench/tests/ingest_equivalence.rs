@@ -14,10 +14,10 @@
 //! analysis cache increments an `ingest.*` counter, so a stale-cache
 //! regression (a cache silently *kept* where the matrix says drop)
 //! shows up as a counter mismatch even before it corrupts a section.
-//! Beside it, the windows' similarity work (embeddings, memo misses,
-//! K-Means iterations, kernel and refinement screens, recomputed
-//! ecosystems) is pinned exactly, so a memo that stops carrying across
-//! windows fails by count rather than by time.
+//! Beside it, the windows' similarity work (embeddings, memo
+//! misses, K-Means iterations, kernel screens, recomputed ecosystems) is
+//! pinned exactly, so a memo that stops carrying across windows fails by
+//! count rather than by time.
 
 use crawler::{collect, partition_windows, union_dataset, CorpusDelta};
 use malgraph_bench::{AnalyzeMode, Repro, EXPERIMENTS, EXTENSIONS};
@@ -132,13 +132,6 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     assert_eq!(grew(&before, &after, "embed.vectors"), 237);
     assert_eq!(grew(&before, &after, "similarity.embed_cache_misses"), 237);
     assert_eq!(grew(&before, &after, "kmeans.iterations"), 54);
-    // Refinement's screens before the kernels' sum, which K-Means
-    // assignment feeds too: extra refinement work fails here by name.
-    assert_eq!(
-        grew(&before, &after, "similarity.refine_screens"),
-        10_550,
-        "refinement's class-pair decisions, screened out or rescored"
-    );
     assert_eq!(
         grew(&before, &after, "kernel.pruned_quantized") + grew(&before, &after, "kernel.rescored"),
         36_242,

@@ -37,10 +37,6 @@ const WORK_CEILINGS: &[(&[&str], u64)] = &[
     (&["similarity.embed_cache_misses"], 1_048),
     (&["kmeans.runs"], 23),
     (&["kmeans.iterations"], 76),
-    // Refinement's class-pair decisions, screened out or rescored. It is
-    // checked before the `kernel.*` counts, which K-Means assignment
-    // feeds too, so extra refinement work fails here by name.
-    (&["similarity.refine_screens"], 43_883),
     // Exact distances and dots the kernels computed, and every candidate
     // they screened: pruned by the i8 window or rescored exactly.
     (&["kernel.rescored"], 25_464),

@@ -8,9 +8,7 @@
 //! * [`PropertyGraph<N, L>`] — nodes carry an arbitrary payload `N`,
 //!   edges carry a label `L` (MALGRAPH uses its four relation types);
 //! * [`PropertyGraph::components`] — connected components restricted to a
-//!   label subset, computed with a union-find ([`unionfind`]), and
-//!   [`PropertyGraph::components_by_label`] — each label's components
-//!   from one walk over the edges;
+//!   label subset, computed with a union-find ([`unionfind`]);
 //! * [`PropertyGraph::serve`] — one symmetric label answered by a
 //!   [`ServedRelation`] instead of stored rows (MALGRAPH's similar
 //!   relation: millions of edges that copy a few hundred facts); every
@@ -409,33 +407,25 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
     /// the component of 1 before the component of 0. Nodes within a
     /// component are sorted ascending.
     pub fn components(&self, mut filter: impl FnMut(&L) -> bool) -> Vec<Vec<NodeId>> {
-        let mut components = Components::new(self.nodes.len());
+        let mut uf = unionfind::UnionFind::new(self.nodes.len());
+        let mut touched = vec![false; self.nodes.len()];
         let mut buf = Vec::new();
         for id in self.node_ids() {
-            self.walk_out(id, &mut filter, &mut buf, |to, _| components.union(id, to));
-        }
-        components.finish()
-    }
-
-    /// [`PropertyGraph::components`] for each label of `labels`, in that
-    /// order, from one walk over the edges: each edge goes to its label's
-    /// union-find, so every label sees the union sequence its own
-    /// `components(|l| *l == label)` call would, and gets the same
-    /// components in the same order. Edges of unlisted labels are
-    /// skipped.
-    pub fn components_by_label(&self, labels: &[L]) -> Vec<Vec<Vec<NodeId>>> {
-        let mut components: Vec<Components> = labels
-            .iter()
-            .map(|_| Components::new(self.nodes.len()))
-            .collect();
-        let mut buf = Vec::new();
-        for id in self.node_ids() {
-            self.walk_out(id, &mut |l| labels.contains(l), &mut buf, |to, label| {
-                let slot = labels.iter().position(|l| *l == label).expect("filtered");
-                components[slot].union(id, to);
+            let i = id.index();
+            self.walk_out(id, &mut filter, &mut buf, |to, _| {
+                uf.union(i, to.index());
+                touched[i] = true;
+                touched[to.index()] = true;
             });
         }
-        components.into_iter().map(Components::finish).collect()
+        let mut groups: std::collections::BTreeMap<usize, Vec<NodeId>> =
+            std::collections::BTreeMap::new();
+        for (i, &is_touched) in touched.iter().enumerate() {
+            if is_touched {
+                groups.entry(uf.find(i)).or_default().push(NodeId(i as u32));
+            }
+        }
+        groups.into_values().collect()
     }
 
     /// Nodes reachable from `start` via edges whose label passes
@@ -464,45 +454,6 @@ impl<N, L: Copy + Eq> PropertyGraph<N, L> {
         }
         out.sort_unstable();
         out
-    }
-}
-
-/// The union-find behind [`PropertyGraph::components`] and
-/// [`PropertyGraph::components_by_label`]: it unions the endpoints of
-/// each edge it is given, remembers which nodes those edges touched, and
-/// collects the touched nodes by their final root.
-struct Components {
-    uf: unionfind::UnionFind,
-    touched: Vec<bool>,
-}
-
-impl Components {
-    fn new(nodes: usize) -> Components {
-        Components {
-            uf: unionfind::UnionFind::new(nodes),
-            touched: vec![false; nodes],
-        }
-    }
-
-    fn union(&mut self, from: NodeId, to: NodeId) {
-        self.uf.union(from.index(), to.index());
-        self.touched[from.index()] = true;
-        self.touched[to.index()] = true;
-    }
-
-    /// The components in ascending order of their root, each sorted.
-    fn finish(mut self) -> Vec<Vec<NodeId>> {
-        let mut by_root: std::collections::BTreeMap<usize, Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for (i, &touched) in self.touched.iter().enumerate() {
-            if touched {
-                by_root
-                    .entry(self.uf.find(i))
-                    .or_default()
-                    .push(NodeId(i as u32));
-            }
-        }
-        by_root.into_values().collect()
     }
 }
 
@@ -636,10 +587,6 @@ mod tests {
         assert!(served.edges().eq(stored.edges()));
         assert_eq!(served.edge_count(), stored.edge_count());
         assert_eq!(
-            served.components_by_label(&labels),
-            stored.components_by_label(&labels)
-        );
-        assert_eq!(
             RelationStats::compute_many(&served, &labels),
             RelationStats::compute_many(&stored, &labels)
         );
@@ -749,11 +696,12 @@ mod tests {
         for (a, b) in [(0, 6), (3, 4), (3, 5), (3, 6), (1, 2)] {
             g.add_undirected_edge(ids[a], ids[b], Rel::Dup);
         }
-        let minima = |components: &[Vec<NodeId>]| -> Vec<usize> {
-            components.iter().map(|c| c[0].index()).collect()
-        };
-        assert_eq!(minima(&g.components(|_| true)), [1, 0]);
-        assert_eq!(minima(&g.components_by_label(&[Rel::Dup])[0]), [1, 0]);
+        let minima: Vec<usize> = g
+            .components(|_| true)
+            .iter()
+            .map(|c| c[0].index())
+            .collect();
+        assert_eq!(minima, [1, 0]);
     }
 
     #[test]

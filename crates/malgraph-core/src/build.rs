@@ -83,12 +83,12 @@ impl MalGraph {
         self.primary.len()
     }
 
-    /// Connected components of one relation (paper's subgraph groups) —
-    /// identical to `self.graph.components(|l| *l == relation)`. The
-    /// first call computes every relation's groups in one edge walk
-    /// ([`PropertyGraph::components_by_label`]); `OnceLock` serialises
-    /// concurrent first calls, so the parallel analysis harness shares
-    /// one result.
+    /// Connected components of one relation (paper's subgraph groups),
+    /// `self.graph.components(|l| *l == relation)`. The first call
+    /// computes every relation's groups, one filtered walk each (a walk
+    /// skips the served similar run unless its filter takes it);
+    /// `OnceLock` serialises concurrent first calls, so the parallel
+    /// analysis harness shares one result.
     pub fn groups(&self, relation: Relation) -> &[Vec<NodeId>] {
         obs::counter_add("analysis.group_queries", 1);
         let groups = self.groups.get_or_init(|| {
@@ -98,7 +98,10 @@ impl MalGraph {
             let _detached = obs::detached();
             let _span = obs::span!("analysis/index/components");
             obs::counter_add("analysis.index_builds", Relation::ALL.len() as u64);
-            let groups = self.graph.components_by_label(&Relation::ALL);
+            let groups: Vec<_> = Relation::ALL
+                .iter()
+                .map(|r| self.graph.components(|l| l == r))
+                .collect();
             for relation_groups in &groups {
                 obs::counter_add("analysis.indexed_components", relation_groups.len() as u64);
             }

@@ -39,7 +39,7 @@
 //!
 //! | cache                     | on `apply_delta`                        |
 //! |---------------------------|-----------------------------------------|
-//! | groups (every relation)   | dropped (one edge walk to rebuild)      |
+//! | groups (every relation)   | dropped (one walk per relation)         |
 //! | Table-II stats            | dropped (single edge scan to rebuild)   |
 //! | `AnalysisIndex`           | dropped (binds to the grown corpus)     |
 //! | detector `SandboxCache`   | untouched — keyed by code content, so entries stay valid as the corpus grows |

@@ -896,9 +896,6 @@ fn refine_classes(
     obs::counter_add("similarity.pairs", pairs.len() as u64);
     obs::counter_add("kernel.pruned_quantized", pruned_total);
     obs::counter_add("kernel.rescored", rescored_total);
-    // K-Means assignment feeds the `kernel.*` counters too; this one is
-    // refinement's screens alone.
-    obs::counter_add("similarity.refine_screens", pruned_total + rescored_total);
     drop(phase);
     pairs
 }
