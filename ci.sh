@@ -64,6 +64,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q --workspace (vendored crates excluded)"
 cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude proptest --exclude rand --exclude rand_distr
 
+# oss-types again, optimised: its SHA-256 kernel is SIMD code behind an
+# `unsafe` dispatch, and its hot loop is only unrolled and scheduled
+# under optimisation, so its tests also run on the release build.
+echo "== cargo test --release -q -p oss-types"
+cargo test --release -q -p oss-types
+
 # Benches must at least compile (they are not run in CI).
 echo "== cargo bench --no-run -p malgraph-bench"
 cargo bench --no-run -p malgraph-bench

@@ -38,7 +38,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` call in the crate: `hash` runs its SHA-extensions kernel
+// after detecting the CPU features it needs.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
