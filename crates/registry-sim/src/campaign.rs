@@ -22,6 +22,7 @@ use crate::package::{CampaignIdx, PkgIdx, SimPackage};
 use minilang::gen::{generate, generate_benign, mutate, Behavior, Mutation};
 use minilang::printer::print_module;
 use minilang::Module;
+use oss_types::hash::Sha256Hasher;
 use oss_types::{
     ActorId, ChangeOp, Ecosystem, OpSet, PackageId, PackageName, Sha256, SimDuration, SimTime,
     Version,
@@ -500,24 +501,28 @@ fn small_biased_mutation(rng: &mut impl Rng) -> Mutation {
 /// Signature over the whole artifact: identity, metadata and code. Two
 /// *mentions* of the same release hash identically; two campaign attempts
 /// never do (name or version always changes between attempts).
+///
+/// The bytes hashed are the id, the description, each dependency name
+/// followed by a comma, and the source text, with a newline after each
+/// of the first three parts; they are fed to the hasher piece by piece.
 pub fn artifact_signature(
     id: &PackageId,
     description: &str,
     deps: &[PackageName],
     source_text: &str,
 ) -> Sha256 {
-    let mut blob = String::new();
-    blob.push_str(&id.to_string());
-    blob.push('\n');
-    blob.push_str(description);
-    blob.push('\n');
+    let mut hasher = Sha256Hasher::new();
+    hasher.update(id.to_string().as_bytes());
+    hasher.update(b"\n");
+    hasher.update(description.as_bytes());
+    hasher.update(b"\n");
     for d in deps {
-        blob.push_str(d.as_str());
-        blob.push(',');
+        hasher.update(d.as_str().as_bytes());
+        hasher.update(b",");
     }
-    blob.push('\n');
-    blob.push_str(source_text);
-    Sha256::digest_str(&blob)
+    hasher.update(b"\n");
+    hasher.update(source_text.as_bytes());
+    hasher.finalize()
 }
 
 /// Samples a persistence duration: log-normal around the mean, floored at

@@ -1,7 +1,5 @@
 //! Simulated package records — the ground truth of the world.
 
-use minilang::printer::print_module;
-use minilang::Module;
 use oss_types::{ActorId, OpSet, PackageId, Sha256, SimTime};
 
 /// Index of a package within [`crate::world::World::packages`].
@@ -55,7 +53,8 @@ pub struct SimPackage {
     pub dependencies: Vec<oss_types::PackageName>,
     /// Canonical source text of the package's code.
     pub source_text: String,
-    /// SHA-256 of `source_text` — the artifact signature.
+    /// The artifact signature: SHA-256 of the id, metadata and code
+    /// ([`crate::campaign::artifact_signature`]).
     pub signature: Sha256,
     /// Release instant.
     pub released: SimTime,
@@ -94,28 +93,18 @@ impl SimPackage {
     }
 }
 
-/// Computes the canonical source text and signature for a module.
-///
-/// The signature hashes the canonical text, mirroring the paper's
-/// "extract its code from the package to calculate its signature" with
-/// `hashlib`.
-pub fn code_identity(module: &Module) -> (String, Sha256) {
-    let text = print_module(module);
-    let sig = Sha256::digest_str(&text);
-    (text, sig)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minilang::parse;
-    use oss_types::SimDuration;
+    use crate::campaign::artifact_signature;
+    use oss_types::{PackageName, SimDuration};
 
     fn sample(released: SimTime, removed: Option<SimTime>) -> SimPackage {
-        let module = parse("x = 1\n").unwrap();
-        let (source_text, signature) = code_identity(&module);
+        let id: PackageId = "pypi/sample@1.0.0".parse().unwrap();
+        let source_text = String::from("x = 1\n");
+        let signature = artifact_signature(&id, "a sample", &[], &source_text);
         SimPackage {
-            id: "pypi/sample@1.0.0".parse().unwrap(),
+            id,
             description: "a sample".into(),
             dependencies: vec![],
             source_text,
@@ -144,11 +133,22 @@ mod tests {
 
     #[test]
     fn identical_code_has_identical_signature() {
-        let a = code_identity(&parse("x = 1\ny = 2\n").unwrap());
-        let b = code_identity(&parse("x = 1\ny = 2\n").unwrap());
-        let c = code_identity(&parse("x = 1\ny = 3\n").unwrap());
-        assert_eq!(a.1, b.1);
-        assert_ne!(a.1, c.1);
+        let id: PackageId = "npm/sample@1.0.0".parse().unwrap();
+        let deps: Vec<PackageName> = vec!["left-pad".parse().unwrap()];
+        let sign =
+            |deps: &[PackageName], code: &str| artifact_signature(&id, "a sample", deps, code);
+        let a = sign(&deps, "x = 1\ny = 2\n");
+        // The parts are hashed as one newline-separated text.
+        let text = "npm/sample@1.0.0\na sample\nleft-pad,\nx = 1\ny = 2\n";
+        assert_eq!(a, Sha256::digest_str(text));
+        assert_eq!(a, sign(&deps, "x = 1\ny = 2\n"));
+        assert_ne!(a, sign(&deps, "x = 1\ny = 3\n"), "one code byte changed");
+        let other_deps: Vec<PackageName> = vec!["left-pads".parse().unwrap()];
+        assert_ne!(
+            a,
+            sign(&other_deps, "x = 1\ny = 2\n"),
+            "a dependency changed"
+        );
     }
 
     #[test]
