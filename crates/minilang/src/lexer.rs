@@ -84,7 +84,8 @@ impl std::error::Error for LexError {}
 /// # Errors
 ///
 /// Returns [`LexError`] on tab indentation, inconsistent dedents,
-/// unterminated strings, or characters outside the language.
+/// unterminated strings, an integer past `i64` or a float past `f64`,
+/// or characters outside the language.
 pub fn lex(source: &str) -> Result<Vec<SpannedToken<'_>>, LexError> {
     let mut tokens = Vec::new();
     let mut indents: Vec<usize> = vec![0];
@@ -231,9 +232,13 @@ fn lex_line<'src>(
                 }
                 let text = &rest[start..i];
                 if is_float {
+                    // A literal past `f64::MAX` parses to infinity, which
+                    // has no literal to print back as.
                     let v = text
-                        .parse()
-                        .map_err(|_| error(format!("bad float literal {text:?}")))?;
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|v| v.is_finite())
+                        .ok_or_else(|| error(format!("bad float literal {text:?}")))?;
                     push(tokens, Token::Float(v));
                 } else {
                     let v = text
@@ -353,6 +358,19 @@ mod tests {
                 Token::Eof
             ]
         );
+    }
+
+    #[test]
+    fn float_past_f64_is_a_syntax_error() {
+        use crate::parser::{parse, ParseErrKind};
+        let src = format!("x = 1\ny = 1{}.5\n", "0".repeat(400));
+        let err = parse(&src).unwrap_err();
+        assert_eq!(err.kind, ParseErrKind::Syntax, "{err}");
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.starts_with("bad float literal"), "{err}");
+        // The largest finite literals still lex.
+        let max = format!("{:.1}", f64::MAX);
+        assert_eq!(toks(&max)[0], Token::Float(f64::MAX));
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! signatures (`Sha256`-style hashes in `registry-sim`) and
 //! line diffs (`diff`) both operate on this canonical text, mirroring how
 //! the paper hashes and diffs the files inside a package archive.
+//!
+//! A module is written straight into one output `String`: a statement
+//! pushes its indentation and its pieces, and an expression is written
+//! in place by [`write_expr`], which knows its operator's precedence
+//! before it writes and so decides on parentheses up front. Printing
+//! allocates only as that buffer grows. A float prints as Rust's
+//! shortest round-trip decimal, given a `.0` when it has no point; the
+//! lexer rejects a literal that overflows `f64`, so every float that
+//! reaches the printer from source is finite and reparses to itself.
 
 use crate::ast::{BinOp, Expr, Module, Stmt, UnaryOp};
 use std::fmt::Write as _;
@@ -44,120 +53,158 @@ pub fn print_lines(module: &Module) -> Vec<String> {
     print_module(module).lines().map(str::to_owned).collect()
 }
 
+/// Renders a single expression.
+pub fn print_expr(expr: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(expr, 0, &mut out);
+    out
+}
+
 fn print_stmt(stmt: &Stmt, depth: usize, out: &mut String) {
-    let pad = INDENT.repeat(depth);
+    indent(depth, out);
     match stmt {
         Stmt::Import { module, alias } => {
-            let _ = write!(out, "{pad}import {module}");
-            if let Some(alias) = alias {
-                let _ = write!(out, " as {alias}");
-            }
-            out.push('\n');
+            out.push_str("import ");
+            out.push_str(module);
+            write_alias(alias.as_deref(), out);
         }
         Stmt::FromImport {
             module,
             name,
             alias,
         } => {
-            let _ = write!(out, "{pad}from {module} import {name}");
-            if let Some(alias) = alias {
-                let _ = write!(out, " as {alias}");
-            }
-            out.push('\n');
+            out.push_str("from ");
+            out.push_str(module);
+            out.push_str(" import ");
+            out.push_str(name);
+            write_alias(alias.as_deref(), out);
         }
         Stmt::Assign { target, value } => {
-            let _ = writeln!(out, "{pad}{} = {}", print_expr(target), print_expr(value));
+            write_expr(target, 0, out);
+            out.push_str(" = ");
+            write_expr(value, 0, out);
+            out.push('\n');
         }
         Stmt::Expr(expr) => {
-            let _ = writeln!(out, "{pad}{}", print_expr(expr));
+            write_expr(expr, 0, out);
+            out.push('\n');
         }
         Stmt::FunctionDef { name, params, body } => {
-            let _ = writeln!(out, "{pad}def {name}({}):", params.join(", "));
-            for s in body {
-                print_stmt(s, depth + 1, out);
+            out.push_str("def ");
+            out.push_str(name);
+            out.push('(');
+            for (i, param) in params.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(param);
             }
+            out.push_str("):\n");
+            print_block(body, depth + 1, out);
         }
         Stmt::If { cond, body, orelse } => {
-            let _ = writeln!(out, "{pad}if {}:", print_expr(cond));
-            for s in body {
-                print_stmt(s, depth + 1, out);
-            }
+            out.push_str("if ");
+            write_expr(cond, 0, out);
+            out.push_str(":\n");
+            print_block(body, depth + 1, out);
             if !orelse.is_empty() {
-                let _ = writeln!(out, "{pad}else:");
-                for s in orelse {
-                    print_stmt(s, depth + 1, out);
-                }
+                indent(depth, out);
+                out.push_str("else:\n");
+                print_block(orelse, depth + 1, out);
             }
         }
         Stmt::For { var, iter, body } => {
-            let _ = writeln!(out, "{pad}for {var} in {}:", print_expr(iter));
-            for s in body {
-                print_stmt(s, depth + 1, out);
-            }
+            out.push_str("for ");
+            out.push_str(var);
+            out.push_str(" in ");
+            write_expr(iter, 0, out);
+            out.push_str(":\n");
+            print_block(body, depth + 1, out);
         }
         Stmt::While { cond, body } => {
-            let _ = writeln!(out, "{pad}while {}:", print_expr(cond));
-            for s in body {
-                print_stmt(s, depth + 1, out);
-            }
+            out.push_str("while ");
+            write_expr(cond, 0, out);
+            out.push_str(":\n");
+            print_block(body, depth + 1, out);
         }
         Stmt::Try { body, handler } => {
-            let _ = writeln!(out, "{pad}try:");
-            for s in body {
-                print_stmt(s, depth + 1, out);
-            }
-            let _ = writeln!(out, "{pad}except:");
-            for s in handler {
-                print_stmt(s, depth + 1, out);
-            }
+            out.push_str("try:\n");
+            print_block(body, depth + 1, out);
+            indent(depth, out);
+            out.push_str("except:\n");
+            print_block(handler, depth + 1, out);
         }
-        Stmt::Return(None) => {
-            let _ = writeln!(out, "{pad}return");
-        }
+        Stmt::Return(None) => out.push_str("return\n"),
         Stmt::Return(Some(value)) => {
-            let _ = writeln!(out, "{pad}return {}", print_expr(value));
+            out.push_str("return ");
+            write_expr(value, 0, out);
+            out.push('\n');
         }
         Stmt::Raise(value) => {
-            let _ = writeln!(out, "{pad}raise {}", print_expr(value));
+            out.push_str("raise ");
+            write_expr(value, 0, out);
+            out.push('\n');
         }
-        Stmt::Pass => {
-            let _ = writeln!(out, "{pad}pass");
-        }
+        Stmt::Pass => out.push_str("pass\n"),
     }
 }
 
-/// Renders a single expression.
-pub fn print_expr(expr: &Expr) -> String {
-    print_prec(expr, 0)
+fn indent(depth: usize, out: &mut String) {
+    for _ in 0..depth {
+        out.push_str(INDENT);
+    }
 }
 
-/// Prints `expr`, parenthesizing if its top-level operator binds looser
+fn print_block(body: &[Stmt], depth: usize, out: &mut String) {
+    for stmt in body {
+        print_stmt(stmt, depth, out);
+    }
+}
+
+/// Ends an import line: ` as alias` if there is one, then the newline.
+fn write_alias(alias: Option<&str>, out: &mut String) {
+    if let Some(alias) = alias {
+        out.push_str(" as ");
+        out.push_str(alias);
+    }
+    out.push('\n');
+}
+
+/// Writes `expr`, parenthesized if its top-level operator binds looser
 /// than `min_prec`.
-fn print_prec(expr: &Expr, min_prec: u8) -> String {
+fn write_expr(expr: &Expr, min_prec: u8, out: &mut String) {
     match expr {
-        Expr::Name(n) => n.clone(),
-        Expr::Str(s) => quote(s),
-        Expr::Int(v) => v.to_string(),
+        Expr::Name(n) => out.push_str(n),
+        Expr::Str(s) => quote(s, out),
+        Expr::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
         Expr::Float(v) => {
-            let s = v.to_string();
-            if s.contains('.') || s.contains('e') {
-                s
-            } else {
-                format!("{s}.0")
+            let start = out.len();
+            let _ = write!(out, "{v}");
+            if !out[start..].contains('.') {
+                out.push_str(".0");
             }
         }
-        Expr::Bool(true) => "True".into(),
-        Expr::Bool(false) => "False".into(),
-        Expr::NoneLit => "None".into(),
+        Expr::Bool(true) => out.push_str("True"),
+        Expr::Bool(false) => out.push_str("False"),
+        Expr::NoneLit => out.push_str("None"),
         Expr::Call { callee, args } => {
-            let args: Vec<String> = args.iter().map(|a| print_prec(a, 0)).collect();
-            format!("{}({})", print_prec(callee, 7), args.join(", "))
+            write_expr(callee, 7, out);
+            out.push('(');
+            write_list(args, out);
+            out.push(')');
         }
         Expr::Attribute { value, attr } => {
-            format!("{}.{attr}", print_prec(value, 7))
+            write_expr(value, 7, out);
+            out.push('.');
+            out.push_str(attr);
         }
         Expr::Index { value, index } => {
-            format!("{}[{}]", print_prec(value, 7), print_prec(index, 0))
+            write_expr(value, 7, out);
+            out.push('[');
+            write_expr(index, 0, out);
+            out.push(']');
         }
         Expr::Binary { op, lhs, rhs } => {
             let prec = op.precedence();
@@ -168,62 +215,85 @@ fn print_prec(expr: &Expr, min_prec: u8) -> String {
             } else {
                 (prec, prec + 1)
             };
-            let text = format!(
-                "{} {} {}",
-                print_prec(lhs, lmin),
-                op.symbol(),
-                print_prec(rhs, rmin)
-            );
-            if prec < min_prec {
-                format!("({text})")
-            } else {
-                text
+            let paren = prec < min_prec;
+            if paren {
+                out.push('(');
+            }
+            write_expr(lhs, lmin, out);
+            out.push(' ');
+            out.push_str(op.symbol());
+            out.push(' ');
+            write_expr(rhs, rmin, out);
+            if paren {
+                out.push(')');
             }
         }
         Expr::Unary { op, operand } => {
-            let text = match op {
-                UnaryOp::Neg => format!("-{}", print_prec(operand, 7)),
-                UnaryOp::Not => format!("not {}", print_prec(operand, 3)),
-            };
             // `not` sits between comparisons and `and`.
-            let prec = match op {
-                UnaryOp::Neg => 7,
-                UnaryOp::Not => 2,
+            let (prec, symbol, operand_min) = match op {
+                UnaryOp::Neg => (7, "-", 7),
+                UnaryOp::Not => (2, "not ", 3),
             };
-            if prec < min_prec {
-                format!("({text})")
-            } else {
-                text
+            let paren = prec < min_prec;
+            if paren {
+                out.push('(');
+            }
+            out.push_str(symbol);
+            write_expr(operand, operand_min, out);
+            if paren {
+                out.push(')');
             }
         }
         Expr::List(items) => {
-            let items: Vec<String> = items.iter().map(|i| print_prec(i, 0)).collect();
-            format!("[{}]", items.join(", "))
+            out.push('[');
+            write_list(items, out);
+            out.push(']');
         }
         Expr::Dict(pairs) => {
-            let pairs: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("{}: {}", print_prec(k, 0), print_prec(v, 0)))
-                .collect();
-            format!("{{{}}}", pairs.join(", "))
+            out.push('{');
+            for (i, (key, value)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(key, 0, out);
+                out.push_str(": ");
+                write_expr(value, 0, out);
+            }
+            out.push('}');
         }
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('\'');
-    for c in s.chars() {
-        match c {
-            '\'' => out.push_str("\\'"),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
+/// Writes `items` separated by `", "`.
+fn write_list(items: &[Expr], out: &mut String) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
+        write_expr(item, 0, out);
     }
+}
+
+/// Appends `s` as a single-quoted literal, copying the text between
+/// escapes in whole segments. Every escaped character is ASCII, so each
+/// cut falls on a char boundary.
+fn quote(s: &str, out: &mut String) {
     out.push('\'');
-    out
+    let mut segment = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'\'' => "\\'",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.push_str(&s[segment..i]);
+        out.push_str(escape);
+        segment = i + 1;
+    }
+    out.push_str(&s[segment..]);
+    out.push('\'');
 }
 
 #[cfg(test)]
@@ -286,6 +356,37 @@ mod tests {
     fn float_always_prints_with_point() {
         let m = parse("x = 2.0\n").unwrap();
         assert_eq!(print_module(&m), "x = 2.0\n");
+    }
+
+    #[test]
+    fn huge_finite_float_round_trips() {
+        // 300 digits before the point: finite, printed in full.
+        let src = format!("x = 1{}.5\n", "0".repeat(299));
+        round_trip(&src);
+        let printed = print_module(&parse(&src).unwrap());
+        assert!(
+            printed.ends_with(".0\n") && printed.len() > 300,
+            "{printed}"
+        );
+    }
+
+    #[test]
+    fn quote_escapes_in_place() {
+        let m = parse("s = \"a'b\\\\c\\nd\\te → é\"\n").unwrap();
+        assert_eq!(print_module(&m), "s = 'a\\'b\\\\c\\nd\\te → é'\n");
+        let m = parse("s = ''\nt = '\\'\\''\n").unwrap();
+        assert_eq!(print_module(&m), "s = ''\nt = '\\'\\''\n");
+    }
+
+    #[test]
+    fn print_expr_is_the_expression_statement() {
+        for src in ["go(a, -b)\n", "not (a or b)\n", "{'k': [1, 2.5]}[x].y\n"] {
+            let m = parse(src).unwrap();
+            let Stmt::Expr(expr) = &m.body[0] else {
+                panic!("{src} is not an expression statement");
+            };
+            assert_eq!(format!("{}\n", print_expr(expr)), print_module(&m));
+        }
     }
 
     #[test]
