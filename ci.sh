@@ -27,9 +27,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 #    the interpreter's budgets), detector (static rules, sandbox labels,
 #    cached ≡ reference evaluation) and malgraph-core (the similarity
 #    pipeline's caches ≡ the one-shot reference under both kernels ×
-#    thread count, checkpoint and ingest); the root `sandbox_golden` and
-#    `similarity_golden` tests pin the sandbox's output and `build`'s
-#    graph byte for byte;
+#    thread count, checkpoint and ingest); the root `sandbox_golden`,
+#    `similarity_golden` and `printer_golden` tests pin the sandbox's
+#    output, `build`'s graph and the canonical printer's text byte for
+#    byte;
 #  * fault tolerance — failure_injection: the resilient collector
 #    survives every fault rate, total blackout included;
 #  * observability — obs unit tests (histogram buckets, deterministic
@@ -51,6 +52,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Performance is gated on exact work counts, never on wall time (which
 # varies by about ±20% between runs on one host; perfbench owns it):
 #  * alloc_budget (embed) — allocations per embedded module;
+#  * print_alloc_budget (minilang) — allocations per printed module;
 #  * step_budget (detector) — sandbox steps actually executed;
 #  * similar_budget (malgraph-core) — bytes `build` requests for a
 #    2,000-copy flood;
