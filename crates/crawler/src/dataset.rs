@@ -15,8 +15,8 @@
 //!   thread count.
 
 use crate::extract;
-use crate::recover::MirrorSearch;
-use crate::registry::{RegistryMeta, RegistryView};
+use crate::recover::{self, MirrorSearch};
+use crate::registry::RegistryMeta;
 use crate::sources::{self, Archive, RawMention};
 use crate::transport::{CollectionHealth, FetchHealth, Transport};
 use oss_types::fetch::{FaultConfig, RetryPolicy};
@@ -24,6 +24,7 @@ use oss_types::{PackageId, Sha256, SimTime, SourceId};
 use registry_sim::fault::{channel_id, FaultPlan};
 use registry_sim::{ReportCategory, World};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// One distinct package in the merged corpus.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,48 +194,53 @@ pub fn collect_with(world: &World, options: &CollectOptions) -> CollectedDataset
     obs::counter_add("crawler.raw_mentions", raw.len() as u64);
     drop(stage);
 
-    // 2. Merge by identity.
+    // 2. Merge by identity, in first-mention order.
     let stage = obs::span!("collect/merge");
-    let mut order: Vec<PackageId> = Vec::new();
-    let mut merged: HashMap<PackageId, CollectedPackage> = HashMap::new();
+    let mut packages: Vec<CollectedPackage> = Vec::new();
+    let mut slots: HashMap<PackageId, usize> = HashMap::new();
     for mention in raw {
-        let entry = merged.entry(mention.id.clone()).or_insert_with(|| {
-            order.push(mention.id.clone());
-            CollectedPackage {
-                id: mention.id.clone(),
+        let slot = *slots.entry(mention.id).or_insert_with_key(|id| {
+            packages.push(CollectedPackage {
+                id: id.clone(),
                 mentions: Vec::new(),
                 archive: None,
                 signature: None,
                 recovered_from_mirror: false,
                 mirror_recoverable: false,
                 meta: None,
-            }
+            });
+            packages.len() - 1
         });
+        let entry = &mut packages[slot];
         entry.mentions.push((mention.source, mention.disclosed));
         if entry.archive.is_none() {
             entry.archive = mention.archive;
         }
     }
+    drop(slots);
 
-    obs::counter_add("crawler.distinct_packages", order.len() as u64);
+    obs::counter_add("crawler.distinct_packages", packages.len() as u64);
     drop(stage);
 
-    // 3. Mirror recovery for the rest, plus public registry metadata.
-    // Each lookup is one fetch keyed by a stable hash of the package
-    // identity, so its fate is independent of iteration order.
+    // 3. Mirror recovery for the rest, plus public registry metadata,
+    // both from one index lookup per package. Each mirror lookup is one
+    // fetch keyed by a stable hash of the package identity, so its fate
+    // is independent of iteration order.
     let stage = obs::span!("collect/mirror");
     let search = MirrorSearch::new(world);
-    for id in &order {
-        let pkg = merged.get_mut(id).expect("merged entry exists");
-        pkg.meta = world.metadata(&pkg.id);
-        let lookup = transport.fetch_mirror_lookup(channel_id(&pkg.id.to_string()));
+    let mut label = String::new();
+    for pkg in &mut packages {
+        let entry = search.entry(&pkg.id);
+        pkg.meta = entry.map(recover::metadata);
+        label.clear();
+        write!(label, "{}", pkg.id).expect("writing to a String cannot fail");
+        let lookup = transport.fetch_mirror_lookup(channel_id(&label));
         health.mirror.record(&lookup);
         if lookup.delivered {
-            let mirror_hit = search.lookup(&pkg.id);
-            pkg.mirror_recoverable = mirror_hit.is_some();
-            if pkg.archive.is_none() {
-                if let Some(archive) = mirror_hit {
-                    pkg.archive = Some(archive);
+            if let Some(held) = entry.filter(|p| search.holds(p)) {
+                pkg.mirror_recoverable = true;
+                if pkg.archive.is_none() {
+                    pkg.archive = Some(recover::archive(held));
                     pkg.recovered_from_mirror = true;
                 }
             }
@@ -291,10 +297,6 @@ pub fn collect_with(world: &World, options: &CollectOptions) -> CollectedDataset
         );
     }
 
-    let packages = order
-        .into_iter()
-        .map(|id| merged.remove(&id).expect("merged entry exists"))
-        .collect();
     CollectedDataset {
         packages,
         reports,

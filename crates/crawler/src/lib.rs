@@ -43,6 +43,8 @@ pub mod dataset;
 pub mod export;
 pub mod extract;
 pub mod html;
+#[cfg(test)]
+mod page_reference;
 pub mod recover;
 pub mod registry;
 pub mod sources;

@@ -13,7 +13,7 @@
 //! *parse them back*, so the collection pipeline exercises a real
 //! extract-transform path rather than reading simulator structs.
 
-use crate::extract;
+use crate::{extract, html};
 use oss_types::{PackageId, SimTime, SourceId};
 use registry_sim::World;
 
@@ -201,14 +201,12 @@ pub fn parse_feed(source: SourceId, documents: &[(FeedFormat, String)]) -> Vec<R
                 }
             }
             FeedFormat::HtmlPage => {
-                if !extract::keyword_filter(body) {
+                let events = html::parse_events(body);
+                if !extract::keyword_filter(&events) {
                     continue;
                 }
-                let ids = extract::extract_package_ids(body);
-                let disclosed = crate::html::tag_texts(body, "p")
-                    .iter()
-                    .find_map(|p| find_date(p))
-                    .unwrap_or(SimTime::EPOCH);
+                let ids = extract::extract_package_ids(&events);
+                let disclosed = extract::byline_date(&events).unwrap_or(SimTime::EPOCH);
                 for id in ids {
                     out.push(RawMention {
                         source,
@@ -230,7 +228,7 @@ pub fn parse_feed(source: SourceId, documents: &[(FeedFormat, String)]) -> Vec<R
                     else {
                         continue;
                     };
-                    let disclosed = find_date(line).unwrap_or(SimTime::EPOCH);
+                    let disclosed = extract::find_date(line).unwrap_or(SimTime::EPOCH);
                     out.push(RawMention {
                         source,
                         id,
@@ -247,23 +245,6 @@ pub fn parse_feed(source: SourceId, documents: &[(FeedFormat, String)]) -> Vec<R
 fn format_date(t: SimTime) -> String {
     let (y, m, d) = t.to_ymd();
     format!("{y:04}-{m:02}-{d:02}")
-}
-
-fn find_date(text: &str) -> Option<SimTime> {
-    let bytes = text.as_bytes();
-    for start in 0..bytes.len().saturating_sub(9) {
-        if !text.is_char_boundary(start) || !text.is_char_boundary(start + 10) {
-            continue;
-        }
-        let candidate = &text[start..start + 10];
-        if candidate.as_bytes().get(4) == Some(&b'-') && candidate.as_bytes().get(7) == Some(&b'-')
-        {
-            if let Ok(t) = candidate.parse() {
-                return Some(t);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

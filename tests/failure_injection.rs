@@ -2,7 +2,7 @@
 //! gracefully on mangled input, tiny worlds, and hostile page content.
 
 use malgraph::crawler::sources::{parse_feed, FeedFormat};
-use malgraph::crawler::{collect, extract, import_json};
+use malgraph::crawler::{collect, extract, html, import_json};
 use malgraph::malgraph_core::{build, BuildOptions, SimilarityConfig};
 use malgraph::prelude::*;
 
@@ -20,8 +20,9 @@ fn hostile_pages_never_panic_the_extractor() {
     ];
     for page in hostile {
         let _ = extract::parse_report_page(page); // must not panic
-        let _ = extract::extract_package_ids(page);
-        let _ = extract::keyword_filter(page);
+        let events = html::parse_events(page);
+        let _ = extract::extract_package_ids(&events);
+        let _ = extract::keyword_filter(&events);
     }
 }
 
