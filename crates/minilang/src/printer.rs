@@ -224,9 +224,12 @@ fn write_expr(expr: &Expr, min_prec: u8, out: &mut String) {
             }
         }
         Expr::Unary { op, operand } => {
-            // `not` sits between comparisons and `and`.
+            // `-` binds looser than `**` and the postfix forms, whose
+            // operands ask for 7, and tighter than `*`; its own operand
+            // asks for 7 too, so `--x` prints as `-(-x)`. `not` sits
+            // between comparisons and `and`.
             let (prec, symbol, operand_min) = match op {
-                UnaryOp::Neg => (7, "-", 7),
+                UnaryOp::Neg => (6, "-", 7),
                 UnaryOp::Not => (2, "not ", 3),
             };
             let paren = prec < min_prec;
@@ -323,6 +326,14 @@ mod tests {
             "import a.b.c as abc\nfrom x.y import z as w\n",
             "f = 2.5\n",
             "s = \"a'b\\\\c\\nd\\te → é\"\n",
+            "x = (-x) ** y\n",
+            "x = (-x).y\n",
+            "x = (-x)(y)\n",
+            "x = (-x)[0]\n",
+            "x = -x ** y\n",
+            "x = 2 ** -x\n",
+            "x = a * -x\n",
+            "x = --x\n",
         ] {
             round_trip(src);
         }
