@@ -217,7 +217,6 @@ pub fn collect_with(world: &World, options: &CollectOptions) -> CollectedDataset
             entry.archive = mention.archive;
         }
     }
-    drop(slots);
 
     obs::counter_add("crawler.distinct_packages", packages.len() as u64);
     drop(stage);

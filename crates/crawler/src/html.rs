@@ -114,47 +114,33 @@ fn decode_entities(text: &str) -> Cow<'_, str> {
 /// document order, lazily; `tag` is lower case. Nested same-name tags
 /// are treated as flat regions, and an unclosed region at the end still
 /// yields what it holds. A region of one text run borrows it.
-pub fn tag_texts<'e>(events: &'e [Event<'e>], tag: &'e str) -> TagTexts<'e> {
-    TagTexts {
-        events: events.iter(),
-        tag,
-        depth: 0,
-        current: None,
-    }
-}
-
-/// The iterator of [`tag_texts`].
-#[derive(Debug)]
-pub struct TagTexts<'e> {
-    events: std::slice::Iter<'e, Event<'e>>,
+pub fn tag_texts<'e>(
+    events: &'e [Event<'e>],
     tag: &'e str,
-    depth: usize,
-    current: Option<Cow<'e, str>>,
-}
-
-impl<'e> Iterator for TagTexts<'e> {
-    type Item = Cow<'e, str>;
-
-    fn next(&mut self) -> Option<Cow<'e, str>> {
-        for event in self.events.by_ref() {
+) -> impl Iterator<Item = Cow<'e, str>> + 'e {
+    let mut events = events.iter();
+    let mut depth = 0usize;
+    let mut current: Option<Cow<'e, str>> = None;
+    std::iter::from_fn(move || {
+        for event in events.by_ref() {
             match event {
-                Event::Open(name) if name == self.tag => self.depth += 1,
-                Event::Close(name) if name == self.tag && self.depth > 0 => {
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        return Some(self.current.take().unwrap_or_default());
+                Event::Open(name) if name == tag => depth += 1,
+                Event::Close(name) if name == tag && depth > 0 => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(current.take().unwrap_or_default());
                     }
                 }
-                Event::Text(text) if self.depth > 0 => match &mut self.current {
-                    None => self.current = Some(Cow::Borrowed(text.as_ref())),
+                Event::Text(text) if depth > 0 => match &mut current {
+                    None => current = Some(Cow::Borrowed(text.as_ref())),
                     Some(current) => current.to_mut().push_str(text),
                 },
                 _ => {}
             }
         }
-        self.depth = 0;
-        self.current.take().filter(|text| !text.is_empty())
-    }
+        depth = 0;
+        current.take().filter(|text| !text.is_empty())
+    })
 }
 
 /// The document's full visible text: every text run trimmed, joined by
