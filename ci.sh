@@ -28,9 +28,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 #    cached ≡ reference evaluation) and malgraph-core (the similarity
 #    pipeline's caches ≡ the one-shot reference under both kernels ×
 #    thread count, checkpoint and ingest); the root `sandbox_golden`,
-#    `similarity_golden` and `printer_golden` tests pin the sandbox's
-#    output, `build`'s graph and the canonical printer's text byte for
-#    byte;
+#    `similarity_golden`, `printer_golden` and `corpus_golden` tests pin
+#    the sandbox's output, `build`'s graph, the canonical printer's text
+#    and the collected corpus byte for byte;
 #  * fault tolerance — failure_injection: the resilient collector
 #    survives every fault rate, total blackout included;
 #  * observability — obs unit tests (histogram buckets, deterministic
@@ -53,6 +53,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # varies by about ±20% between runs on one host; perfbench owns it):
 #  * alloc_budget (embed) — allocations per embedded module;
 #  * print_alloc_budget (minilang) — allocations per printed module;
+#  * page_alloc_budget (crawler) — allocations parsing every crawled
+#    page of a small world;
 #  * step_budget (detector) — sandbox steps actually executed;
 #  * similar_budget (malgraph-core) — bytes `build` requests for a
 #    2,000-copy flood;

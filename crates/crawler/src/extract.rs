@@ -85,7 +85,7 @@ pub fn extract_package_ids(events: &[Event<'_>]) -> Vec<PackageId> {
 }
 
 /// The first date in the page's `<p>` spans: the byline's.
-pub fn byline_date(events: &[Event<'_>]) -> Option<SimTime> {
+pub(crate) fn byline_date(events: &[Event<'_>]) -> Option<SimTime> {
     html::tag_texts(events, "p").find_map(|p| find_date(&p))
 }
 
@@ -94,15 +94,14 @@ pub fn byline_date(events: &[Event<'_>]) -> Option<SimTime> {
 /// ends on char boundaries.
 pub(crate) fn find_date(text: &str) -> Option<SimTime> {
     let bytes = text.as_bytes();
-    (0..bytes.len().saturating_sub(9)).find_map(|start| {
-        let shaped = bytes[start + 4] == b'-'
-            && bytes[start + 7] == b'-'
-            && text.is_char_boundary(start)
-            && text.is_char_boundary(start + 10);
-        shaped
-            .then(|| text[start..start + 10].parse().ok())
-            .flatten()
-    })
+    (0..bytes.len().saturating_sub(9))
+        .filter(|&start| {
+            bytes[start + 4] == b'-'
+                && bytes[start + 7] == b'-'
+                && text.is_char_boundary(start)
+                && text.is_char_boundary(start + 10)
+        })
+        .find_map(|start| text[start..start + 10].parse().ok())
 }
 
 #[cfg(test)]

@@ -32,13 +32,13 @@ impl<'w> MirrorSearch<'w> {
     }
 
     /// The world's entry for the identity (the first, if it repeats).
-    pub fn entry(&self, id: &PackageId) -> Option<&'w SimPackage> {
+    pub(crate) fn entry(&self, id: &PackageId) -> Option<&'w SimPackage> {
         self.by_id.get(id).map(|&idx| self.world.package(idx))
     }
 
     /// Whether some mirror of the entry's ecosystem still serves it at
     /// collection time.
-    pub fn holds(&self, pkg: &SimPackage) -> bool {
+    pub(crate) fn holds(&self, pkg: &SimPackage) -> bool {
         self.world.mirrors.any_holds(
             pkg.id.ecosystem(),
             pkg.released,

@@ -143,6 +143,9 @@ impl RegistryView for IndexedRegistry<'_> {
     }
 }
 
+/// Scans every package for each query. Kept as the tests' reference:
+/// [`IndexedRegistry`] and the collector's `MirrorSearch` must answer as
+/// this does.
 impl RegistryView for World {
     fn metadata(&self, id: &PackageId) -> Option<RegistryMeta> {
         self.packages
