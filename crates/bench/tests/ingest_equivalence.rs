@@ -132,10 +132,24 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     assert_eq!(grew(&before, &after, "embed.vectors"), 237);
     assert_eq!(grew(&before, &after, "similarity.embed_cache_misses"), 237);
     assert_eq!(grew(&before, &after, "kmeans.iterations"), 54);
+    let screens = |stage: &str| {
+        grew(&before, &after, &format!("kernel.pruned_quantized{stage}"))
+            + grew(&before, &after, &format!("kernel.rescored{stage}"))
+    };
     assert_eq!(
-        grew(&before, &after, "kernel.pruned_quantized") + grew(&before, &after, "kernel.rescored"),
+        screens(""),
         36_242,
         "screens: candidates pruned by the i8 window or rescored exactly"
+    );
+    assert_eq!(
+        screens("{stage=assign}"),
+        25_692,
+        "K-Means assignment screens"
+    );
+    assert_eq!(
+        screens("{stage=refine}"),
+        10_550,
+        "class-pair refinement screens"
     );
     assert_eq!(grew(&before, &after, "ingest.similarity_recomputed"), 10);
 

@@ -38,9 +38,27 @@ const WORK_CEILINGS: &[(&[&str], u64)] = &[
     (&["kmeans.runs"], 23),
     (&["kmeans.iterations"], 76),
     // Exact distances and dots the kernels computed, and every candidate
-    // they screened: pruned by the i8 window or rescored exactly.
+    // they screened: pruned by the i8 window or rescored exactly. In
+    // total, then per stage: K-Means assignment and class-pair
+    // refinement.
     (&["kernel.rescored"], 25_464),
     (&["kernel.pruned_quantized", "kernel.rescored"], 112_785),
+    (&["kernel.rescored{stage=assign}"], 25_315),
+    (
+        &[
+            "kernel.pruned_quantized{stage=assign}",
+            "kernel.rescored{stage=assign}",
+        ],
+        68_902,
+    ),
+    (&["kernel.rescored{stage=refine}"], 149),
+    (
+        &[
+            "kernel.pruned_quantized{stage=refine}",
+            "kernel.rescored{stage=refine}",
+        ],
+        43_883,
+    ),
     (&["detector.sandbox_runs"], 635),
     (&["detector.sandbox_steps{kind=executed}"], 24_269),
     (&["detector.static_scans"], 1_020),

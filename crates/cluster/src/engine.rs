@@ -593,7 +593,12 @@ pub(crate) fn lloyd(
     obs::counter_add("kernel.tiles", tiles_total);
     obs::counter_add("kernel.pruned_exact", pruned_exact_total);
     obs::counter_add("kernel.pruned_quantized", pruned_quantized_total);
+    obs::counter_add(
+        "kernel.pruned_quantized{stage=assign}",
+        pruned_quantized_total,
+    );
     obs::counter_add("kernel.rescored", rescored_total);
+    obs::counter_add("kernel.rescored{stage=assign}", rescored_total);
 
     KMeansResult {
         centroids,

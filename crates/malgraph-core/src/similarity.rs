@@ -895,7 +895,9 @@ fn refine_classes(
         .expect("the refinement builds a consistent table");
     obs::counter_add("similarity.pairs", pairs.len() as u64);
     obs::counter_add("kernel.pruned_quantized", pruned_total);
+    obs::counter_add("kernel.pruned_quantized{stage=refine}", pruned_total);
     obs::counter_add("kernel.rescored", rescored_total);
+    obs::counter_add("kernel.rescored{stage=refine}", rescored_total);
     drop(phase);
     pairs
 }
