@@ -138,12 +138,12 @@ fn windowed_ingest_reproduces_the_one_shot_analysis() {
     };
     assert_eq!(
         screens(""),
-        36_242,
+        24_053,
         "screens: candidates pruned by the i8 window or rescored exactly"
     );
     assert_eq!(
         screens("{stage=assign}"),
-        25_692,
+        13_503,
         "K-Means assignment screens"
     );
     assert_eq!(

@@ -41,15 +41,15 @@ const WORK_CEILINGS: &[(&[&str], u64)] = &[
     // they screened: pruned by the i8 window or rescored exactly. In
     // total, then per stage: K-Means assignment and class-pair
     // refinement.
-    (&["kernel.rescored"], 25_464),
-    (&["kernel.pruned_quantized", "kernel.rescored"], 112_785),
-    (&["kernel.rescored{stage=assign}"], 25_315),
+    (&["kernel.rescored"], 12_522),
+    (&["kernel.pruned_quantized", "kernel.rescored"], 72_720),
+    (&["kernel.rescored{stage=assign}"], 12_373),
     (
         &[
             "kernel.pruned_quantized{stage=assign}",
             "kernel.rescored{stage=assign}",
         ],
-        68_902,
+        28_837,
     ),
     (&["kernel.rescored{stage=refine}"], 149),
     (

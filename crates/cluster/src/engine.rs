@@ -3,33 +3,43 @@
 //!
 //! # Determinism contract
 //!
-//! Results are **bitwise identical at any thread count and any
-//! [`crate::Kernel`]**. Four rules make that hold, and every future
-//! change must preserve them:
+//! Results are **bitwise identical at any thread count, any
+//! [`crate::Kernel`] and any row map** ([`Points::row_of`]). Five rules
+//! make that hold, and every future change must preserve them:
 //!
-//! 1. **Fixed chunk boundaries.** Points are processed in chunks of
-//!    [`DEFAULT_CHUNK`] — a constant, *never* derived from the thread
-//!    count — so the partition of the input does not depend on
+//! 1. **Fixed chunk boundaries.** Rows and points are processed in
+//!    chunks of [`DEFAULT_CHUNK`] — a constant, *never* derived from the
+//!    thread count — so the partition of the input does not depend on
 //!    parallelism. Tile boundaries inside a chunk are constants too.
 //! 2. **In-index-order merging.** Per-chunk partial results (cluster
 //!    sums, counts, inertia) are merged by ascending chunk index on one
 //!    thread. Floating-point addition is not associative; a fixed merge
 //!    order fixes the summation tree, so the same bits come out no
-//!    matter which worker computed which chunk. Inside a chunk, the
-//!    tiled kernel commits per-point results (and scatter-adds sparse
-//!    rows into the partial sums) in ascending point order *after* each
-//!    point tile completes — the same summation tree as the straight
-//!    point loop.
-//! 3. **Thread-independent work.** A chunk's pass reads only the input
-//!    and the centroids of the previous iteration — never another
-//!    chunk's output — so scheduling cannot leak into the arithmetic.
+//!    matter which worker computed which chunk. Inside a chunk, points
+//!    are committed (and their sparse rows scatter-added into the
+//!    partial sums) in ascending point order — the summation tree of the
+//!    straight point loop.
+//! 3. **Thread-independent work.** A chunk's pass reads only the input,
+//!    the centroids of the previous iteration and, in the point pass, the
+//!    finished row pass — never another chunk's output — so scheduling
+//!    cannot leak into the arithmetic.
 //! 4. **Exact kernels share one summation order.** Every f32 dot is
 //!    accumulated in ascending component index (see [`crate::matrix`]);
-//!    sparse kernels skip only zero-factor terms. The per-point winner
+//!    sparse kernels skip only zero-factor terms. The per-row winner
 //!    is the lowest-indexed candidate of minimum distance in every
 //!    kernel: the dense and tiled kernels get that from an ascending
 //!    scan with a strict `d < best` update, the screened kernel from an
 //!    explicit index tie-break (see [`assign_chunk_quant`]).
+//! 5. **Per row what is a function of the row, per point what is
+//!    summed.** A row's nearest centroid and squared distance depend on
+//!    its bytes and the centroids alone, in every kernel (norms, i8
+//!    windows and exact dots included), so the row pass computes them
+//!    once per distinct row. Everything summed over points — cluster
+//!    sums, counts, inertia, and k-means++'s D² total and walk — is
+//!    still summed point by point, in point order: a row is never
+//!    multiplied by its multiplicity, since in f32 `m·x` is not
+//!    `x + … + x`. The empty-cluster reseed ranks points, not rows.
+//!    Giving every point its own row is the straight point loop.
 //!
 //! # Candidate pruning
 //!
@@ -54,15 +64,15 @@
 use crate::matrix::{sparse_dot_dense, PointMatrix, Points, QuantMatrix};
 use crate::{KMeansConfig, KMeansResult, Kernel};
 
-/// Default points-per-chunk of the assignment pass
+/// Default rows- and points-per-chunk of the assignment step
 /// ([`KMeansConfig::chunk`]). Whatever the value, it must stay
 /// independent of the thread count — see the determinism contract above.
 pub(crate) const DEFAULT_CHUNK: usize = 1024;
 
-/// Points per tile of the tiled assignment kernel. A tile's points share
+/// Rows per tile of the tiled assignment kernel. A tile's rows share
 /// the transposed centroid block while its touched rows are cache-hot
-/// (consecutive points overlap heavily in sparse support).
-const POINT_TILE: usize = 32;
+/// (consecutive rows overlap heavily in sparse support).
+const ROW_TILE: usize = 32;
 
 /// The assignment i8 screen runs only when the point set is dense enough
 /// that the SpMM kernel's per-candidate cost (≈ `density · dim` f32
@@ -82,20 +92,19 @@ pub(crate) const MIN_SCREEN_DIM: usize = 32;
 /// `‖p‖² − 2·p·c + ‖c‖²` (2 f32 additions ≈ 2.1·ε₃₂, inflated).
 const EXPANSION_SLACK: f64 = 1.3e-7;
 
-/// Per-chunk output of one assignment pass.
-struct ChunkPass {
-    /// Assigned cluster per point of the chunk.
-    assign: Vec<usize>,
-    /// Squared distance of each point to its assigned centroid.
+/// Per-chunk output of the row pass.
+struct RowChunk {
+    /// Nearest centroid of each row of the chunk.
+    best: Vec<usize>,
+    /// Squared distance of each row to that centroid.
     dist: Vec<f32>,
-    /// Per-cluster component sums (`k × dim`, flattened), empty when the
-    /// pass only needs assignments.
-    sums: Vec<f32>,
-    /// Per-cluster member counts, empty when `sums` is.
-    counts: Vec<usize>,
-    /// Chunk inertia: `dist` summed in point order.
-    inertia: f32,
-    /// Point tiles processed by the tiled kernels.
+    work: Work,
+}
+
+/// Kernel work of the row pass.
+#[derive(Default)]
+struct Work {
+    /// Row tiles processed by the tiled kernels.
     tiles: u64,
     /// Centroid scans skipped by the triangle-inequality bound.
     pruned_exact: u64,
@@ -103,6 +112,27 @@ struct ChunkPass {
     pruned_quantized: u64,
     /// Exact f32 distance evaluations that survived every screen.
     rescored: u64,
+}
+
+/// Per-chunk output of the point pass.
+struct PointChunk {
+    /// Per-cluster component sums (`k × dim`, flattened), empty when the
+    /// pass only needs the inertia.
+    sums: Vec<f32>,
+    /// Per-cluster member counts, empty when `sums` is.
+    counts: Vec<usize>,
+    /// Chunk inertia: the points' distances summed in point order.
+    inertia: f32,
+}
+
+/// Output of one assignment step.
+struct Pass {
+    /// Nearest centroid of every row.
+    best: Vec<usize>,
+    /// Squared distance of every row to that centroid.
+    dist: Vec<f32>,
+    /// The point chunks' partials, in chunk order.
+    chunks: Vec<PointChunk>,
 }
 
 pub(crate) fn distance_sq(a: &[f32], b: &[f32]) -> f32 {
@@ -170,9 +200,10 @@ where
     .expect("crossbeam scope")
 }
 
-/// Shared read-only context of one assignment pass.
+/// Shared read-only context of one row pass.
 struct PassCtx<'a> {
     points: &'a Points,
+    /// Squared norm of every row, and its square root.
     pnorm: &'a [f32],
     proot: &'a [f32],
     /// Centroids in matrix form, rebuilt each iteration.
@@ -180,27 +211,26 @@ struct PassCtx<'a> {
     cnorm: &'a [f32],
     croot: &'a [f32],
     /// Centroids transposed to `dim × k` (rows padded to `ct_stride`):
-    /// the SpMM layout of the tiled kernel, where a point's sparse row
+    /// the SpMM layout of the tiled kernel, where a sparse row
     /// scatter-reads contiguous length-`k` slices.
     ct: &'a [f32],
     ct_stride: usize,
-    /// `(quantized points, quantized centroids)` when the i8 screen is
+    /// `(quantized rows, quantized centroids)` when the i8 screen is
     /// active this pass.
     quant: Option<(&'a QuantMatrix, &'a QuantMatrix)>,
     chunk_size: usize,
-    with_sums: bool,
     kernel: Kernel,
 }
 
 impl PassCtx<'_> {
     fn chunk_bounds(&self, chunk: usize) -> (usize, usize) {
         let lo = chunk * self.chunk_size;
-        (lo, (lo + self.chunk_size).min(self.points.n()))
+        (lo, (lo + self.chunk_size).min(self.points.n_rows()))
     }
 }
 
-/// One assignment pass over chunk `chunk`, dispatched on the kernel.
-fn assign_chunk(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
+/// The row pass over row chunk `chunk`, dispatched on the kernel.
+fn assign_chunk(ctx: &PassCtx<'_>, chunk: usize) -> RowChunk {
     match ctx.kernel {
         Kernel::DenseScalar => assign_chunk_dense(ctx, chunk),
         Kernel::TiledQuantized if ctx.quant.is_some() => assign_chunk_quant(ctx, chunk),
@@ -208,17 +238,16 @@ fn assign_chunk(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
     }
 }
 
-/// The seed engine's straight point loop over dense rows — the bitwise
+/// The seed engine's straight loop over dense rows — the bitwise
 /// reference the tiled kernels are tested against, and the benchmark
 /// baseline.
-fn assign_chunk_dense(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
+fn assign_chunk_dense(ctx: &PassCtx<'_>, chunk: usize) -> RowChunk {
     let (lo, hi) = ctx.chunk_bounds(chunk);
     let matrix = ctx.points.matrix();
-    let dim = matrix.dim();
     let k = ctx.cmat.n();
-    let mut pass = ChunkPass::empty(hi - lo, k, dim, ctx.with_sums);
+    let mut pass = RowChunk::empty(hi - lo);
     for i in lo..hi {
-        let point = matrix.row(i);
+        let row = matrix.row(i);
         let mut best = 0usize;
         let mut best_d = f32::INFINITY;
         for c in 0..k {
@@ -227,54 +256,53 @@ fn assign_chunk_dense(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
             // coordinates.
             let gap = ctx.proot[i] - ctx.croot[c];
             if gap * gap >= best_d {
-                pass.pruned_exact += 1;
+                pass.work.pruned_exact += 1;
                 continue;
             }
-            pass.rescored += 1;
-            let d = ctx.pnorm[i] - 2.0 * crate::matrix::dense_dot(point, ctx.cmat.row(c))
-                + ctx.cnorm[c];
+            pass.work.rescored += 1;
+            let d =
+                ctx.pnorm[i] - 2.0 * crate::matrix::dense_dot(row, ctx.cmat.row(c)) + ctx.cnorm[c];
             if d < best_d {
                 best_d = d;
                 best = c;
             }
         }
-        pass.commit(i, best, best_d, ctx);
+        pass.push(best, best_d);
     }
     pass
 }
 
-/// The cache-tiled SpMM kernel: for each point, every centroid dot is
+/// The cache-tiled SpMM kernel: for each row, every centroid dot is
 /// accumulated simultaneously — `acc[c] += v · Cᵀ[i][c]` over the
-/// point's nonzeros against the transposed centroid block — so the inner
+/// row's nonzeros against the transposed centroid block — so the inner
 /// loop is a contiguous length-`k` axpy the vectorizer turns into full
-/// SIMD lanes, instead of `k` scattered gathers. Points are processed in
-/// tiles of [`POINT_TILE`]; consecutive points share most of their
+/// SIMD lanes, instead of `k` scattered gathers. Rows are processed in
+/// tiles of [`ROW_TILE`]; consecutive rows share most of their
 /// sparse support, keeping the touched `Cᵀ` rows cache-hot across a
 /// tile.
 ///
 /// # Bitwise equivalence
 ///
 /// Each `acc[c]` starts at the f32 `Sum` fold identity (`-0.0`) and
-/// accumulates the point's terms in ascending component index — the
+/// accumulates the row's terms in ascending component index — the
 /// exact summation sequence of [`sparse_dot_dense`], hence of the dense
 /// kernel's dot (zero-skip lemma, see [`crate::matrix`]). The candidate
 /// scan is ascending `c` with a strict `d < best` update, identical to
 /// the dense kernel's; the triangle prune is not replayed here, which is
 /// immaterial because pruning only ever skips evaluations, never changes
 /// the values the argmin compares.
-fn assign_chunk_tiled(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
+fn assign_chunk_tiled(ctx: &PassCtx<'_>, chunk: usize) -> RowChunk {
     let (lo, hi) = ctx.chunk_bounds(chunk);
     let sparse = ctx.points.sparse();
-    let dim = ctx.points.dim();
     let k = ctx.cmat.n();
     let stride = ctx.ct_stride;
-    let mut pass = ChunkPass::empty(hi - lo, k, dim, ctx.with_sums);
+    let mut pass = RowChunk::empty(hi - lo);
     // One dot accumulator per centroid (padding lanes unused); at the
     // engine's k range this stays L1-resident.
     let mut acc = vec![0.0f32; stride];
-    for tile_lo in (lo..hi).step_by(POINT_TILE) {
-        let tile_hi = (tile_lo + POINT_TILE).min(hi);
-        pass.tiles += 1;
+    for tile_lo in (lo..hi).step_by(ROW_TILE) {
+        let tile_hi = (tile_lo + ROW_TILE).min(hi);
+        pass.work.tiles += 1;
         for i in tile_lo..tile_hi {
             let (si, sv) = sparse.row(i);
             // The fold identity of f32 `Sum` on this toolchain is -0.0;
@@ -287,7 +315,7 @@ fn assign_chunk_tiled(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
                     *a += v * r;
                 }
             }
-            pass.rescored += k as u64;
+            pass.work.rescored += k as u64;
             let mut best = 0usize;
             let mut best_d = f32::INFINITY;
             for (c, &dot) in acc[..k].iter().enumerate() {
@@ -297,7 +325,7 @@ fn assign_chunk_tiled(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
                     best = c;
                 }
             }
-            pass.commit(i, best, best_d, ctx);
+            pass.push(best, best_d);
         }
     }
     pass
@@ -317,19 +345,18 @@ fn assign_chunk_tiled(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
 /// it cannot be that winner — strictly worse than the incumbent, or
 /// equal-at-best with a higher index (the ascending reference scan keeps
 /// the incumbent on ties).
-fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
+fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> RowChunk {
     let (lo, hi) = ctx.chunk_bounds(chunk);
     let sparse = ctx.points.sparse();
-    let dim = ctx.points.dim();
     let k = ctx.cmat.n();
     let (pq, cq) = ctx
         .quant
         .expect("quant kernel dispatched with quant matrices");
-    let mut pass = ChunkPass::empty(hi - lo, k, dim, ctx.with_sums);
+    let mut pass = RowChunk::empty(hi - lo);
     let mut lower = vec![0.0f64; k];
     for i in lo..hi {
-        if (i - lo) % POINT_TILE == 0 {
-            pass.tiles += 1;
+        if (i - lo) % ROW_TILE == 0 {
+            pass.work.tiles += 1;
         }
         let (si, sv) = sparse.row(i);
         let pn = f64::from(ctx.pnorm[i]);
@@ -351,7 +378,7 @@ fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
         }
         // Pass 2: exact incumbent at the guess (identical arithmetic to
         // the tiled kernel's evaluation of the same candidate).
-        pass.rescored += 1;
+        pass.work.rescored += 1;
         let mut best = guess;
         let mut best_d =
             ctx.pnorm[i] - 2.0 * sparse_dot_dense(si, sv, ctx.cmat.row(guess)) + ctx.cnorm[guess];
@@ -368,71 +395,96 @@ fn assign_chunk_quant(ctx: &PassCtx<'_>, chunk: usize) -> ChunkPass {
                 continue;
             }
             if bound > f64::from(best_d) || (c > best && bound >= f64::from(best_d)) {
-                pass.pruned_quantized += 1;
+                pass.work.pruned_quantized += 1;
                 continue;
             }
-            pass.rescored += 1;
+            pass.work.rescored += 1;
             let d = ctx.pnorm[i] - 2.0 * sparse_dot_dense(si, sv, ctx.cmat.row(c)) + ctx.cnorm[c];
             if d < best_d || (d == best_d && c < best) {
                 best_d = d;
                 best = c;
             }
         }
-        pass.commit(i, best, best_d, ctx);
+        pass.push(best, best_d);
     }
     pass
 }
 
-impl ChunkPass {
-    fn empty(len: usize, k: usize, dim: usize, with_sums: bool) -> ChunkPass {
-        ChunkPass {
-            assign: Vec::with_capacity(len),
+impl RowChunk {
+    fn empty(len: usize) -> RowChunk {
+        RowChunk {
+            best: Vec::with_capacity(len),
             dist: Vec::with_capacity(len),
-            sums: if with_sums {
-                vec![0.0f32; k * dim]
-            } else {
-                Vec::new()
-            },
-            counts: if with_sums {
-                vec![0usize; k]
-            } else {
-                Vec::new()
-            },
-            inertia: 0.0,
-            tiles: 0,
-            pruned_exact: 0,
-            pruned_quantized: 0,
-            rescored: 0,
+            work: Work::default(),
         }
     }
 
-    /// Records point `i`'s result and (when accumulating) scatter-adds
-    /// its sparse row into the partial sums. Adding only the nonzero
-    /// components is bitwise identical to adding the dense row: the
-    /// skipped terms are `+0.0`, and a partial sum never holds `-0.0`
-    /// (an f32 sum only rounds to `-0.0` when every term is `-0.0`, and
-    /// stored sparse values are nonzero), so `s + 0.0 == s` exactly.
-    fn commit(&mut self, i: usize, best: usize, best_d: f32, ctx: &PassCtx<'_>) {
-        // The expansion can go epsilon-negative for a point sitting on
-        // its centroid.
-        let best_d = best_d.max(0.0);
-        self.assign.push(best);
-        self.dist.push(best_d);
-        self.inertia += best_d;
-        if ctx.with_sums {
-            self.counts[best] += 1;
-            let dim = ctx.points.dim();
-            let row = &mut self.sums[best * dim..(best + 1) * dim];
-            let (si, sv) = ctx.points.sparse().row(i);
-            for (&idx, &v) in si.iter().zip(sv) {
-                row[idx as usize] += v;
-            }
-        }
+    /// Records the next row's winner and distance.
+    fn push(&mut self, best: usize, best_d: f32) {
+        // The expansion can go epsilon-negative for a row sitting on its
+        // centroid.
+        self.best.push(best);
+        self.dist.push(best_d.max(0.0));
     }
 }
 
-/// Builds the per-iteration centroid structures (matrix form, norms,
-/// optional quantization) and runs one full assignment pass.
+impl Work {
+    fn add(&mut self, other: &Work) {
+        self.tiles += other.tiles;
+        self.pruned_exact += other.pruned_exact;
+        self.pruned_quantized += other.pruned_quantized;
+        self.rescored += other.rescored;
+    }
+}
+
+/// The point pass over points `lo..hi`: each point takes its row's
+/// distance into the chunk inertia and, when accumulating, its row's
+/// nonzeros into its cluster's partial sum, in point order. Adding only
+/// the nonzero components is bitwise identical to adding the dense row:
+/// the skipped terms are `+0.0`, and a partial sum never holds `-0.0`
+/// (an f32 sum only rounds to `-0.0` when every term is `-0.0`, and
+/// stored sparse values are nonzero), so `s + 0.0 == s` exactly.
+fn accumulate_chunk(
+    points: &Points,
+    best: &[usize],
+    dist: &[f32],
+    k: usize,
+    (lo, hi): (usize, usize),
+    with_sums: bool,
+) -> PointChunk {
+    let dim = points.dim();
+    let mut chunk = PointChunk {
+        sums: if with_sums {
+            vec![0.0f32; k * dim]
+        } else {
+            Vec::new()
+        },
+        counts: if with_sums {
+            vec![0usize; k]
+        } else {
+            Vec::new()
+        },
+        inertia: 0.0,
+    };
+    for &r in &points.row_of()[lo..hi] {
+        let (c, r) = (best[r as usize], r as usize);
+        chunk.inertia += dist[r];
+        if with_sums {
+            chunk.counts[c] += 1;
+            let sums = &mut chunk.sums[c * dim..(c + 1) * dim];
+            let (si, sv) = points.sparse().row(r);
+            for (&idx, &v) in si.iter().zip(sv) {
+                sums[idx as usize] += v;
+            }
+        }
+    }
+    chunk
+}
+
+/// One assignment step: builds the per-iteration centroid structures
+/// (matrix form, norms, optional quantization), finds every row's
+/// nearest centroid (the row pass), then sums the points' partials (the
+/// point pass). Both passes run on fixed chunks through [`run_chunks`].
 #[allow(clippy::too_many_arguments)]
 fn run_pass(
     points: &Points,
@@ -441,10 +493,10 @@ fn run_pass(
     centroids: &[Vec<f32>],
     pquant: Option<&QuantMatrix>,
     config: &KMeansConfig,
-    n_chunks: usize,
     threads: usize,
     with_sums: bool,
-) -> Vec<ChunkPass> {
+    work: &mut Work,
+) -> Pass {
     let cmat = PointMatrix::from_rows(centroids);
     let k = cmat.n();
     let cnorm: Vec<f32> = (0..k)
@@ -462,6 +514,7 @@ fn run_pass(
             ct[i * ct_stride + c] = v;
         }
     }
+    let chunk_size = config.chunk.max(1);
     let ctx = PassCtx {
         points,
         pnorm,
@@ -472,11 +525,26 @@ fn run_pass(
         ct: &ct,
         ct_stride,
         quant: pquant.and_then(|pq| cquant.as_ref().map(|cq| (pq, cq))),
-        chunk_size: config.chunk.max(1),
-        with_sums,
+        chunk_size,
         kernel: config.kernel,
     };
-    run_chunks(n_chunks, threads, |chunk| assign_chunk(&ctx, chunk))
+    let rows = points.n_rows();
+    let mut best = Vec::with_capacity(rows);
+    let mut dist = Vec::with_capacity(rows);
+    for chunk in run_chunks(rows.div_ceil(chunk_size), threads, |chunk| {
+        assign_chunk(&ctx, chunk)
+    }) {
+        best.extend(chunk.best);
+        dist.extend(chunk.dist);
+        work.add(&chunk.work);
+    }
+    let n = points.n();
+    let chunks = run_chunks(n.div_ceil(chunk_size), threads, |chunk| {
+        let lo = chunk * chunk_size;
+        let bounds = (lo, (lo + chunk_size).min(n));
+        accumulate_chunk(points, &best, &dist, k, bounds, with_sums)
+    });
+    Pass { best, dist, chunks }
 }
 
 /// Lloyd iterations from the given initial centroids.
@@ -492,11 +560,10 @@ pub(crate) fn lloyd(
     let dim = points.dim();
     let k = centroids.len();
     let chunk_size = config.chunk.max(1);
-    let n_chunks = n.div_ceil(chunk_size);
-    let threads = resolve_threads(config.threads, n_chunks);
-    let matrix = points.matrix();
-    let pnorm: Vec<f32> = (0..n)
-        .map(|i| crate::matrix::dense_dot(matrix.row(i), matrix.row(i)))
+    let threads = resolve_threads(config.threads, n.max(points.n_rows()).div_ceil(chunk_size));
+    let (matrix, row_of) = (points.matrix(), points.row_of());
+    let pnorm: Vec<f32> = (0..points.n_rows())
+        .map(|r| crate::matrix::dense_dot(matrix.row(r), matrix.row(r)))
         .collect();
     let proot: Vec<f32> = pnorm.iter().map(|v| v.sqrt()).collect();
     let screen = config.kernel == Kernel::TiledQuantized
@@ -504,36 +571,24 @@ pub(crate) fn lloyd(
         && points.density() >= MIN_SCREEN_DENSITY;
     let pquant = if screen { Some(points.quant()) } else { None };
 
-    let mut assignments = vec![0usize; n];
     let mut iterations = 0;
-    let mut tiles_total = 0u64;
-    let mut pruned_exact_total = 0u64;
-    let mut pruned_quantized_total = 0u64;
-    let mut rescored_total = 0u64;
+    let mut work = Work::default();
     let mut reseeded_total = 0u64;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        let passes = run_pass(
-            points, &pnorm, &proot, &centroids, pquant, config, n_chunks, threads, true,
+        let pass = run_pass(
+            points, &pnorm, &proot, &centroids, pquant, config, threads, true, &mut work,
         );
         // Merge partials in chunk-index order (the determinism contract).
         let mut sums = vec![0.0f32; k * dim];
         let mut counts = vec![0usize; k];
-        let mut dists = vec![0.0f32; n];
-        for (chunk, pass) in passes.iter().enumerate() {
-            let lo = chunk * chunk_size;
-            assignments[lo..lo + pass.assign.len()].copy_from_slice(&pass.assign);
-            dists[lo..lo + pass.dist.len()].copy_from_slice(&pass.dist);
-            for (s, v) in sums.iter_mut().zip(&pass.sums) {
+        for chunk in &pass.chunks {
+            for (s, v) in sums.iter_mut().zip(&chunk.sums) {
                 *s += v;
             }
-            for (count, v) in counts.iter_mut().zip(&pass.counts) {
+            for (count, v) in counts.iter_mut().zip(&chunk.counts) {
                 *count += v;
             }
-            tiles_total += pass.tiles;
-            pruned_exact_total += pass.pruned_exact;
-            pruned_quantized_total += pass.pruned_quantized;
-            rescored_total += pass.rescored;
         }
         // Update step, serial over k.
         let mut movement = 0.0f32;
@@ -545,13 +600,14 @@ pub(crate) fn lloyd(
                 // centroid; successive empties take successively
                 // farther-ranked points so they do not collapse onto one.
                 let order = reseed_order.get_or_insert_with(|| {
+                    let dist = |p: usize| pass.dist[row_of[p] as usize];
                     let mut idx: Vec<usize> = (0..n).collect();
-                    idx.sort_by(|&a, &b| dists[b].total_cmp(&dists[a]).then(a.cmp(&b)));
+                    idx.sort_by(|&a, &b| dist(b).total_cmp(&dist(a)).then(a.cmp(&b)));
                     idx
                 });
                 let far = order[reseeded.min(order.len() - 1)];
                 reseeded += 1;
-                let fresh = matrix.row(far).to_vec();
+                let fresh = matrix.row(row_of[far] as usize).to_vec();
                 movement += distance_sq(&fresh, &centroids[c]);
                 centroids[c] = fresh;
                 continue;
@@ -572,33 +628,28 @@ pub(crate) fn lloyd(
 
     // Final assignment against the converged centroids; inertia is the
     // chunk-ordered sum of the per-chunk ordered sums.
-    let passes = run_pass(
-        points, &pnorm, &proot, &centroids, pquant, config, n_chunks, threads, false,
+    let pass = run_pass(
+        points, &pnorm, &proot, &centroids, pquant, config, threads, false, &mut work,
     );
+    let assignments: Vec<usize> = row_of.iter().map(|&r| pass.best[r as usize]).collect();
     let mut inertia = 0.0f32;
-    for (chunk, pass) in passes.iter().enumerate() {
-        let lo = chunk * chunk_size;
-        assignments[lo..lo + pass.assign.len()].copy_from_slice(&pass.assign);
-        inertia += pass.inertia;
-        tiles_total += pass.tiles;
-        pruned_exact_total += pass.pruned_exact;
-        pruned_quantized_total += pass.pruned_quantized;
-        rescored_total += pass.rescored;
+    for chunk in &pass.chunks {
+        inertia += chunk.inertia;
     }
 
     obs::counter_add("kmeans.runs", 1);
     obs::counter_add("kmeans.iterations", iterations as u64);
-    obs::counter_add("kmeans.pruned_distances", pruned_exact_total);
+    obs::counter_add("kmeans.pruned_distances", work.pruned_exact);
     obs::counter_add("kmeans.reseeds", reseeded_total);
-    obs::counter_add("kernel.tiles", tiles_total);
-    obs::counter_add("kernel.pruned_exact", pruned_exact_total);
-    obs::counter_add("kernel.pruned_quantized", pruned_quantized_total);
+    obs::counter_add("kernel.tiles", work.tiles);
+    obs::counter_add("kernel.pruned_exact", work.pruned_exact);
+    obs::counter_add("kernel.pruned_quantized", work.pruned_quantized);
     obs::counter_add(
         "kernel.pruned_quantized{stage=assign}",
-        pruned_quantized_total,
+        work.pruned_quantized,
     );
-    obs::counter_add("kernel.rescored", rescored_total);
-    obs::counter_add("kernel.rescored{stage=assign}", rescored_total);
+    obs::counter_add("kernel.rescored", work.rescored);
+    obs::counter_add("kernel.rescored{stage=assign}", work.rescored);
 
     KMeansResult {
         centroids,

@@ -15,7 +15,10 @@
 //!   by the validation tests and the ablation benchmarks.
 //!
 //! Points are plain `&[f32]` slices so the crate has no dependency on the
-//! embedding layer.
+//! embedding layer. A [`Points`] input holds each distinct row once plus
+//! the row of every point ([`Points::from_sparse_row_map`]), so points
+//! that repeat a vector — a malicious campaign republishing one artifact
+//! — cost one row's norms, quantization and nearest-centroid search.
 //!
 //! # Determinism contract
 //!
@@ -24,7 +27,10 @@
 //! in fixed-size chunks (boundaries independent of the thread count) and
 //! merges per-chunk partial sums in chunk-index order, so the
 //! floating-point summation tree — and therefore every centroid,
-//! assignment and the inertia — does not depend on scheduling. See
+//! assignment and the inertia — does not depend on scheduling. Nor do
+//! they depend on which points share a row: what is a function of a
+//! row's bytes is computed once per distinct row, and everything summed
+//! over points is still summed point by point, in point order. See
 //! `engine.rs` for the full contract; keep it when touching parallelism.
 //!
 //! # Examples
@@ -178,7 +184,7 @@ pub fn kmeans_points(
 ) -> KMeansResult {
     assert!(k > 0, "k must be positive");
     let k = k.min(points.n());
-    let centroids = seed_plus_plus(points.matrix(), Vec::new(), k, rng);
+    let centroids = seed_plus_plus(points, Vec::new(), k, rng);
     engine::lloyd(points, centroids, config)
 }
 
@@ -237,7 +243,7 @@ pub fn kmeans_warm_points(
     obs::counter_add("kmeans.warm_starts", 1);
     obs::counter_add("kmeans.warm_kept_centroids", centroids.len() as u64);
     if centroids.len() < k {
-        centroids = seed_plus_plus(points.matrix(), centroids, k, rng);
+        centroids = seed_plus_plus(points, centroids, k, rng);
     }
     engine::lloyd(points, centroids, config)
 }
@@ -246,40 +252,48 @@ pub fn kmeans_warm_points(
 /// cold start): the first missing centroid is uniform (cold) or sampled
 /// against the existing ones (warm), then each next centroid is sampled
 /// proportionally to squared distance from the nearest chosen one.
+///
+/// Distances to the chosen centroids are a function of a point's row, so
+/// they are kept and updated once per distinct row; the draws, the D²
+/// total and the walk go point by point, so the RNG is consumed as if
+/// every point had its own row.
 fn seed_plus_plus(
-    points: &PointMatrix,
+    points: &Points,
     existing: Vec<Vec<f32>>,
     k: usize,
     rng: &mut impl Rng,
 ) -> Vec<Vec<f32>> {
     let n = points.n();
+    let (matrix, row_of) = (points.matrix(), points.row_of());
+    let row = |p: usize| matrix.row(row_of[p] as usize);
     let mut centroids = existing;
     let mut dists: Vec<f32>;
     if centroids.is_empty() {
         let first = rng.gen_range(0..n);
-        centroids.push(points.row(first).to_vec());
-        dists = (0..n)
-            .map(|i| engine::distance_sq(points.row(i), &centroids[0]))
+        centroids.push(row(first).to_vec());
+        dists = (0..matrix.n())
+            .map(|r| engine::distance_sq(matrix.row(r), &centroids[0]))
             .collect();
     } else {
-        dists = (0..n)
-            .map(|i| {
+        dists = (0..matrix.n())
+            .map(|r| {
                 centroids
                     .iter()
-                    .map(|c| engine::distance_sq(points.row(i), c))
+                    .map(|c| engine::distance_sq(matrix.row(r), c))
                     .fold(f32::INFINITY, f32::min)
             })
             .collect();
     }
     while centroids.len() < k {
-        let total: f32 = dists.iter().sum();
+        let point_dists = row_of.iter().map(|&r| dists[r as usize]);
+        let total: f32 = point_dists.clone().sum();
         let chosen = if total <= f32::EPSILON {
             // All points coincide with chosen centroids; pick uniformly.
             rng.gen_range(0..n)
         } else {
             let mut target = rng.gen_range(0.0..total);
             let mut idx = 0;
-            for (i, &d) in dists.iter().enumerate() {
+            for (i, d) in point_dists.enumerate() {
                 if target < d {
                     idx = i;
                     break;
@@ -289,10 +303,10 @@ fn seed_plus_plus(
             }
             idx
         };
-        centroids.push(points.row(chosen).to_vec());
+        centroids.push(row(chosen).to_vec());
         let last = centroids.last().expect("just pushed");
-        for (i, d) in dists.iter_mut().enumerate() {
-            *d = d.min(engine::distance_sq(points.row(i), last));
+        for (r, d) in dists.iter_mut().enumerate() {
+            *d = d.min(engine::distance_sq(matrix.row(r), last));
         }
     }
     centroids

@@ -15,7 +15,9 @@
 //!   *conservative* error bound: the coarse integer pass can only skip
 //!   candidates **provably** outside the threshold / current best, and
 //!   every survivor is rescored in exact f32, so pruned results are
-//!   guaranteed identical to the brute-force path, not just close.
+//!   guaranteed identical to the brute-force path, not just close;
+//! * [`Points`] — the three over a point set's *distinct* rows, plus the
+//!   row of every point, so repeated vectors are stored and scored once.
 //!
 //! # Determinism and bitwise equivalence
 //!
@@ -140,18 +142,29 @@ impl SparsePoints {
     }
 }
 
-/// A clustering input: the dense matrix, its sparse view, and a lazily
-/// built quantized companion — built **once** per clustering /
-/// `similar_pairs` call and shared by every pass that needs it.
+/// A clustering input: its distinct rows — the dense matrix, their
+/// sparse view and a lazily built quantized companion — plus the row of
+/// every point, built **once** per clustering / `similar_pairs` call and
+/// shared by every pass that needs it.
+///
+/// Points that repeat a vector share its row, so every per-row quantity
+/// (norms, quantization, nearest centroid) is computed once per distinct
+/// row; [`Points::matrix`], [`Points::sparse`] and [`Points::quant`] are
+/// indexed by row, and [`Points::row_of`] maps a point to its row.
+/// [`Points::from_dense_rows`] and [`Points::from_sparse_rows`] give every
+/// point its own row.
 #[derive(Debug)]
 pub struct Points {
     matrix: PointMatrix,
     sparse: SparsePoints,
     quant: OnceLock<QuantMatrix>,
+    row_of: Vec<u32>,
+    /// Nonzeros summed over the points, a shared row counted per point.
+    point_nnz: usize,
 }
 
 impl Points {
-    /// Builds from dense rows.
+    /// Builds from dense rows, one point per row.
     ///
     /// # Panics
     ///
@@ -162,6 +175,8 @@ impl Points {
         let matrix = PointMatrix::from_rows(rows);
         let sparse = SparsePoints::from_matrix(&matrix);
         Points {
+            row_of: identity(rows.len()),
+            point_nnz: sparse.nnz(),
             matrix,
             sparse,
             quant: OnceLock::new(),
@@ -169,15 +184,28 @@ impl Points {
     }
 
     /// Builds from sparse rows (sorted index/value pairs per row) of a
-    /// fixed dimensionality — the zero-densification path the embedding
-    /// stage uses.
+    /// fixed dimensionality, one point per row — the zero-densification
+    /// path the embedding stage uses.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is empty, indices are unsorted/duplicated, or an
     /// index is out of range for `dim`.
     pub fn from_sparse_rows(dim: usize, rows: &[(&[u32], &[f32])]) -> Self {
-        assert!(!rows.is_empty(), "cannot cluster an empty dataset");
+        Self::from_sparse_row_map(dim, rows, identity(rows.len()))
+    }
+
+    /// Builds from distinct sparse rows and the row of every point:
+    /// point `i` is `rows[row_of[i]]`. Rows are expected to be distinct
+    /// and each used by some point; neither is needed for correctness,
+    /// only for the saving.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_of` is empty, a point's row is out of range, or a
+    /// row is malformed as in [`Points::from_sparse_rows`].
+    pub fn from_sparse_row_map(dim: usize, rows: &[(&[u32], &[f32])], row_of: Vec<u32>) -> Self {
+        assert!(!row_of.is_empty(), "cannot cluster an empty dataset");
         let stride = round_up(dim.max(1), ROW_ALIGN);
         let mut data = vec![0.0f32; rows.len() * stride];
         let mut sp = SparsePoints::default();
@@ -196,6 +224,14 @@ impl Points {
             sp.values.extend_from_slice(values);
             sp.offsets.push(sp.indices.len());
         }
+        let point_nnz = row_of
+            .iter()
+            .map(|&r| {
+                let r = r as usize;
+                assert!(r < rows.len(), "point row out of range");
+                sp.offsets[r + 1] - sp.offsets[r]
+            })
+            .sum();
         Points {
             matrix: PointMatrix {
                 data,
@@ -205,27 +241,40 @@ impl Points {
             },
             sparse: sp,
             quant: OnceLock::new(),
+            row_of,
+            point_nnz,
         }
     }
 
-    /// The dense matrix.
+    /// The dense matrix of the distinct rows.
     pub fn matrix(&self) -> &PointMatrix {
         &self.matrix
     }
 
-    /// The sparse (CSR) view.
+    /// The sparse (CSR) view of the distinct rows.
     pub fn sparse(&self) -> &SparsePoints {
         &self.sparse
     }
 
-    /// The quantized companion, built on first use and cached.
+    /// The quantized companion of the distinct rows, built on first use
+    /// and cached.
     pub fn quant(&self) -> &QuantMatrix {
         self.quant
             .get_or_init(|| QuantMatrix::from_matrix(&self.matrix))
     }
 
+    /// The row of every point.
+    pub fn row_of(&self) -> &[u32] {
+        &self.row_of
+    }
+
     /// Number of points.
     pub fn n(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// Number of distinct rows.
+    pub fn n_rows(&self) -> usize {
         self.matrix.n
     }
 
@@ -234,13 +283,19 @@ impl Points {
         self.matrix.dim
     }
 
-    /// Fraction of stored components that are nonzero.
+    /// Fraction of the points' components that are nonzero, each point
+    /// counted with its row, so sharing rows does not move it.
     pub fn density(&self) -> f64 {
-        if self.matrix.n == 0 || self.matrix.dim == 0 {
+        if self.matrix.dim == 0 {
             return 0.0;
         }
-        self.sparse.nnz() as f64 / (self.matrix.n * self.matrix.dim) as f64
+        self.point_nnz as f64 / (self.n() * self.matrix.dim) as f64
     }
+}
+
+/// The row map that gives every point its own row.
+fn identity(n: usize) -> Vec<u32> {
+    (0..u32::try_from(n).expect("too many points")).collect()
 }
 
 /// Per-row-scaled i8 quantization of a [`PointMatrix`], with the cached

@@ -1,9 +1,13 @@
 //! Property-based tests for K-Means: the converged solution must satisfy
 //! the Lloyd invariants regardless of input shape, and the parallel
-//! engine must be bitwise insensitive to its thread count.
+//! engine must be bitwise insensitive to its thread count and to points
+//! sharing rows.
 
 use cluster::matrix::{dense_dot, sparse_dot_sparse};
-use cluster::{kmeans, kmeans_warm, KMeansConfig, Kernel, Points};
+use cluster::{
+    kmeans, kmeans_points, kmeans_warm, kmeans_warm_points, KMeansConfig, KMeansResult, Kernel,
+    Points,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,13 +32,53 @@ fn arb_screened_points() -> impl Strategy<Value = Vec<Vec<f32>>> {
 /// 2 to 39 rows of `dim` components, each zero with probability
 /// `zeros / 5`.
 fn arb_rows(dim: usize, zeros: u8) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    proptest::collection::vec(arb_row(dim, zeros), 2..40)
+}
+
+/// One row of `dim` components, each zero with probability `zeros / 5`.
+fn arb_row(dim: usize, zeros: u8) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(
-        proptest::collection::vec(
-            (0u8..5, -1.0f32..1.0).prop_map(move |(g, v)| if g < zeros { 0.0 } else { v }),
-            dim,
-        ),
-        2..40,
+        (0u8..5, -1.0f32..1.0).prop_map(move |(g, v)| if g < zeros { 0.0 } else { v }),
+        dim,
     )
+}
+
+/// A pool of 1 to 5 rows of `dim` components, and 2 to 59 points that
+/// each draw their row from it.
+fn arb_pooled_points(dim: usize, zeros: u8) -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<u32>)> {
+    (
+        proptest::collection::vec(arb_row(dim, zeros), 1..6),
+        proptest::collection::vec(0u32..1000, 2..60),
+    )
+        .prop_map(|(pool, picks)| {
+            let rows = pool.len() as u32;
+            let row_of = picks.iter().map(|pick| pick % rows).collect();
+            (pool, row_of)
+        })
+}
+
+/// A row's nonzeros as sorted (indices, values).
+fn nonzeros(row: &[f32]) -> (Vec<u32>, Vec<f32>) {
+    row.iter()
+        .enumerate()
+        .filter(|(_, &v)| v != 0.0)
+        .map(|(j, &v)| (j as u32, v))
+        .unzip()
+}
+
+/// Two results agree bit for bit: centroids, assignments, inertia and
+/// iteration count.
+fn same_bits(a: &KMeansResult, b: &KMeansResult, label: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.assignments, &b.assignments, "{}", label);
+    prop_assert_eq!(a.inertia.to_bits(), b.inertia.to_bits(), "{}", label);
+    prop_assert_eq!(a.iterations, b.iterations, "{}", label);
+    prop_assert_eq!(a.centroids.len(), b.centroids.len(), "{}", label);
+    for (x, y) in a.centroids.iter().zip(&b.centroids) {
+        let xb: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
+        let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(xb, yb, "{}", label);
+    }
+    Ok(())
 }
 
 fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
@@ -194,6 +238,47 @@ proptest! {
                     let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
                     prop_assert_eq!(ab, bb, "{:?} threads={}", kernel, threads);
                 }
+            }
+        }
+    }
+
+    /// Points that share a row cluster exactly as if each held its own
+    /// copy: cold and warm K-Means over a pool of rows plus the row of
+    /// every point equal the same calls over the expanded rows (every
+    /// point its own row) bit for bit, under both kernels at 1 and 7
+    /// threads, on each side of the i8 screen's gate. k runs past the
+    /// pool's size, so clusters go empty and are reseeded.
+    #[test]
+    fn shared_rows_cluster_like_expanded_rows(
+        (pool, row_of) in prop_oneof![arb_pooled_points(24, 3), arb_pooled_points(40, 1)],
+        k in 1usize..12,
+        extra in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let dim = pool[0].len();
+        let sparse: Vec<(Vec<u32>, Vec<f32>)> = pool.iter().map(|r| nonzeros(r)).collect();
+        let rows: Vec<(&[u32], &[f32])> =
+            sparse.iter().map(|(i, v)| (i.as_slice(), v.as_slice())).collect();
+        let expanded_rows: Vec<(&[u32], &[f32])> =
+            row_of.iter().map(|&r| rows[r as usize]).collect();
+        let collapsed = Points::from_sparse_row_map(dim, &rows, row_of.clone());
+        let expanded = Points::from_sparse_rows(dim, &expanded_rows);
+        prop_assert_eq!(collapsed.n(), expanded.n());
+        prop_assert_eq!(collapsed.density().to_bits(), expanded.density().to_bits());
+        for kernel in [Kernel::DenseScalar, Kernel::TiledQuantized] {
+            for threads in [1usize, 7] {
+                let config = KMeansConfig { kernel, threads, chunk: 8, ..KMeansConfig::default() };
+                let run = |points: &Points| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let cold = kmeans_points(points, k, &config, &mut rng);
+                    let warm = kmeans_warm_points(points, &cold.centroids, extra, &config, &mut rng);
+                    (cold, warm)
+                };
+                let (cold, warm) = run(&expanded);
+                let (shared_cold, shared_warm) = run(&collapsed);
+                let label = format!("{kernel:?} threads={threads}");
+                same_bits(&cold, &shared_cold, &format!("cold {label}"))?;
+                same_bits(&warm, &shared_warm, &format!("warm {label}"))?;
             }
         }
     }

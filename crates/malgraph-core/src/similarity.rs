@@ -31,7 +31,13 @@
 //!   comparison), so packages with bitwise-identical embeddings share
 //!   one persistent *vid* and one canonical stored vector across
 //!   windows.
-//! * **collapsed refinement** — within a cluster, every member of a vid
+//! * **collapsed K-Means** — the points handed to the schedule hold one
+//!   row per distinct vid of the call, in first-appearance order, plus
+//!   the row of every point ([`Points::from_sparse_row_map`]), so the
+//!   K-Means engine quantizes, norms and assigns each distinct vector
+//!   once per pass; what it sums over points it still sums point by
+//!   point, so the clustering is bit for bit the one-row-per-point one.
+//! * **collapsed refinement** — within a cluster, every member of a row
 //!   shares the same row bytes, so the screen + dot verdict is computed
 //!   once per oriented pair of *distinct contents* instead of once per
 //!   member pair (a flood cluster holds thousands of copies of a few
@@ -45,14 +51,14 @@
 //!   of expanding them into member pairs: the pairs are counted by
 //!   arithmetic, and the graph serves the similar edges from the table.
 //!
-//! The K-Means schedule is *not* cached: clustering is a global
-//! property of the grown corpus, and a warm-start from the previous
-//! window's centroids would change the bits.
+//! The K-Means schedule is *not* cached across calls: clustering is a
+//! global property of the grown corpus, and a warm-start from the
+//! previous window's centroids would change the bits.
 //!
 //! The unit tests keep the simplest statement of the pipeline as its
-//! reference: parse and embed every entry, run the same schedule, then
-//! test every member pair of each cluster with the exact dense dot, on
-//! one thread, with no screen. Cold, warm and grown caches must expand
+//! reference: parse and embed every entry, run the same schedule over
+//! one row per entry, then test every member pair of each cluster with
+//! the exact dense dot, on one thread, with no screen. Cold, warm and grown caches must expand
 //! to its pair list bit for bit under every kernel and thread count.
 //!
 //! # Determinism contract
@@ -734,14 +740,14 @@ fn lpt_buckets(clusters: &[Vec<usize>], threads: usize) -> Vec<Vec<usize>> {
     buckets
 }
 
-/// Groups a cluster's member positions by vid, in first-appearance
+/// Groups a cluster's member positions by row, in first-appearance
 /// order; each group holds ascending member positions sharing one
 /// distinct vector content.
-fn group_by_vid(members: &[usize], vid_of: &[u32]) -> Vec<Vec<usize>> {
+fn group_by_row(members: &[usize], row_of: &[u32]) -> Vec<Vec<usize>> {
     let mut group_of: HashMap<u32, usize> = HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (pos, &m) in members.iter().enumerate() {
-        let v = vid_of[m];
+        let v = row_of[m];
         let g = *group_of.entry(v).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
@@ -765,27 +771,28 @@ fn group_by_vid(members: &[usize], vid_of: &[u32]) -> Vec<Vec<usize>> {
 /// output with the cluster index, so the table does not depend on the
 /// worker count or scheduling.
 ///
-/// Soundness of the collapse: the decision for `(ia, ib)` is a pure
-/// function of the bytes of rows `ia` and `ib` (quant scales, l1/norm
+/// Soundness of the collapse: the decision for a pair of points is a
+/// pure function of the bytes of their rows (quant scales, l1/norm
 /// terms and the dots are all row-content-derived), so every member
-/// pair with the same `(vid_from, vid_to)` orientation shares its
+/// pair with the same `(row_from, row_to)` orientation shares its
 /// representative's decision exactly. Orientation is preserved (the
 /// sparse·dense dot is not guaranteed bitwise-symmetric), and an
 /// orientation whose nested-loop range is provably empty — every
 /// position of one group precedes every position of the other — skips
 /// its decision outright and stays `0`, since no member pair consumes
-/// it. Vids map one to one onto the table's content classes, and a
-/// cluster's vid groups are in first-appearance order, so each cluster's
-/// group matrix is its verdict matrix as the table defines it.
+/// it. The points' rows are distinct contents numbered by first
+/// appearance in entry order, so they are the table's content classes,
+/// and a cluster's row groups are in first-appearance order, so each
+/// cluster's group matrix is its verdict matrix as the table defines it.
 fn refine_classes(
     points: &Points,
-    vid_of: &[u32],
     best: &KMeansResult,
     owners: &[usize],
     entries: usize,
     config: &SimilarityConfig,
 ) -> SimilarPairs {
     let phase = obs::span!("similarity/refine");
+    let row_of = points.row_of();
     let clusters = best.clusters();
     let quant = (config.kernel == Kernel::TiledQuantized && config.threshold > -1.0)
         .then(|| points.quant());
@@ -803,7 +810,9 @@ fn refine_classes(
                     let (matrix, sparse) = (points.matrix(), points.sparse());
                     let mut pruned = 0u64;
                     let mut rescored = 0u64;
-                    let mut decide = |x: usize, y: usize| -> bool {
+                    // Decides a pair of points by their rows.
+                    let mut decide = |a: usize, b: usize| -> bool {
+                        let (x, y) = (row_of[a] as usize, row_of[b] as usize);
                         if let Some(q) = quant {
                             if q.pair_upper_bound(x, q, y) < threshold {
                                 pruned += 1;
@@ -826,7 +835,7 @@ fn refine_classes(
                         .iter()
                         .map(|&c| {
                             let members = &clusters[c];
-                            let groups = group_by_vid(members, vid_of);
+                            let groups = group_by_row(members, row_of);
                             let g = groups.len();
                             // The oriented per-group decision matrix
                             // (`1` = accept). Entries for orientations no
@@ -879,18 +888,16 @@ fn refine_classes(
             verdicts[c] = matrix;
         }
     }
-    // Classes number the distinct contents by first appearance in entry
-    // order (points are in entry order), not by vid: vids depend on
-    // what the cache held.
+    // Classes are the rows: distinct contents numbered by first
+    // appearance in entry order (points are in entry order), not by vid,
+    // since vids depend on what the cache held.
     let mut cluster = vec![NO_CLUSTER; entries];
     let mut class = vec![NO_CLUSTER; entries];
-    let mut class_of: HashMap<u32, u32> = HashMap::new();
     for (p, &owner) in owners.iter().enumerate() {
-        let next = class_of.len() as u32;
-        class[owner] = *class_of.entry(vid_of[p]).or_insert(next);
+        class[owner] = row_of[p];
         cluster[owner] = best.assignments[p] as u32;
     }
-    obs::counter_add("similarity.distinct_vectors", class_of.len() as u64);
+    obs::counter_add("similarity.distinct_vectors", points.n_rows() as u64);
     let pairs = SimilarPairs::from_parts(cluster, class, verdicts)
         .expect("the refinement builds a consistent table");
     obs::counter_add("similarity.pairs", pairs.len() as u64);
@@ -926,11 +933,13 @@ pub fn similar_pairs_cached(
     let phase = obs::span!("similarity/embed");
     obs::counter_add("similarity.entries", entries.len() as u64);
     embed_misses(entries, config, cache);
-    // Assemble `(vectors, owners, vids)` in entry order by reference:
-    // one row per parseable entry.
-    let mut vectors: Vec<&SparseEmbedding> = Vec::with_capacity(entries.len());
+    // Assemble the points in entry order, one per parseable entry, by
+    // reference: each distinct vid becomes one row, in first-appearance
+    // order, and each point records its row.
+    let mut rows: Vec<(&[u32], &[f32])> = Vec::new();
+    let mut row_of_vid = vec![u32::MAX; cache.reps.len()];
+    let mut row_of: Vec<u32> = Vec::with_capacity(entries.len());
     let mut owners: Vec<usize> = Vec::with_capacity(entries.len());
-    let mut vid_of: Vec<u32> = Vec::with_capacity(entries.len());
     let mut failures = 0u64;
     for (i, (id, _)) in entries.iter().enumerate() {
         match cache
@@ -939,16 +948,21 @@ pub fn similar_pairs_cached(
             .expect("every entry was just memoised")
         {
             Some(vid) => {
-                vectors.push(&cache.reps[*vid as usize]);
+                let row = &mut row_of_vid[*vid as usize];
+                if *row == u32::MAX {
+                    *row = rows.len() as u32;
+                    let vector = &cache.reps[*vid as usize];
+                    rows.push((vector.indices(), vector.values()));
+                }
+                row_of.push(*row);
                 owners.push(i);
-                vid_of.push(*vid);
             }
             None => failures += 1,
         }
     }
     obs::counter_add("similarity.parse_failures", failures);
     drop(phase);
-    if vectors.len() < 2 {
+    if owners.len() < 2 {
         return SimilarityOutput {
             pairs: SimilarPairs::unclustered(entries.len()),
             chosen_k: 0,
@@ -956,12 +970,11 @@ pub fn similar_pairs_cached(
         };
     }
     // One `Points` build per call: dense SoA matrix + CSR view + (lazy)
-    // quantized companion, shared by every K-Means run of the schedule
-    // and by the refinement screen.
-    let rows: Vec<(&[u32], &[f32])> = vectors.iter().map(|v| (v.indices(), v.values())).collect();
-    let points = Points::from_sparse_rows(config.dim, &rows);
+    // quantized companion of the distinct rows, shared by every K-Means
+    // run of the schedule and by the refinement screen.
+    let points = Points::from_sparse_row_map(config.dim, &rows, row_of);
     let (best, trace) = run_schedule(&points, config);
-    let pairs = refine_classes(&points, &vid_of, &best, &owners, entries.len(), config);
+    let pairs = refine_classes(&points, &best, &owners, entries.len(), config);
     SimilarityOutput {
         pairs,
         chosen_k: best.k(),
