@@ -129,11 +129,11 @@ impl fmt::Display for Ecosystem {
 impl FromStr for Ecosystem {
     type Err = ParseError;
 
+    /// Matches a slug in any ASCII case.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
         Ecosystem::ALL
             .into_iter()
-            .find(|e| e.slug() == lower)
+            .find(|e| e.slug().eq_ignore_ascii_case(s))
             .ok_or_else(|| ParseError::new("ecosystem", s, "unknown ecosystem"))
     }
 }
@@ -160,6 +160,21 @@ mod tests {
     fn unknown_ecosystem_is_rejected() {
         let err = "conda".parse::<Ecosystem>().unwrap_err();
         assert_eq!(err.what(), "ecosystem");
+    }
+
+    #[test]
+    fn every_slug_parses_in_upper_case() {
+        for eco in Ecosystem::ALL {
+            let upper = eco.slug().to_ascii_uppercase();
+            assert_eq!(upper.parse::<Ecosystem>().unwrap(), eco);
+        }
+        // Only ASCII letters fold: a slug spelled with a non-ASCII
+        // look-alike is unknown, and the error keeps the input as given.
+        let err = "PYPİ".parse::<Ecosystem>().unwrap_err();
+        assert_eq!(
+            (err.what(), err.input(), err.reason()),
+            ("ecosystem", "PYPİ", "unknown ecosystem")
+        );
     }
 
     #[test]

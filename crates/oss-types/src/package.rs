@@ -146,10 +146,12 @@ impl FromStr for Version {
                 return Err(ParseError::new("version", s, "invalid pre-release tag"));
             }
         }
-        let parts: Vec<&str> = core.split('.').collect();
-        if parts.len() != 3 {
+        let mut parts = core.split('.');
+        let (Some(major), Some(minor), Some(patch), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(ParseError::new("version", s, "expected major.minor.patch"));
-        }
+        };
         let parse = |p: &str| -> Result<u32, ParseError> {
             if p.is_empty() || (p.len() > 1 && p.starts_with('0')) {
                 return Err(ParseError::new("version", s, "bad numeric component"));
@@ -158,9 +160,9 @@ impl FromStr for Version {
                 .map_err(|_| ParseError::new("version", s, "bad numeric component"))
         };
         Ok(Version {
-            major: parse(parts[0])?,
-            minor: parse(parts[1])?,
-            patch: parse(parts[2])?,
+            major: parse(major)?,
+            minor: parse(minor)?,
+            patch: parse(patch)?,
             pre: pre.map(str::to_owned),
         })
     }
@@ -269,6 +271,19 @@ mod tests {
         ] {
             assert!(v.parse::<Version>().is_err(), "{v:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn a_version_of_the_wrong_arity_names_the_format() {
+        for input in ["1.2.3.4", "1.2", "1", "", "1.2-rc1"] {
+            let err = input.parse::<Version>().unwrap_err();
+            assert_eq!(
+                (err.what(), err.input(), err.reason()),
+                ("version", input, "expected major.minor.patch")
+            );
+        }
+        let err = "1..3".parse::<Version>().unwrap_err();
+        assert_eq!(err.reason(), "bad numeric component");
     }
 
     #[test]

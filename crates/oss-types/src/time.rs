@@ -246,17 +246,19 @@ impl FromStr for SimTime {
 
     /// Parses `YYYY-MM-DD`, as written in security reports.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('-').collect();
-        if parts.len() != 3 {
+        let mut parts = s.split('-');
+        let (Some(year), Some(month), Some(day), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(ParseError::new("date", s, "expected YYYY-MM-DD"));
-        }
-        let year: i32 = parts[0]
+        };
+        let year: i32 = year
             .parse()
             .map_err(|_| ParseError::new("date", s, "bad year"))?;
-        let month: u32 = parts[1]
+        let month: u32 = month
             .parse()
             .map_err(|_| ParseError::new("date", s, "bad month"))?;
-        let day: u32 = parts[2]
+        let day: u32 = day
             .parse()
             .map_err(|_| ParseError::new("date", s, "bad day"))?;
         if year < EPOCH_YEAR {
@@ -339,6 +341,19 @@ mod tests {
         assert!("2023-02-30".parse::<SimTime>().is_err());
         assert!("not-a-date".parse::<SimTime>().is_err());
         assert!("2016-01-01".parse::<SimTime>().is_err());
+    }
+
+    #[test]
+    fn a_date_of_the_wrong_arity_names_the_format() {
+        for input in ["2024-01-15-01", "2024-01", "2024", ""] {
+            let err = input.parse::<SimTime>().unwrap_err();
+            assert_eq!(
+                (err.what(), err.input(), err.reason()),
+                ("date", input, "expected YYYY-MM-DD")
+            );
+        }
+        let err = "2024-1x-15".parse::<SimTime>().unwrap_err();
+        assert_eq!(err.reason(), "bad month");
     }
 
     #[test]
