@@ -560,7 +560,7 @@ pub(crate) fn lloyd(
     let dim = points.dim();
     let k = centroids.len();
     let chunk_size = config.chunk.max(1);
-    let threads = resolve_threads(config.threads, n.max(points.n_rows()).div_ceil(chunk_size));
+    let threads = resolve_threads(config.threads, n.div_ceil(chunk_size));
     let (matrix, row_of) = (points.matrix(), points.row_of());
     let pnorm: Vec<f32> = (0..points.n_rows())
         .map(|r| crate::matrix::dense_dot(matrix.row(r), matrix.row(r)))
