@@ -38,7 +38,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 #    threshold edges), obs_instrumentation (instrumented ≡
 #    uninstrumented at 1 and 7 threads) and obs_export (byte-exact
 #    exporter goldens, the malgraph-obs/2 schema-stability check);
-#  * vector kernels — embed / cluster property suites and
+#  * vector kernels — embed / cluster property suites (K-Means over
+#    points that share rows ≡ one row per point, bit for bit) and
 #    kernel_equivalence (both kernels at 1 and 7 threads, identical
 #    output, the screened assignment kernel included);
 #  * the malgraph-bench suites — analysis_equivalence (every section
@@ -58,13 +59,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 #  * step_budget (detector) — sandbox steps actually executed;
 #  * similar_budget (malgraph-core) — bytes `build` requests for a
 #    2,000-copy flood;
-#  * the pinned counters — profile_equivalence caps 13 work counts of
-#    the whole pipeline (embeddings, K-Means iterations, kernel screens,
-#    sandbox runs and steps, index builds, …) and asserts every counter
-#    but the sections' fan-out count equal at 1 and 7 threads;
+#  * the pinned counters — profile_equivalence caps 17 work counts of
+#    the whole pipeline (embeddings, K-Means iterations, kernel screens
+#    in total and split by stage as
+#    `kernel.{pruned_quantized,rescored}{stage=assign|refine}`, sandbox
+#    runs and steps, index builds, …) and asserts every counter but the
+#    sections' fan-out count equal at 1 and 7 threads;
 #    ingest_equivalence pins the windowed ingest's cache drops
 #    (`ingest.invalidated{cache=…}`, one per populated cache per
-#    window) and its similarity work.
+#    window) and its similarity work, each stage's screens included.
 echo "== cargo test -q --workspace (vendored crates excluded)"
 cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude proptest --exclude rand --exclude rand_distr
 

@@ -37,8 +37,8 @@
 //!   K-Means engine quantizes, norms and assigns each distinct vector
 //!   once per pass; what it sums over points it still sums point by
 //!   point, so the clustering is bit for bit the one-row-per-point one.
-//! * **collapsed refinement** — within a cluster, every member of a row
-//!   shares the same row bytes, so the screen + dot verdict is computed
+//! * **collapsed refinement** — within a cluster, the members that share
+//!   a row share its bytes, so the screen + dot verdict is computed
 //!   once per oriented pair of *distinct contents* instead of once per
 //!   member pair (a flood cluster holds thousands of copies of a few
 //!   artifacts, collapsing the O(|c|²) walk to O(G²)); orientations
@@ -58,8 +58,9 @@
 //! The unit tests keep the simplest statement of the pipeline as its
 //! reference: parse and embed every entry, run the same schedule over
 //! one row per entry, then test every member pair of each cluster with
-//! the exact dense dot, on one thread, with no screen. Cold, warm and grown caches must expand
-//! to its pair list bit for bit under every kernel and thread count.
+//! the exact dense dot, on one thread, with no screen. Cold, warm and
+//! grown caches must expand to its pair list bit for bit under every
+//! kernel and thread count.
 //!
 //! # Determinism contract
 //!
